@@ -12,7 +12,8 @@
 use edc_bench::{banner, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_transient::TransientEvent;
+use edc_core::telemetry::TelemetryReport;
+use edc_telemetry::{Event, TelemetryKind};
 use edc_units::{Hertz, Seconds};
 use edc_workloads::WorkloadKind;
 
@@ -29,6 +30,7 @@ fn main() {
     )
     .leakage(edc_units::Ohms(100_000.0))
     .trace(50)
+    .telemetry(TelemetryKind::Timeline)
     .deadline(Seconds(4.0));
 
     let mut system = match spec.build() {
@@ -53,16 +55,19 @@ fn main() {
     let outcome = report.outcome;
     let stats = report.stats;
     let verified = report.verification.clone();
-    let runner = system.runner();
+    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+        unreachable!("the spec installs a timeline sink");
+    };
+    let records = timeline.records();
 
     banner("Events");
     let mut t = TextTable::new(&["t (s)", "cycle#", "event"]);
-    for (time, event) in runner.log().events() {
-        let cycle = (time.0 * supply_hz.0).floor() as u64 + 1;
+    for rec in records {
+        let cycle = (rec.t.0 * supply_hz.0).floor() as u64 + 1;
         t.row(&[
-            format!("{:.4}", time.0),
+            format!("{:.4}", rec.t.0),
             cycle.to_string(),
-            event.to_string(),
+            rec.event.name().to_string(),
         ]);
     }
     print!("{}", t.render());
@@ -80,9 +85,11 @@ fn main() {
         "snapshots: {} (sealed) + {} (torn); restores: {}; brownouts: {}",
         stats.snapshots, stats.torn_snapshots, stats.restores, stats.brownouts
     );
-    let dips = runner
-        .log()
-        .count(|e| matches!(e, TransientEvent::Hibernate));
+    // Each Hibernus hibernation begins at a falling V_H crossing.
+    let dips = records
+        .iter()
+        .filter(|r| matches!(r.event, Event::SupplyCrossing { rising: false }))
+        .count();
     println!(
         "snapshots per supply dip: {:.2} (paper: exactly one per failure)",
         if dips > 0 {
@@ -94,7 +101,7 @@ fn main() {
     println!("FFT verification: {verified:?}");
 
     banner("Vcc trace (TSV, decimated)");
-    if let Some(trace) = runner.vcc_trace() {
+    if let Some(trace) = system.runner().vcc_trace() {
         let pts = trace.points();
         for (i, (time, v)) in pts.iter().enumerate() {
             if i % 20 == 0 {

@@ -979,7 +979,7 @@ pub struct System<'a> {
 }
 
 impl<'a> System<'a> {
-    /// The underlying transient runner (thresholds, traces, event log...).
+    /// The underlying transient runner (thresholds, stats, `V_cc` traces).
     pub fn runner(&self) -> &TransientRunner<'a> {
         &self.runner
     }
@@ -1035,75 +1035,77 @@ impl<'a> System<'a> {
     /// functions of the deterministic simulation, so the exposition stays
     /// byte-stable across serial/parallel/repeated execution.
     fn record_metrics(&self, outcome: RunOutcome) {
+        /// `(family, help, labels, increment)`.
+        type Row<'l> = (&'l str, &'l str, &'l [(&'l str, &'l str)], u64);
+        const SNAPSHOTS: &str = "Snapshot attempts, by whether the copy sealed.";
         let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
         let stats = self.runner.stats();
         let strategy: &str = &self.strategy_name;
-        let by_strategy: [(&str, &str); 1] = [("strategy", strategy)];
-        registry
-            .counter("edc_runner_runs", "Transient runs executed.", &by_strategy)
-            .inc();
-        if outcome == RunOutcome::Completed {
-            registry
-                .counter(
-                    "edc_runner_completions",
-                    "Runs whose workload completed by the deadline.",
-                    &by_strategy,
-                )
-                .inc();
-        }
-        registry
-            .counter(
+        let by_strategy: &[(&str, &str)] = &[("strategy", strategy)];
+        let rows: [Row; 10] = [
+            (
+                "edc_runner_runs",
+                "Transient runs executed.",
+                by_strategy,
+                1,
+            ),
+            (
                 "edc_runner_ticks",
                 "Simulation timesteps advanced.",
-                &by_strategy,
-            )
-            .inc_by(stats.ticks);
-        registry
-            .counter(
+                by_strategy,
+                stats.ticks,
+            ),
+            (
                 "edc_runner_instructions",
                 "Instructions retired by workloads.",
-                &by_strategy,
-            )
-            .inc_by(stats.instructions);
-        registry
-            .counter(
+                by_strategy,
+                stats.instructions,
+            ),
+            (
                 "edc_runner_brownouts",
                 "Rail collapses below V_min while the machine was up.",
-                &by_strategy,
-            )
-            .inc_by(stats.brownouts);
-        registry
-            .counter(
+                by_strategy,
+                stats.brownouts,
+            ),
+            (
                 "edc_runner_snapshots",
-                "Snapshot attempts, by whether the copy sealed.",
+                SNAPSHOTS,
                 &[("strategy", strategy), ("sealed", "true")],
-            )
-            .inc_by(stats.snapshots);
-        registry
-            .counter(
+                stats.snapshots,
+            ),
+            (
                 "edc_runner_snapshots",
-                "Snapshot attempts, by whether the copy sealed.",
+                SNAPSHOTS,
                 &[("strategy", strategy), ("sealed", "false")],
-            )
-            .inc_by(stats.torn_snapshots);
-        registry
-            .counter(
+                stats.torn_snapshots,
+            ),
+            (
                 "edc_runner_restores",
                 "Successful snapshot restores.",
-                &by_strategy,
-            )
-            .inc_by(stats.restores);
-        registry
-            .counter("edc_runner_boots", "Cold boots.", &by_strategy)
-            .inc_by(stats.boots);
-        registry
-            .counter(
+                by_strategy,
+                stats.restores,
+            ),
+            ("edc_runner_boots", "Cold boots.", by_strategy, stats.boots),
+            (
                 "edc_runner_cycle_carry_activations",
                 "Ticks that banked their whole cycle budget for a starved \
                  head instruction.",
-                &by_strategy,
-            )
-            .inc_by(stats.carry_activations);
+                by_strategy,
+                stats.carry_activations,
+            ),
+            (
+                "edc_runner_completions",
+                "Runs whose workload completed by the deadline.",
+                by_strategy,
+                1,
+            ),
+        ];
+        // A zero completions series would change the exposition, so that
+        // counter (the last row) is registered only for completed runs.
+        let registered = rows.len() - usize::from(outcome != RunOutcome::Completed);
+        for (name, help, labels, value) in &rows[..registered] {
+            registry.counter(name, help, labels).inc_by(*value);
+        }
     }
 
     /// Runs for a fixed duration regardless of completion (throughput

@@ -4,9 +4,9 @@
 //! a capacitance `C` (added storage plus parasitic/decoupling capacitance)
 //! charged by a harvester and discharged by a computational load. Figures 7
 //! and 8 of the paper are literally plots of this node's voltage. This crate
-//! provides that node ([`SupplyNode`]), a deterministic clock
-//! ([`Timeline`]), and the recording types ([`TimeSeries`], [`EventLog`])
-//! the figure-regeneration harnesses use.
+//! provides that node ([`SupplyNode`]), the sampled-trace recorder
+//! ([`TimeSeries`]) the figure-regeneration harnesses use, and an energy
+//! integrator ([`EnergyIntegrator`]).
 //!
 //! Integration is explicit forward Euler on the charge balance
 //! `dV/dt = (I_in − I_load − V/R_leak) / C`, which is accurate for the
@@ -32,8 +32,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::fmt;
 
 use edc_units::{Amps, Coulombs, Farads, Joules, Ohms, Seconds, Volts, Watts};
 
@@ -212,93 +210,6 @@ impl SupplyNode {
     }
 }
 
-/// Deterministic fixed-timestep clock, iterable over the whole run.
-///
-/// # Examples
-///
-/// ```
-/// use edc_sim::Timeline;
-/// use edc_units::Seconds;
-///
-/// let steps: Vec<_> = Timeline::new(Seconds(0.25), Seconds(1.0)).collect();
-/// assert_eq!(steps.len(), 4);
-/// assert_eq!(steps[3].t, Seconds(0.75));
-/// ```
-#[derive(Debug, Clone)]
-pub struct Timeline {
-    dt: Seconds,
-    duration: Seconds,
-    step: u64,
-}
-
-/// One tick of a [`Timeline`]: the step index, the time at the *start* of the
-/// step, and the step length.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Tick {
-    /// Monotone step counter starting at 0.
-    pub index: u64,
-    /// Simulation time at the start of this step.
-    pub t: Seconds,
-    /// Step length.
-    pub dt: Seconds,
-}
-
-impl Timeline {
-    /// Creates a timeline covering `[0, duration)` in steps of `dt`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` or `duration` is not strictly positive.
-    pub fn new(dt: Seconds, duration: Seconds) -> Self {
-        assert!(dt.is_positive(), "dt must be > 0");
-        assert!(duration.is_positive(), "duration must be > 0");
-        Self {
-            dt,
-            duration,
-            step: 0,
-        }
-    }
-
-    /// The step length.
-    pub fn dt(&self) -> Seconds {
-        self.dt
-    }
-
-    /// Total duration covered.
-    pub fn duration(&self) -> Seconds {
-        self.duration
-    }
-
-    /// Number of steps the timeline will produce.
-    pub fn len(&self) -> u64 {
-        (self.duration.0 / self.dt.0).ceil() as u64
-    }
-
-    /// `true` when the timeline produces no steps (cannot happen for valid
-    /// constructor inputs, provided for completeness).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Iterator for Timeline {
-    type Item = Tick;
-
-    fn next(&mut self) -> Option<Tick> {
-        let t = Seconds(self.step as f64 * self.dt.0);
-        if t.0 >= self.duration.0 {
-            return None;
-        }
-        let tick = Tick {
-            index: self.step,
-            t,
-            dt: self.dt,
-        };
-        self.step += 1;
-        Some(tick)
-    }
-}
-
 /// A recorded scalar-vs-time series with optional decimation, used by the
 /// figure harnesses (e.g. the `V_cc` trace of Fig. 7).
 #[derive(Debug, Clone)]
@@ -427,69 +338,6 @@ pub enum CrossingDirection {
     Falling,
     /// Both directions.
     Either,
-}
-
-/// A timestamped log of domain events (snapshots, restores, brownouts …).
-#[derive(Debug, Clone)]
-pub struct EventLog<E> {
-    events: Vec<(Seconds, E)>,
-}
-
-impl<E> EventLog<E> {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self { events: Vec::new() }
-    }
-
-    /// Appends an event at time `t`.
-    pub fn push(&mut self, t: Seconds, event: E) {
-        self.events.push((t, event));
-    }
-
-    /// All recorded `(time, event)` pairs in insertion order.
-    pub fn events(&self) -> &[(Seconds, E)] {
-        &self.events
-    }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// `true` when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Iterates over events matching a predicate.
-    pub fn filtered<'a>(
-        &'a self,
-        mut pred: impl FnMut(&E) -> bool + 'a,
-    ) -> impl Iterator<Item = &'a (Seconds, E)> + 'a {
-        self.events.iter().filter(move |(_, e)| pred(e))
-    }
-
-    /// Counts events matching a predicate.
-    pub fn count(&self, mut pred: impl FnMut(&E) -> bool) -> usize {
-        self.events.iter().filter(|(_, e)| pred(e)).count()
-    }
-}
-
-impl<E> Default for EventLog<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E: fmt::Display> EventLog<E> {
-    /// Renders the log as human-readable lines.
-    pub fn to_lines(&self) -> String {
-        let mut s = String::new();
-        for (t, e) in &self.events {
-            s.push_str(&format!("[{:>10.6} s] {}\n", t.0, e));
-        }
-        s
-    }
 }
 
 /// Running energy/power integrator: accumulates `P·dt` and reports averages.
@@ -624,17 +472,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_covers_duration_exactly() {
-        let tl = Timeline::new(Seconds(0.1), Seconds(1.0));
-        assert_eq!(tl.len(), 10);
-        let ticks: Vec<_> = tl.collect();
-        assert_eq!(ticks.len(), 10);
-        assert_eq!(ticks[0].t, Seconds(0.0));
-        assert_eq!(ticks[0].index, 0);
-        assert!((ticks[9].t.0 - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
     fn timeseries_stats_and_crossings() {
         let mut ts = TimeSeries::new("v");
         for i in 0..100 {
@@ -670,19 +507,6 @@ mod tests {
         let tsv = ts.to_tsv();
         assert!(tsv.starts_with("# vcc\n"));
         assert!(tsv.contains("0.500000\t3.300000"));
-    }
-
-    #[test]
-    fn event_log_filter_and_count() {
-        let mut log = EventLog::new();
-        log.push(Seconds(0.1), "snapshot");
-        log.push(Seconds(0.2), "restore");
-        log.push(Seconds(0.3), "snapshot");
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.count(|e| *e == "snapshot"), 2);
-        let restores: Vec<_> = log.filtered(|e| *e == "restore").collect();
-        assert_eq!(restores.len(), 1);
-        assert!(log.to_lines().contains("snapshot"));
     }
 
     #[test]
@@ -731,16 +555,6 @@ mod tests {
             for _ in 0..steps {
                 node.step(Amps::ZERO, Amps::from_milli(i_out_ma), Seconds(1e-4));
                 prop_assert!(node.voltage().0 >= 0.0);
-            }
-        }
-
-        #[test]
-        fn prop_timeline_monotone(dt in 1e-6f64..1.0, dur_mult in 1.0f64..100.0) {
-            let tl = Timeline::new(Seconds(dt), Seconds(dt * dur_mult));
-            let mut last = -1.0;
-            for tick in tl.take(1000) {
-                prop_assert!(tick.t.0 > last);
-                last = tick.t.0;
             }
         }
     }

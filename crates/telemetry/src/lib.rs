@@ -8,7 +8,7 @@
 //! emitted by the transient runner at exactly the points where it already
 //! mutates its stats.
 //!
-//! Three sinks ship with the crate:
+//! Four sinks ship with the crate:
 //!
 //! - [`NullSink`] — the default. When no sink is installed the runner's
 //!   emission point is a single `Option` branch and `NullSink::record`
@@ -19,6 +19,9 @@
 //!   histograms of outage duration / time-between-brownouts / snapshot
 //!   energy, and an energy breakdown by lifecycle phase. Mergeable, so a
 //!   sweep can fold per-cell sinks into grid-level distributions.
+//! - [`TimelineSink`] — full-fidelity retention of every record, phase
+//!   change and gauge sample in emission order, so a run can be replayed
+//!   on a time axis (the Fig. 7 event table, Perfetto export in `edc-obs`).
 //!
 //! Everything is deterministic: identical runs produce identical streams
 //! and byte-identical summaries (see `hist` for how quantiles stay pure).

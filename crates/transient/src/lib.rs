@@ -65,7 +65,7 @@ pub use mementos::Mementos;
 pub use nvp::Nvp;
 pub use quickrecall::QuickRecall;
 pub use restart::Restart;
-pub use runner::{RunOutcome, RunnerBuilder, RunnerStats, TransientEvent, TransientRunner};
+pub use runner::{RunOutcome, RunnerBuilder, RunnerStats, TransientRunner};
 
 use edc_mcu::{ExecutionResidence, Mcu, PowerModel};
 use edc_units::{Farads, Volts};

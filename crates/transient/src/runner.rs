@@ -8,48 +8,11 @@
 
 use edc_mcu::{Mcu, PowerState, RunExit};
 use edc_power::{MonitorEvent, VoltageMonitor};
-use edc_sim::{EventLog, SupplyNode, TimeSeries};
+use edc_sim::{SupplyNode, TimeSeries};
 use edc_telemetry::{Event, Phase, Record, Sink};
 use edc_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
 
 use crate::{LowVoltageResponse, MarkerResponse, SnapshotObservation, Strategy};
-
-/// Events logged by the runner.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum TransientEvent {
-    /// A snapshot attempt (`true` = sealed).
-    Snapshot(bool),
-    /// A sealed snapshot was restored after an outage.
-    Restore,
-    /// The rail collapsed below `V_min` while the machine was up.
-    Brownout,
-    /// The machine cold-booted.
-    Boot,
-    /// The machine entered hibernation sleep after a snapshot.
-    Hibernate,
-    /// The machine woke from hibernation without having lost power.
-    WakeWithoutRestore,
-    /// The workload completed.
-    Completed,
-    /// The machine faulted.
-    Fault,
-}
-
-impl std::fmt::Display for TransientEvent {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TransientEvent::Snapshot(true) => write!(f, "snapshot (sealed)"),
-            TransientEvent::Snapshot(false) => write!(f, "snapshot (TORN)"),
-            TransientEvent::Restore => write!(f, "restore"),
-            TransientEvent::Brownout => write!(f, "brownout"),
-            TransientEvent::Boot => write!(f, "boot"),
-            TransientEvent::Hibernate => write!(f, "hibernate"),
-            TransientEvent::WakeWithoutRestore => write!(f, "wake (state intact)"),
-            TransientEvent::Completed => write!(f, "workload completed"),
-            TransientEvent::Fault => write!(f, "fault"),
-        }
-    }
-}
 
 /// Aggregate statistics of a transient run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -245,7 +208,6 @@ impl<'a> RunnerBuilder<'a> {
             hibernated: false,
             cycle_carry: 0,
             stats: RunnerStats::default(),
-            log: EventLog::new(),
             vcc_trace: self
                 .trace_decimation
                 .map(|d| TimeSeries::with_decimation("Vcc", d)),
@@ -296,7 +258,6 @@ pub struct TransientRunner<'a> {
     /// instruction accrues cycles across ticks instead of stalling forever.
     cycle_carry: u64,
     stats: RunnerStats,
-    log: EventLog<TransientEvent>,
     vcc_trace: Option<TimeSeries>,
     freq_trace: Option<TimeSeries>,
     faulted: bool,
@@ -330,11 +291,6 @@ impl<'a> TransientRunner<'a> {
         self.stats
     }
 
-    /// The event log.
-    pub fn log(&self) -> &EventLog<TransientEvent> {
-        &self.log
-    }
-
     /// The recorded `V_cc` trace, when tracing was enabled.
     pub fn vcc_trace(&self) -> Option<&TimeSeries> {
         self.vcc_trace.as_ref()
@@ -364,10 +320,6 @@ impl<'a> TransientRunner<'a> {
     /// the run).
     pub fn take_telemetry(&mut self) -> Option<Box<dyn Sink + 'a>> {
         self.sink.take()
-    }
-
-    fn emit(&mut self, e: TransientEvent) {
-        self.log.push(self.time, e);
     }
 
     /// Energy currently stored in the supply-node capacitance.
@@ -433,7 +385,6 @@ impl<'a> TransientRunner<'a> {
         } else {
             self.stats.torn_snapshots += 1;
         }
-        self.emit(TransientEvent::Snapshot(outcome.completed));
         self.tap(Event::Snapshot {
             sealed: outcome.completed,
             cost: outcome.energy,
@@ -452,14 +403,12 @@ impl<'a> TransientRunner<'a> {
     fn boot_sequence(&mut self) {
         self.mcu.cold_boot();
         self.stats.boots += 1;
-        self.emit(TransientEvent::Boot);
         self.tap(Event::Boot);
         if self.strategy.restores_snapshots() && self.mcu.has_valid_snapshot() {
             let e = self.mcu.restore_energy();
             if let Some(_r) = self.mcu.restore_snapshot() {
                 self.draw(e);
                 self.stats.restores += 1;
-                self.emit(TransientEvent::Restore);
                 self.tap(Event::Restore);
             }
         }
@@ -519,7 +468,6 @@ impl<'a> TransientRunner<'a> {
                     self.mcu.power_loss();
                     self.monitor.reset();
                     self.stats.brownouts += 1;
-                    self.emit(TransientEvent::Brownout);
                     self.tap(Event::PowerFail);
                     self.set_phase(Phase::Off);
                     self.stats.sleep_time += dt;
@@ -530,7 +478,6 @@ impl<'a> TransientRunner<'a> {
                     self.monitor.update(v);
                     self.mcu.wake();
                     self.hibernated = false;
-                    self.emit(TransientEvent::WakeWithoutRestore);
                     self.tap(Event::SupplyCrossing { rising: true });
                     self.set_phase(Phase::Active);
                     self.stats.sleep_time += dt;
@@ -544,7 +491,6 @@ impl<'a> TransientRunner<'a> {
                     self.monitor.reset();
                     self.cycle_carry = 0;
                     self.stats.brownouts += 1;
-                    self.emit(TransientEvent::Brownout);
                     self.tap(Event::Brownout);
                     self.set_phase(Phase::Off);
                     return true;
@@ -558,7 +504,6 @@ impl<'a> TransientRunner<'a> {
                         self.mcu.sleep();
                         self.hibernated = true;
                         self.cycle_carry = 0;
-                        self.emit(TransientEvent::Hibernate);
                         self.set_phase(Phase::Sleep);
                         self.stats.active_time += dt;
                         return true;
@@ -581,7 +526,6 @@ impl<'a> TransientRunner<'a> {
                         RunExit::Completed => {
                             if self.stats.completed_at.is_none() {
                                 self.stats.completed_at = Some(self.time);
-                                self.emit(TransientEvent::Completed);
                                 self.tap(Event::TaskComplete);
                                 // A finished program must not be resurrected.
                                 self.mcu.invalidate_snapshot();
@@ -618,7 +562,6 @@ impl<'a> TransientRunner<'a> {
                         }
                         RunExit::Fault(_) => {
                             self.faulted = true;
-                            self.emit(TransientEvent::Fault);
                             return false;
                         }
                     }
@@ -779,14 +722,5 @@ mod tests {
             "supply power is sampled"
         );
         assert!(tl.gauges().iter().all(|g| g.stored.0 >= 0.0));
-    }
-
-    #[test]
-    fn event_display_is_readable() {
-        assert_eq!(
-            TransientEvent::Snapshot(true).to_string(),
-            "snapshot (sealed)"
-        );
-        assert!(TransientEvent::Snapshot(false).to_string().contains("TORN"));
     }
 }

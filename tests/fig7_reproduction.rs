@@ -7,7 +7,9 @@
 
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
-use energy_driven::transient::{RunOutcome, TransientEvent};
+use energy_driven::core::telemetry::TelemetryReport;
+use energy_driven::telemetry::{Event, Phase, TelemetryKind};
+use energy_driven::transient::RunOutcome;
 use energy_driven::units::{Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
 
@@ -20,6 +22,7 @@ fn fft_completes_in_third_supply_cycle_with_one_snapshot_per_dip() {
         WorkloadKind::Fourier(256),
     )
     .leakage(Ohms(100_000.0))
+    .telemetry(TelemetryKind::Timeline)
     .build()
     .expect("the Fig. 7 spec assembles");
 
@@ -32,11 +35,45 @@ fn fft_completes_in_third_supply_cycle_with_one_snapshot_per_dip() {
         (report.stats.completed_at.expect("completed").0 * supply_hz).floor() as u64 + 1;
     assert_eq!(completed_cycle, 3, "paper: FFT completes in the 3rd cycle");
 
-    // Exactly one snapshot per supply failure, none torn.
-    let hibernations = system
-        .runner()
-        .log()
-        .count(|e| matches!(e, TransientEvent::Hibernate));
+    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+        panic!("the spec asked for a timeline");
+    };
+    let records = timeline.records();
+    let names: Vec<&str> = records.iter().map(|r| r.event.name()).collect();
+    assert_eq!(
+        names,
+        [
+            "supply-rising",
+            "boot",
+            "supply-falling",
+            "snapshot-sealed",
+            "power-fail",
+            "supply-rising",
+            "boot",
+            "restore",
+            "supply-falling",
+            "snapshot-sealed",
+            "power-fail",
+            "supply-rising",
+            "boot",
+            "restore",
+            "task-complete",
+        ],
+        "boot, hibernate on each dip, restore after each outage, complete"
+    );
+    let phases: Vec<Phase> = timeline.phases().iter().map(|p| p.phase).collect();
+    use Phase::{Active, Off, Sleep};
+    assert_eq!(
+        phases,
+        [Off, Active, Sleep, Off, Active, Sleep, Off, Active, Sleep]
+    );
+
+    // Exactly one snapshot per supply failure, none torn. A Hibernus
+    // hibernation begins at each falling V_H crossing.
+    let hibernations = records
+        .iter()
+        .filter(|r| matches!(r.event, Event::SupplyCrossing { rising: false }))
+        .count();
     assert_eq!(report.stats.snapshots, hibernations as u64);
     assert_eq!(report.stats.torn_snapshots, 0);
     assert_eq!(
