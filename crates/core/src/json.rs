@@ -52,11 +52,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a byte offset and message for malformed input.
+    /// Returns a byte offset and message for malformed input, including
+    /// arrays and objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -118,6 +120,11 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts
+/// (serde_json's default recursion limit). The parser recurses once per
+/// level, so the cap keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: byte offset plus message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -138,6 +145,8 @@ impl std::error::Error for ParseError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -170,11 +179,25 @@ impl Parser<'_> {
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(_) => Err(self.err("unexpected character")),
         }
+    }
+
+    /// Parses one array or object, one level deeper.
+    fn nested(
+        &mut self,
+        body: fn(&mut Self) -> Result<Json, ParseError>,
+    ) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = body(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, ParseError> {
@@ -379,5 +402,17 @@ mod tests {
         assert_eq!(e.at, 6);
         assert!(Json::parse("[1, 2,]").is_err());
         assert!(Json::parse("[1] trailing").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let e = Json::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
+        assert_eq!(e.at, MAX_DEPTH);
+        let e = Json::parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
+        // Exactly MAX_DEPTH levels still parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
     }
 }

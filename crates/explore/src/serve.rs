@@ -728,6 +728,17 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_one_error_and_the_session_survives() {
+        let mut session = ServeSession::new().threads(1);
+        let out = session.handle_line(&"[".repeat(200_000));
+        assert_eq!(out.len(), 1, "exactly one response");
+        assert!(out[0].contains(r#""ok":false"#), "{}", out[0]);
+        assert!(out[0].contains("nesting too deep"), "{}", out[0]);
+        let out = session.serve_text(&evaluate_line(5, &spec()));
+        assert!(out.lines().next().unwrap().contains(r#""ok":true"#));
+    }
+
+    #[test]
     fn lint_and_metrics_ops_answer_in_shape() {
         let mut session = ServeSession::new().threads(1);
         let line = format!(r#"{{"id":1,"op":"lint","spec":{}}}"#, spec().to_json());

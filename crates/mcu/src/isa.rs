@@ -28,9 +28,10 @@ impl Reg {
         Reg(index)
     }
 
-    /// The register index.
+    /// The register index. The mask is a no-op ([`Reg::new`] asserts the
+    /// range) that lets the compiler drop bounds checks on register files.
     pub const fn index(self) -> usize {
-        self.0 as usize
+        (self.0 & 15) as usize
     }
 }
 
@@ -201,6 +202,23 @@ impl Insn {
             Insn::Nop => 1,
             Insn::Halt => 1,
         }
+    }
+
+    /// `true` for instructions that end a basic block: control transfers,
+    /// checkpoint markers (where a run may yield) and `Halt`.
+    pub(crate) fn ends_block(&self) -> bool {
+        matches!(
+            self,
+            Insn::Jmp(_)
+                | Insn::Brz(_)
+                | Insn::Brnz(_)
+                | Insn::Brn(_)
+                | Insn::Brge(_)
+                | Insn::Call(_)
+                | Insn::Ret
+                | Insn::Mark(_)
+                | Insn::Halt
+        )
     }
 }
 

@@ -13,7 +13,7 @@ use edc_units::{Hertz, Joules, Seconds, Watts};
 
 use crate::clock::ClockLadder;
 use crate::isa::{Addr, Insn, Operand, Program, Reg};
-use crate::mem::{Memory, MemoryFault, Region, SNAPSHOT_BASE, SNAPSHOT_FRAME_WORDS, SRAM_WORDS};
+use crate::mem::{Memory, MemoryFault, FRAM_BASE, SNAPSHOT_BASE, SNAPSHOT_FRAME_WORDS, SRAM_WORDS};
 use crate::power::{ExecutionResidence, PowerModel, PowerState};
 
 /// Valid-snapshot seal word, written last during a snapshot.
@@ -194,6 +194,251 @@ impl Radio {
     }
 }
 
+/// The rest of a basic block from one pc: that instruction and every one
+/// after it up to and including the block's last (see `Insn::ends_block`,
+/// or the end of the program).
+#[derive(Debug, Clone, Copy, Default)]
+struct BlockTail {
+    /// Instructions in the rest of the block.
+    insns: u32,
+    /// Summed `base_cycles()` of those instructions.
+    cycles: u64,
+    /// Loads and stores among them: each may take one FRAM wait state.
+    mem_ops: u64,
+}
+
+/// The block table of `insns`: entry `pc` is the rest of `pc`'s block.
+fn block_table(insns: &[Insn]) -> Vec<BlockTail> {
+    let mut table = vec![BlockTail::default(); insns.len()];
+    let mut next = BlockTail::default();
+    for (pc, insn) in insns.iter().enumerate().rev() {
+        if insn.ends_block() {
+            next = BlockTail::default();
+        }
+        next = BlockTail {
+            insns: next.insns + 1,
+            cycles: next.cycles + insn.base_cycles(),
+            mem_ops: next.mem_ops + u64::from(matches!(insn, Insn::Ld(..) | Insn::St(..))),
+        };
+        table[pc] = next;
+    }
+    table
+}
+
+/// How many instructions at the start of `tail`, the rest of the block that
+/// starts at `pc`, fit in `room` cycles even if each load and store takes
+/// `wait` wait-state cycles.
+fn fitting_prefix(blocks: &[BlockTail], pc: usize, tail: BlockTail, wait: u64, room: u64) -> usize {
+    let worst = |t: &BlockTail| t.cycles + wait * t.mem_ops;
+    let total = worst(&tail);
+    if total <= room {
+        return tail.insns as usize;
+    }
+    // The first k fit when the worst case left after them is ≥ `rest`.
+    let rest = total - room;
+    (1..tail.insns as usize)
+        .take_while(|&k| worst(&blocks[pc + k]) >= rest)
+        .count()
+}
+
+/// Base cycles of the first `k` instructions of `tail`, the rest of the
+/// block that starts at `pc`.
+fn prefix_cycles(blocks: &[BlockTail], pc: usize, tail: BlockTail, k: usize) -> u64 {
+    if k < tail.insns as usize {
+        tail.cycles - blocks[pc + k].cycles
+    } else {
+        tail.cycles
+    }
+}
+
+/// One [`Mcu::run`] call's view of the machine: the state instructions
+/// touch, borrowed apart from the program so that a block's instructions
+/// can be read as one slice while they execute.
+struct Burst<'m> {
+    cpu: &'m mut CpuState,
+    mem: &'m mut Memory,
+    adc: &'m mut Adc,
+    radio: &'m mut Radio,
+    /// Energy of one ADC conversion.
+    adc_energy: Joules,
+    /// Energy of one radio word.
+    radio_energy: Joules,
+    /// The clock is above the FRAM wait-state threshold.
+    fram_wait: bool,
+    /// Every address is FRAM (unified-FRAM residence).
+    all_fram: bool,
+    /// Cycles used so far: base cycles charged per block by [`Mcu::run`]
+    /// plus wait states added per access.
+    cycles: u64,
+    /// Peripheral (ADC, radio) energy spent so far.
+    peripheral: Joules,
+}
+
+impl Burst<'_> {
+    /// Wait-state cycles of a successful access to `addr`: one for a FRAM
+    /// access at a wait-state clock (under unified-FRAM residence every
+    /// access is a FRAM access).
+    fn wait_state(&self, addr: u16) -> u64 {
+        u64::from(self.fram_wait && (self.all_fram || addr >= FRAM_BASE))
+    }
+
+    fn operand_value(&self, o: Operand) -> u16 {
+        match o {
+            Operand::Reg(r) => self.cpu.regs[r.index()],
+            Operand::Imm(v) => v,
+        }
+    }
+
+    fn effective_address(&self, a: Addr) -> u16 {
+        match a {
+            Addr::Abs(addr) => addr,
+            Addr::Ind(r) => self.cpu.regs[r.index()],
+            Addr::IndOff(r, off) => (self.cpu.regs[r.index()] as i32 + off as i32) as u16,
+        }
+    }
+
+    fn set_flags(&mut self, result: u16) {
+        self.cpu.z = result == 0;
+        self.cpu.n = result & 0x8000 != 0;
+    }
+
+    fn alu(&mut self, rd: Reg, src: Operand, f: impl Fn(u16, u16) -> u16) {
+        let a = self.cpu.regs[rd.index()];
+        let b = self.operand_value(src);
+        let r = f(a, b);
+        self.cpu.regs[rd.index()] = r;
+        self.set_flags(r);
+    }
+
+    fn push_word(&mut self, v: u16) -> Result<(), MachineError> {
+        if self.cpu.sp == 0 {
+            return Err(MachineError::StackOverflow);
+        }
+        self.cpu.sp -= 1;
+        self.mem.write(self.cpu.sp, v)?;
+        Ok(())
+    }
+
+    fn pop_word(&mut self) -> Result<u16, MachineError> {
+        if self.cpu.sp >= SRAM_WORDS {
+            return Err(MachineError::StackUnderflow);
+        }
+        let v = self.mem.read(self.cpu.sp)?;
+        self.cpu.sp += 1;
+        Ok(v)
+    }
+
+    /// Executes `insn`, the instruction at `pc`: the single execution body
+    /// behind both the block path and the budget-edge path of [`Mcu::run`].
+    /// Returns the next pc (the caller stores it in the CPU state) and
+    /// counts any FRAM wait state or peripheral energy; a faulting
+    /// instruction changes nothing.
+    #[inline(always)]
+    fn exec(&mut self, insn: Insn, pc: u32) -> Result<u32, MachineError> {
+        let mut next_pc = pc + 1;
+        match insn {
+            Insn::Mov(rd, src) => {
+                let v = self.operand_value(src);
+                self.cpu.regs[rd.index()] = v;
+                self.set_flags(v);
+            }
+            Insn::Add(rd, src) => self.alu(rd, src, |a, b| a.wrapping_add(b)),
+            Insn::Sub(rd, src) => self.alu(rd, src, |a, b| a.wrapping_sub(b)),
+            Insn::And(rd, src) => self.alu(rd, src, |a, b| a & b),
+            Insn::Or(rd, src) => self.alu(rd, src, |a, b| a | b),
+            Insn::Xor(rd, src) => self.alu(rd, src, |a, b| a ^ b),
+            Insn::Mul(rd, src) => self.alu(rd, src, |a, b| a.wrapping_mul(b)),
+            Insn::MulQ15(rd, src) => self.alu(rd, src, |a, b| {
+                let p = (a as i16 as i32) * (b as i16 as i32);
+                ((p >> 15) as i16) as u16
+            }),
+            Insn::Shl(rd, n) => {
+                let r = self.cpu.regs[rd.index()] << n;
+                self.cpu.regs[rd.index()] = r;
+                self.set_flags(r);
+            }
+            Insn::Shr(rd, n) => {
+                let r = self.cpu.regs[rd.index()] >> n;
+                self.cpu.regs[rd.index()] = r;
+                self.set_flags(r);
+            }
+            Insn::Sar(rd, n) => {
+                let r = ((self.cpu.regs[rd.index()] as i16) >> n) as u16;
+                self.cpu.regs[rd.index()] = r;
+                self.set_flags(r);
+            }
+            Insn::Ld(rd, addr) => {
+                let ea = self.effective_address(addr);
+                let v = self.mem.read(ea)?;
+                self.cycles += self.wait_state(ea);
+                self.cpu.regs[rd.index()] = v;
+                self.set_flags(v);
+            }
+            Insn::St(rs, addr) => {
+                let ea = self.effective_address(addr);
+                self.mem.write(ea, self.cpu.regs[rs.index()])?;
+                self.cycles += self.wait_state(ea);
+            }
+            Insn::Cmp(ra, src) => {
+                let a = self.cpu.regs[ra.index()];
+                let b = self.operand_value(src);
+                self.cpu.z = a == b;
+                self.cpu.n = (a as i16) < (b as i16);
+            }
+            Insn::Jmp(t) => next_pc = t,
+            Insn::Brz(t) => {
+                if self.cpu.z {
+                    next_pc = t;
+                }
+            }
+            Insn::Brnz(t) => {
+                if !self.cpu.z {
+                    next_pc = t;
+                }
+            }
+            Insn::Brn(t) => {
+                if self.cpu.n {
+                    next_pc = t;
+                }
+            }
+            Insn::Brge(t) => {
+                if !self.cpu.n {
+                    next_pc = t;
+                }
+            }
+            Insn::Call(t) => {
+                self.push_word(next_pc as u16)?;
+                next_pc = t;
+            }
+            Insn::Ret => {
+                next_pc = self.pop_word()? as u32;
+            }
+            Insn::Push(r) => {
+                let v = self.cpu.regs[r.index()];
+                self.push_word(v)?;
+            }
+            Insn::Pop(r) => {
+                let v = self.pop_word()?;
+                self.cpu.regs[r.index()] = v;
+            }
+            Insn::Mark(_) | Insn::Nop => {}
+            Insn::Sense(rd) => {
+                let v = self.adc.convert();
+                self.cpu.regs[rd.index()] = v;
+                self.set_flags(v);
+                self.peripheral += self.adc_energy;
+            }
+            Insn::Tx(rs) => {
+                self.radio.last_word = self.cpu.regs[rs.index()];
+                self.radio.words_sent += 1;
+                self.peripheral += self.radio_energy;
+            }
+            Insn::Halt => next_pc = pc, // stay put
+        }
+        Ok(next_pc)
+    }
+}
+
 /// The simulated microcontroller.
 ///
 /// # Examples
@@ -220,6 +465,8 @@ impl Radio {
 #[derive(Debug, Clone)]
 pub struct Mcu {
     program: Program,
+    /// `program`'s block table, built once in [`Mcu::new`].
+    blocks: Vec<BlockTail>,
     mem: Memory,
     cpu: CpuState,
     clock: ClockLadder,
@@ -242,6 +489,7 @@ impl Mcu {
         let mut clock = ClockLadder::msp430();
         clock.set_level(3); // 8 MHz default, as the Hibernus experiments.
         let mut mcu = Self {
+            blocks: block_table(program.insns()),
             program,
             mem: Memory::new(),
             cpu: CpuState::reset(),
@@ -507,17 +755,13 @@ impl Mcu {
             self.power
                 .snapshot_cost(words, self.clock.frequency(), self.residence);
 
-        let target = match self.newest_sealed_frame() {
-            Some(newest) => 1 - newest,
-            None => 0,
-        };
-        let next_seq = self
-            .newest_sealed_frame()
-            .map(|f| self.frame_state(f).1.wrapping_add(1))
-            .unwrap_or(1);
+        let newest = self.newest_sealed_frame();
+        let target = newest.map_or(0, |f| 1 - f);
+        let next_seq = newest.map_or(1, |f| self.frame_state(f).1.wrapping_add(1));
+        let offset = Self::frame_offset(target);
 
         // Invalidate the target first: a torn frame must never look valid.
-        self.mem.fram_slice_mut(Self::frame_offset(target), 1)[0] = 0;
+        self.mem.fram_slice_mut(offset, 1)[0] = 0;
 
         if let Some(budget) = energy_budget {
             if budget < full_cost {
@@ -531,30 +775,26 @@ impl Mcu {
             }
         }
 
-        // Header + SRAM image.
-        let mut frame = Vec::with_capacity(words as usize);
-        frame.push(0); // seal placeholder
-        frame.push(next_seq);
-        frame.extend_from_slice(&self.cpu.regs);
-        frame.push(self.cpu.pc as u16);
-        frame.push((self.cpu.pc >> 16) as u16);
-        frame.push(self.cpu.sp);
-        frame.push((self.cpu.z as u16) | ((self.cpu.n as u16) << 1));
+        // Header (seal word still zero), then the SRAM image behind it.
+        let mut header = [0u16; HEADER_WORDS as usize];
+        header[1] = next_seq;
+        header[2..18].copy_from_slice(&self.cpu.regs);
+        header[18] = self.cpu.pc as u16;
+        header[19] = (self.cpu.pc >> 16) as u16;
+        header[20] = self.cpu.sp;
+        header[21] = (self.cpu.z as u16) | ((self.cpu.n as u16) << 1);
         if self.peripheral_policy == PeripheralPolicy::Checkpointed {
-            frame.push(self.adc.index as u16);
-            frame.push((self.adc.index >> 16) as u16);
+            header[22] = self.adc.index as u16;
+            header[23] = (self.adc.index >> 16) as u16;
         }
-        frame.resize(HEADER_WORDS as usize, 0);
+        self.mem
+            .fram_slice_mut(offset, HEADER_WORDS)
+            .copy_from_slice(&header);
         let saves_sram = self.residence == ExecutionResidence::Sram;
         if saves_sram {
-            frame.extend_from_slice(self.mem.sram());
+            self.mem.save_sram(offset + HEADER_WORDS);
         }
-
-        let dst = self
-            .mem
-            .fram_slice_mut(Self::frame_offset(target), SNAPSHOT_FRAME_WORDS);
-        dst[..frame.len()].copy_from_slice(&frame);
-        dst[0] = SEAL_VALID; // seal last: commit point
+        self.mem.fram_slice_mut(offset, 1)[0] = SEAL_VALID; // seal last: commit point
 
         self.mem
             .add_counts(if saves_sram { SRAM_WORDS as u64 } else { 0 }, 0, 0, words);
@@ -587,25 +827,20 @@ impl Mcu {
         let (cycles, energy) =
             self.power
                 .restore_cost(words, self.clock.frequency(), self.residence);
-        let frame: Vec<u16> = self
-            .mem
-            .fram_slice(Self::frame_offset(newest), SNAPSHOT_FRAME_WORDS)
-            .to_vec();
-        let sequence = frame[1];
-        let mut regs = [0u16; 16];
-        regs.copy_from_slice(&frame[2..18]);
-        self.cpu.regs = regs;
-        self.cpu.pc = frame[18] as u32 | ((frame[19] as u32) << 16);
-        self.cpu.sp = frame[20];
-        self.cpu.z = frame[21] & 1 != 0;
-        self.cpu.n = frame[21] & 2 != 0;
+        let offset = Self::frame_offset(newest);
+        let mut header = [0u16; HEADER_WORDS as usize];
+        header.copy_from_slice(self.mem.fram_slice(offset, HEADER_WORDS));
+        let sequence = header[1];
+        self.cpu.regs.copy_from_slice(&header[2..18]);
+        self.cpu.pc = header[18] as u32 | ((header[19] as u32) << 16);
+        self.cpu.sp = header[20];
+        self.cpu.z = header[21] & 1 != 0;
+        self.cpu.n = header[21] & 2 != 0;
         if self.peripheral_policy == PeripheralPolicy::Checkpointed {
-            self.adc.index = frame[22] as u32 | ((frame[23] as u32) << 16);
+            self.adc.index = header[22] as u32 | ((header[23] as u32) << 16);
         }
         if self.residence == ExecutionResidence::Sram {
-            let sram_image =
-                frame[HEADER_WORDS as usize..HEADER_WORDS as usize + SRAM_WORDS as usize].to_vec();
-            self.mem.load_sram(&sram_image);
+            self.mem.restore_sram(offset + HEADER_WORDS);
             self.mem.add_counts(0, SRAM_WORDS as u64, words, 0);
         } else {
             self.mem.add_counts(0, 0, words, 0);
@@ -622,196 +857,24 @@ impl Mcu {
 
     // --- execution -----------------------------------------------------------
 
-    fn operand_value(&self, o: Operand) -> u16 {
-        match o {
-            Operand::Reg(r) => self.cpu.regs[r.index()],
-            Operand::Imm(v) => v,
-        }
-    }
-
-    fn effective_address(&self, a: Addr) -> u16 {
-        match a {
-            Addr::Abs(addr) => addr,
-            Addr::Ind(r) => self.cpu.regs[r.index()],
-            Addr::IndOff(r, off) => (self.cpu.regs[r.index()] as i32 + off as i32) as u16,
-        }
-    }
-
-    fn set_flags(&mut self, result: u16) {
-        self.cpu.z = result == 0;
-        self.cpu.n = result & 0x8000 != 0;
-    }
-
-    fn alu(&mut self, rd: Reg, src: Operand, f: impl Fn(u16, u16) -> u16) {
-        let a = self.cpu.regs[rd.index()];
-        let b = self.operand_value(src);
-        let r = f(a, b);
-        self.cpu.regs[rd.index()] = r;
-        self.set_flags(r);
-    }
-
-    fn push_word(&mut self, v: u16) -> Result<(), MachineError> {
-        if self.cpu.sp == 0 {
-            return Err(MachineError::StackOverflow);
-        }
-        self.cpu.sp -= 1;
-        self.mem.write(self.cpu.sp, v)?;
-        Ok(())
-    }
-
-    fn pop_word(&mut self) -> Result<u16, MachineError> {
-        if self.cpu.sp >= SRAM_WORDS {
-            return Err(MachineError::StackUnderflow);
-        }
-        let v = self.mem.read(self.cpu.sp)?;
-        self.cpu.sp += 1;
-        Ok(v)
-    }
-
-    /// Extra cycles for a memory access depending on the region touched.
-    /// Under unified-FRAM residence every access is a FRAM access.
-    fn access_penalty(&self, addr: u16) -> u64 {
-        if self.clock.frequency() <= self.power.fram_wait_threshold {
-            return 0;
-        }
-        match self.residence {
-            ExecutionResidence::Fram => 1,
-            ExecutionResidence::Sram => match Memory::region_of(addr) {
-                Ok(Region::Fram) => 1,
-                _ => 0,
-            },
-        }
-    }
-
-    /// Executes one instruction. Returns `(cycles, peripheral_energy,
-    /// marker)` on success.
-    fn step(&mut self) -> Result<(u64, Joules, Option<u16>), MachineError> {
-        let insn = self
-            .program
-            .fetch(self.cpu.pc)
-            .ok_or(MachineError::PcOutOfRange(self.cpu.pc))?;
-        let mut cycles = insn.base_cycles();
-        let mut peripheral = Joules::ZERO;
-        let mut marker = None;
-        let mut next_pc = self.cpu.pc + 1;
-
-        match insn {
-            Insn::Mov(rd, src) => {
-                let v = self.operand_value(src);
-                self.cpu.regs[rd.index()] = v;
-                self.set_flags(v);
-            }
-            Insn::Add(rd, src) => self.alu(rd, src, |a, b| a.wrapping_add(b)),
-            Insn::Sub(rd, src) => self.alu(rd, src, |a, b| a.wrapping_sub(b)),
-            Insn::And(rd, src) => self.alu(rd, src, |a, b| a & b),
-            Insn::Or(rd, src) => self.alu(rd, src, |a, b| a | b),
-            Insn::Xor(rd, src) => self.alu(rd, src, |a, b| a ^ b),
-            Insn::Mul(rd, src) => self.alu(rd, src, |a, b| a.wrapping_mul(b)),
-            Insn::MulQ15(rd, src) => self.alu(rd, src, |a, b| {
-                let p = (a as i16 as i32) * (b as i16 as i32);
-                ((p >> 15) as i16) as u16
-            }),
-            Insn::Shl(rd, n) => {
-                let r = self.cpu.regs[rd.index()] << n;
-                self.cpu.regs[rd.index()] = r;
-                self.set_flags(r);
-            }
-            Insn::Shr(rd, n) => {
-                let r = self.cpu.regs[rd.index()] >> n;
-                self.cpu.regs[rd.index()] = r;
-                self.set_flags(r);
-            }
-            Insn::Sar(rd, n) => {
-                let r = ((self.cpu.regs[rd.index()] as i16) >> n) as u16;
-                self.cpu.regs[rd.index()] = r;
-                self.set_flags(r);
-            }
-            Insn::Ld(rd, addr) => {
-                let ea = self.effective_address(addr);
-                cycles += self.access_penalty(ea);
-                let v = self.mem.read(ea)?;
-                self.cpu.regs[rd.index()] = v;
-                self.set_flags(v);
-            }
-            Insn::St(rs, addr) => {
-                let ea = self.effective_address(addr);
-                cycles += self.access_penalty(ea);
-                self.mem.write(ea, self.cpu.regs[rs.index()])?;
-            }
-            Insn::Cmp(ra, src) => {
-                let a = self.cpu.regs[ra.index()];
-                let b = self.operand_value(src);
-                self.cpu.z = a == b;
-                self.cpu.n = (a as i16) < (b as i16);
-            }
-            Insn::Jmp(t) => next_pc = t,
-            Insn::Brz(t) => {
-                if self.cpu.z {
-                    next_pc = t;
-                }
-            }
-            Insn::Brnz(t) => {
-                if !self.cpu.z {
-                    next_pc = t;
-                }
-            }
-            Insn::Brn(t) => {
-                if self.cpu.n {
-                    next_pc = t;
-                }
-            }
-            Insn::Brge(t) => {
-                if !self.cpu.n {
-                    next_pc = t;
-                }
-            }
-            Insn::Call(t) => {
-                self.push_word(next_pc as u16)?;
-                next_pc = t;
-            }
-            Insn::Ret => {
-                next_pc = self.pop_word()? as u32;
-            }
-            Insn::Push(r) => {
-                let v = self.cpu.regs[r.index()];
-                self.push_word(v)?;
-            }
-            Insn::Pop(r) => {
-                let v = self.pop_word()?;
-                self.cpu.regs[r.index()] = v;
-            }
-            Insn::Mark(id) => marker = Some(id),
-            Insn::Sense(rd) => {
-                let v = self.adc.convert();
-                self.cpu.regs[rd.index()] = v;
-                self.set_flags(v);
-                peripheral += self.power.adc_energy_per_sample;
-            }
-            Insn::Tx(rs) => {
-                self.radio.last_word = self.cpu.regs[rs.index()];
-                self.radio.words_sent += 1;
-                peripheral += self.power.radio_energy_per_word;
-            }
-            Insn::Nop => {}
-            Insn::Halt => {
-                self.halted = true;
-                next_pc = self.cpu.pc; // stay put
-            }
-        }
-        self.cpu.pc = next_pc;
-        Ok((cycles, peripheral, marker))
-    }
-
     /// Runs up to `cycle_budget` cycles, optionally yielding at checkpoint
     /// markers. Does nothing (and reports `BudgetExhausted`) when asleep,
     /// off, or already halted — except that a halted machine reports
     /// `Completed`.
+    ///
+    /// An instruction starts only if the cycles used so far plus its base
+    /// cycles fit the budget; its FRAM wait state, if any, may then overshoot
+    /// the budget by one cycle. Execution goes a basic block at a time
+    /// (blocks end at jumps, branches, calls, returns, markers and `Halt`).
+    /// The block invariant: the rest of a block runs with no per-instruction
+    /// check only when its worst-case cycles (base cycles plus one wait
+    /// state per load or store at a wait-state clock) fit the budget, so
+    /// every check it skips would have passed. Near the budget edge the run
+    /// takes the longest prefix whose worst case fits, then checks single
+    /// instructions. Cycles, instructions, energy and the exit — marker,
+    /// fault, halt or budget — are otherwise identical to checking every
+    /// instruction.
     pub fn run(&mut self, cycle_budget: u64, stop_at_markers: bool) -> RunReport {
-        let f = self.clock.frequency();
-        let mut used = 0u64;
-        let mut retired = 0u64;
-        let mut peripheral = Joules::ZERO;
-
         if self.halted {
             return RunReport {
                 cycles: 0,
@@ -829,32 +892,68 @@ impl Mcu {
             };
         }
 
-        let exit = loop {
-            // Peek the next instruction's cost before committing.
-            let Some(insn) = self.program.fetch(self.cpu.pc) else {
-                break RunExit::Fault(MachineError::PcOutOfRange(self.cpu.pc));
+        let f = self.clock.frequency();
+        let fram_wait = f > self.power.fram_wait_threshold;
+        let wait_per_access = u64::from(fram_wait);
+        let code = self.program.insns();
+        let blocks = &self.blocks;
+        let mut burst = Burst {
+            cpu: &mut self.cpu,
+            mem: &mut self.mem,
+            adc: &mut self.adc,
+            radio: &mut self.radio,
+            adc_energy: self.power.adc_energy_per_sample,
+            radio_energy: self.power.radio_energy_per_word,
+            fram_wait,
+            all_fram: self.residence == ExecutionResidence::Fram,
+            cycles: 0,
+            peripheral: Joules::ZERO,
+        };
+        let mut retired = 0u64;
+
+        let mut pc = burst.cpu.pc;
+        let exit = 'run: loop {
+            let start = pc as usize;
+            let Some(&tail) = blocks.get(start) else {
+                break RunExit::Fault(MachineError::PcOutOfRange(pc));
             };
-            if used + insn.base_cycles() > cycle_budget {
-                break RunExit::BudgetExhausted;
+            let room = cycle_budget.saturating_sub(burst.cycles);
+            let mut n = fitting_prefix(blocks, start, tail, wait_per_access, room);
+            if n == 0 {
+                // At the budget edge: the exact check of one instruction.
+                if code[start].base_cycles() > room {
+                    break RunExit::BudgetExhausted;
+                }
+                n = 1;
             }
-            match self.step() {
-                Ok((cycles, p_energy, marker)) => {
-                    used += cycles;
-                    retired += 1;
-                    peripheral += p_energy;
-                    if self.halted {
-                        break RunExit::Completed;
-                    }
-                    if let Some(id) = marker {
-                        if stop_at_markers {
-                            break RunExit::Marker(id);
-                        }
+            let run = &code[start..start + n];
+            for &insn in run {
+                match burst.exec(insn, pc) {
+                    Ok(next) => pc = next,
+                    Err(e) => {
+                        // Only a block's last instruction jumps, so `pc`
+                        // is `start` plus the instructions retired.
+                        let k = pc as usize - start;
+                        burst.cycles += prefix_cycles(blocks, start, tail, k);
+                        retired += k as u64;
+                        break 'run RunExit::Fault(e);
                     }
                 }
-                Err(e) => break RunExit::Fault(e),
+            }
+            burst.cycles += prefix_cycles(blocks, start, tail, n);
+            retired += n as u64;
+            // Halt and Mark end blocks, so only the last instruction run
+            // can be either.
+            match run[n - 1] {
+                Insn::Halt => break RunExit::Completed,
+                Insn::Mark(id) if stop_at_markers => break RunExit::Marker(id),
+                _ => {}
             }
         };
+        burst.cpu.pc = pc;
 
+        let (used, peripheral) = (burst.cycles, burst.peripheral);
+        self.halted = exit == RunExit::Completed;
         self.total_cycles += used;
         self.total_instructions += retired;
         let energy = self.power.execution_energy(used, f, self.residence) + peripheral;
@@ -886,7 +985,6 @@ impl Mcu {
 mod tests {
     use super::*;
     use crate::isa::{regs::*, ProgramBuilder};
-    use crate::mem::FRAM_BASE;
 
     fn sum_program(n: u16) -> Program {
         ProgramBuilder::new("sum")

@@ -107,15 +107,14 @@ impl Memory {
     ///
     /// Returns [`MemoryFault::Unmapped`] for addresses outside both regions.
     pub fn read(&mut self, addr: u16) -> Result<u16, MemoryFault> {
-        match Self::region_of(addr)? {
-            Region::Sram => {
-                self.counts.sram_reads += 1;
-                Ok(self.sram[addr as usize])
-            }
-            Region::Fram => {
-                self.counts.fram_reads += 1;
-                Ok(self.fram[(addr - FRAM_BASE) as usize])
-            }
+        if let Some(&v) = self.sram.get(addr as usize) {
+            self.counts.sram_reads += 1;
+            Ok(v)
+        } else if let Some(&v) = self.fram.get(addr.wrapping_sub(FRAM_BASE) as usize) {
+            self.counts.fram_reads += 1;
+            Ok(v)
+        } else {
+            Err(MemoryFault::Unmapped(addr))
         }
     }
 
@@ -125,18 +124,16 @@ impl Memory {
     ///
     /// Returns [`MemoryFault::Unmapped`] for addresses outside both regions.
     pub fn write(&mut self, addr: u16, value: u16) -> Result<(), MemoryFault> {
-        match Self::region_of(addr)? {
-            Region::Sram => {
-                self.counts.sram_writes += 1;
-                self.sram[addr as usize] = value;
-                Ok(())
-            }
-            Region::Fram => {
-                self.counts.fram_writes += 1;
-                self.fram[(addr - FRAM_BASE) as usize] = value;
-                Ok(())
-            }
+        if let Some(w) = self.sram.get_mut(addr as usize) {
+            self.counts.sram_writes += 1;
+            *w = value;
+        } else if let Some(w) = self.fram.get_mut(addr.wrapping_sub(FRAM_BASE) as usize) {
+            self.counts.fram_writes += 1;
+            *w = value;
+        } else {
+            return Err(MemoryFault::Unmapped(addr));
         }
+        Ok(())
     }
 
     /// Reads without counting (snapshot engine internals, test inspection).
@@ -165,19 +162,19 @@ impl Memory {
         }
     }
 
-    /// The whole SRAM contents (snapshot engine).
-    pub fn sram(&self) -> &[u16] {
-        &self.sram
+    /// Copies the whole SRAM into FRAM at word offset `fram_offset`
+    /// (snapshot save; the caller accounts the accesses).
+    pub(crate) fn save_sram(&mut self, fram_offset: u16) {
+        let start = fram_offset as usize;
+        self.fram[start..start + SRAM_WORDS as usize].copy_from_slice(&self.sram);
     }
 
-    /// Overwrites the whole SRAM (snapshot restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `image` is not exactly [`SRAM_WORDS`] long.
-    pub fn load_sram(&mut self, image: &[u16]) {
-        assert_eq!(image.len(), SRAM_WORDS as usize, "SRAM image size");
-        self.sram.copy_from_slice(image);
+    /// Overwrites the whole SRAM from FRAM at word offset `fram_offset`
+    /// (snapshot restore; the caller accounts the accesses).
+    pub(crate) fn restore_sram(&mut self, fram_offset: u16) {
+        let start = fram_offset as usize;
+        self.sram
+            .copy_from_slice(&self.fram[start..start + SRAM_WORDS as usize]);
     }
 
     /// Direct FRAM slice access for the snapshot frame.
