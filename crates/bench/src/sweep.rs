@@ -505,14 +505,19 @@ pub fn run_specs_timed_metered(
 
 /// Deterministic scoped fan-out: workers claim items by index and results
 /// come back in input order, so thread count affects wall-clock only,
-/// never results. The primitive under [`run_specs_timed_in`], kept public
-/// for harnesses whose work items are not experiment specs at all.
+/// never results. With one worker or at most one item it runs inline on
+/// the calling thread and spawns nothing. The primitive under
+/// [`run_specs_timed_in`], kept public for harnesses whose work items are
+/// not experiment specs at all.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
+    if threads <= 1 || items.len() <= 1 {
+        return items.iter().map(f).collect();
+    }
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -623,6 +628,24 @@ mod tests {
             .run()
             .expect("sweep runs");
         assert_eq!(render_json(&parallel), render_json(&again));
+    }
+
+    #[test]
+    fn par_map_runs_inline_for_one_worker_or_item_and_keeps_order() {
+        let caller = std::thread::current().id();
+        let items: Vec<u64> = (0..37).collect();
+        let square = |x: &u64| (x * x, std::thread::current().id());
+        let inline = par_map(&items, 1, square);
+        assert!(inline.iter().all(|&(_, id)| id == caller), "no spawn");
+        let single = par_map(&items[..1], 4, square);
+        assert_eq!(single, vec![(0, caller)]);
+        assert!(par_map(&items[..0], 4, square).is_empty());
+        let fanned: Vec<u64> = par_map(&items, 3, square)
+            .into_iter()
+            .map(|(v, _)| v)
+            .collect();
+        let expected: Vec<u64> = inline.into_iter().map(|(v, _)| v).collect();
+        assert_eq!(fanned, expected, "input order at any thread count");
     }
 
     #[test]

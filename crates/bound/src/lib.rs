@@ -102,6 +102,10 @@ pub const CYCLE_FLOOR_CAP: u64 = 1_000_000_000;
 /// trivial values (analysis incompleteness, never unsoundness).
 pub const SUPPLY_SCAN_CAP: u64 = 4_000_000;
 
+/// Ticks sampled per [`edc_harvest::EnergySource::sample_batch`] call of
+/// the supply scan.
+const SCAN_BATCH: usize = 256;
+
 /// A sound closed interval `[lo, hi]` around a score (lower is better;
 /// `INFINITY` encodes "did not finish").
 ///
@@ -484,50 +488,64 @@ impl Bounder {
         let mut supply_ub = 0.0f64;
         let mut rail_ub = 0.0f64;
         let mut boot_tick: Option<u64> = None;
-        for tick in 0..ticks_ub {
-            let t = Seconds(tick as f64 * dt);
-            let (e_ub, v_ub) = match source.sample(t) {
-                SourceSample::Thevenin { v_oc, r_s } => {
-                    let v = spec.rectifier.map_or(v_oc, |r| r.rectify(v_oc)).0.max(0.0);
-                    let r = r_s.0;
-                    let i_max = efficiency * v / r;
+        // Per-tick energy and rail bounds of one sample.
+        let bounds = |sample: SourceSample| match sample {
+            SourceSample::Thevenin { v_oc, r_s } => {
+                let v = spec.rectifier.map_or(v_oc, |r| r.rectify(v_oc)).0.max(0.0);
+                let r = r_s.0;
+                let i_max = efficiency * v / r;
+                (
+                    efficiency * v * v / (4.0 * r) * dt + i_max * i_max * dt * dt / (2.0 * c),
+                    v * (efficiency * dt / (r * c)).max(1.0),
+                )
+            }
+            SourceSample::Power(p) => {
+                if p.0 > 0.0 {
+                    let i_max = efficiency * p.0 / POWER_SOURCE_COMPLIANCE_FLOOR.0;
                     (
-                        efficiency * v * v / (4.0 * r) * dt + i_max * i_max * dt * dt / (2.0 * c),
-                        v * (efficiency * dt / (r * c)).max(1.0),
+                        efficiency * p.0 * dt + i_max * i_max * dt * dt / (2.0 * c),
+                        // A constant-power sample has no open-circuit
+                        // ceiling: the rail bound collapses to the clamp.
+                        f64::INFINITY,
                     )
+                } else {
+                    (0.0, 0.0)
                 }
-                SourceSample::Power(p) => {
-                    if p.0 > 0.0 {
-                        let i_max = efficiency * p.0 / POWER_SOURCE_COMPLIANCE_FLOOR.0;
-                        (
-                            efficiency * p.0 * dt + i_max * i_max * dt * dt / (2.0 * c),
-                            // A constant-power sample has no open-circuit
-                            // ceiling: the rail bound collapses to the clamp.
-                            f64::INFINITY,
-                        )
-                    } else {
-                        (0.0, 0.0)
-                    }
-                }
-                SourceSample::Current { i, v_compliance } => {
-                    let i = i.0.max(0.0) * efficiency;
-                    let vc = v_compliance.0.max(0.0);
-                    (i * vc * dt + i * i * dt * dt / (2.0 * c), vc + i * dt / c)
-                }
-            };
-            supply_ub += e_ub;
-            rail_ub = rail_ub.max(v_ub.min(V_MAX.0));
-            if boot_tick.is_none() && supply_ub >= e_boot {
-                boot_tick = Some(tick);
             }
-            if supply_ub >= demand_lb && rail_ub + 1e-9 >= v_high.0 && boot_tick.is_some() {
-                return SupplyFacts {
-                    supply_ub,
-                    rail_ub,
-                    boot_tick,
-                    scanned_full: false,
-                };
+            SourceSample::Current { i, v_compliance } => {
+                let i = i.0.max(0.0) * efficiency;
+                let vc = v_compliance.0.max(0.0);
+                (i * vc * dt + i * i * dt * dt / (2.0 * c), vc + i * dt / c)
             }
+        };
+        let mut times = [Seconds(0.0); SCAN_BATCH];
+        let mut samples = [SourceSample::OFF; SCAN_BATCH];
+        let mut start = 0u64;
+        while start < ticks_ub {
+            // Sample the next batch ahead; an early exit discards the rest
+            // of it.
+            let n = (ticks_ub - start).min(SCAN_BATCH as u64) as usize;
+            for (tick, slot) in (start..).zip(&mut times[..n]) {
+                *slot = Seconds(tick as f64 * dt);
+            }
+            source.sample_batch(&times[..n], &mut samples[..n]);
+            for (tick, &sample) in (start..).zip(&samples[..n]) {
+                let (e_ub, v_ub) = bounds(sample);
+                supply_ub += e_ub;
+                rail_ub = rail_ub.max(v_ub.min(V_MAX.0));
+                if boot_tick.is_none() && supply_ub >= e_boot {
+                    boot_tick = Some(tick);
+                }
+                if supply_ub >= demand_lb && rail_ub + 1e-9 >= v_high.0 && boot_tick.is_some() {
+                    return SupplyFacts {
+                        supply_ub,
+                        rail_ub,
+                        boot_tick,
+                        scanned_full: false,
+                    };
+                }
+            }
+            start += n as u64;
         }
         SupplyFacts {
             supply_ub,

@@ -46,7 +46,7 @@ use edc_workloads::{VerifyError, Workload, WorkloadKind};
 
 use crate::catalog::TraceCatalog;
 use crate::scenarios::{SourceKind, StrategyKind};
-use crate::system::{adapt_source, SystemReport, Topology};
+use crate::system::{SystemReport, Topology};
 use crate::telemetry::TelemetryReport;
 
 /// Why an experiment could not be assembled.
@@ -723,7 +723,7 @@ impl<'a> Experiment<'a> {
     /// (as [`ExperimentSpec::build_in`] does).
     pub fn from_spec_in(spec: &ExperimentSpec, catalog: &TraceCatalog) -> Experiment<'static> {
         let mut e = Experiment::new()
-            .source(spec.source.make_in(catalog))
+            .source_kind_in(spec.source, catalog)
             .topology(spec.topology)
             .decoupling(spec.decoupling)
             .strategy(spec.strategy.make())
@@ -776,7 +776,7 @@ impl<'a> Experiment<'a> {
     ///
     /// The reports are byte-identical between the two paths; the spec path
     /// additionally composes with `Sweep`, `SpecSpace` axes and fleet
-    /// fields. Custom *synthetic* sources (closures, one-off models) remain
+    /// fields. Custom *synthetic* sources (one-off models) remain
     /// this method's legitimate use.
     pub fn source(mut self, s: impl EnergySource + 'a) -> Self {
         self.source = Some(Box::new(s));
@@ -786,7 +786,7 @@ impl<'a> Experiment<'a> {
     /// Shorthand for [`Experiment::source`] via the kind registry. Panics
     /// for trace-backed kinds; use [`Experiment::source_kind_in`].
     pub fn source_kind(self, kind: SourceKind) -> Self {
-        self.source(kind.make())
+        self.source_kind_in(kind, &TraceCatalog::new())
     }
 
     /// Shorthand for [`Experiment::source`] via the kind registry,
@@ -797,8 +797,10 @@ impl<'a> Experiment<'a> {
     /// Panics when the kind's parameters are invalid or its trace handle
     /// does not resolve; call [`SourceKind::validate_in`] first to get the
     /// violation as a value.
-    pub fn source_kind_in(self, kind: SourceKind, catalog: &TraceCatalog) -> Self {
-        self.source(kind.make_in(catalog))
+    pub fn source_kind_in(mut self, kind: SourceKind, catalog: &TraceCatalog) -> Self {
+        // Already boxed: stored as is rather than boxed a second time.
+        self.source = Some(kind.make_in(catalog));
+        self
     }
 
     /// Adds a rectifier stage in front of the node.
@@ -930,7 +932,11 @@ impl<'a> Experiment<'a> {
             .timestep(self.timestep)
             .strategy(strategy)
             .program(workload.program())
-            .source(adapt_source(source, self.rectifier, efficiency));
+            .source(source)
+            .efficiency(efficiency);
+        if let Some(r) = self.rectifier {
+            builder = builder.rectifier(r);
+        }
         if let Some(d) = self.trace_decimation {
             builder = builder.trace(d);
         }

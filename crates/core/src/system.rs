@@ -15,10 +15,8 @@
 //! [`Experiment`](crate::experiment::Experiment) builder for custom
 //! components.
 
-use edc_harvest::{EnergySource, SourceSample};
-use edc_power::Rectifier;
 use edc_transient::{RunOutcome, RunnerStats};
-use edc_units::{Amps, Farads, Seconds, Volts};
+use edc_units::Farads;
 use edc_workloads::VerifyError;
 
 use crate::json::Json;
@@ -38,29 +36,6 @@ pub enum Topology {
         /// Input converter efficiency.
         efficiency: f64,
     },
-}
-
-/// Adapts an [`EnergySource`] (plus an optional rectifier and conversion
-/// efficiency) into the `(V, t) → I` closure the transient runner consumes.
-pub fn adapt_source<'a>(
-    mut source: impl EnergySource + 'a,
-    rectifier: Option<Rectifier>,
-    efficiency: f64,
-) -> impl FnMut(Volts, Seconds) -> Amps + 'a {
-    assert!(
-        efficiency > 0.0 && efficiency <= 1.0,
-        "efficiency in (0, 1]"
-    );
-    move |v, t| {
-        let mut sample = source.sample(t);
-        if let (Some(rect), SourceSample::Thevenin { v_oc, r_s }) = (rectifier, sample) {
-            sample = SourceSample::Thevenin {
-                v_oc: rect.rectify(v_oc),
-                r_s,
-            };
-        }
-        sample.current_into(v) * efficiency
-    }
 }
 
 /// A complete report of one system run.
@@ -146,10 +121,10 @@ mod tests {
     use super::*;
     use crate::experiment::{Experiment, ExperimentSpec};
     use crate::scenarios::{SourceKind, StrategyKind};
-    use edc_harvest::{DcSupply, SignalGenerator, Waveform};
-    use edc_power::RectifierKind;
+    use edc_harvest::{SignalGenerator, Waveform};
+    use edc_power::{Rectifier, RectifierKind};
     use edc_transient::Hibernus;
-    use edc_units::{Hertz, Ohms};
+    use edc_units::{Hertz, Ohms, Seconds, Volts};
     use edc_workloads::{Crc16, WorkloadKind};
 
     #[test]
@@ -194,26 +169,6 @@ mod tests {
         assert!(report.succeeded());
         assert_eq!(report.stats.brownouts, 0);
         assert_eq!(report.stats.snapshots, 0, "buffer absorbs the dips");
-    }
-
-    #[test]
-    fn adapt_source_applies_rectifier_and_efficiency() {
-        let mut f = adapt_source(
-            DcSupply::new(Volts(3.0)).with_resistance(Ohms(10.0)),
-            None,
-            0.5,
-        );
-        let i = f(Volts(1.0), Seconds(0.0));
-        assert!((i.0 - 0.1).abs() < 1e-12); // (3−1)/10 × 0.5
-
-        let mut r = adapt_source(
-            SignalGenerator::new(Waveform::Sine, Volts(3.0), Hertz(1.0))
-                .with_resistance(Ohms(10.0)),
-            Some(Rectifier::ideal(RectifierKind::HalfWave)),
-            1.0,
-        );
-        // Negative half-cycle → rectified to zero → no current.
-        assert_eq!(r(Volts(0.0), Seconds(0.75)), Amps::ZERO);
     }
 
     #[test]

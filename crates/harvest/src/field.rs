@@ -90,16 +90,24 @@ impl<S: EnergySource> EnergySource for FieldView<S> {
     }
 
     fn sample(&mut self, t: Seconds) -> SourceSample {
-        match self.inner.sample(t + self.phase) {
-            SourceSample::Thevenin { v_oc, r_s } => SourceSample::Thevenin {
-                v_oc: v_oc * self.attenuation,
-                r_s,
-            },
-            SourceSample::Power(p) => SourceSample::Power(p * self.attenuation),
-            SourceSample::Current { i, v_compliance } => SourceSample::Current {
-                i: i * self.attenuation,
-                v_compliance,
-            },
+        self.inner.sample(t + self.phase).scaled(self.attenuation)
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        assert_eq!(times.len(), out.len(), "one output slot per time");
+        let mut shifted = [Seconds(0.0); SHIFT_CHUNK];
+        for (times, out) in times.chunks(SHIFT_CHUNK).zip(out.chunks_mut(SHIFT_CHUNK)) {
+            let shifted = &mut shifted[..times.len()];
+            for (s, &t) in shifted.iter_mut().zip(times) {
+                *s = t + self.phase;
+            }
+            self.inner.sample_batch(shifted, out);
+            for s in out {
+                *s = s.scaled(self.attenuation);
+            }
         }
     }
 }
+
+/// Times shifted by the phase stagger per inner `sample_batch` call.
+const SHIFT_CHUNK: usize = 256;

@@ -118,19 +118,54 @@ impl SourceSample {
     pub fn power_into(self, node_v: Volts) -> Watts {
         node_v * self.current_into(node_v)
     }
+
+    /// The sample with its amplitude (Thévenin voltage, power or current)
+    /// multiplied by `factor`.
+    pub fn scaled(self, factor: f64) -> Self {
+        match self {
+            SourceSample::Thevenin { v_oc, r_s } => SourceSample::Thevenin {
+                v_oc: v_oc * factor,
+                r_s,
+            },
+            SourceSample::Power(p) => SourceSample::Power(p * factor),
+            SourceSample::Current { i, v_compliance } => SourceSample::Current {
+                i: i * factor,
+                v_compliance,
+            },
+        }
+    }
 }
 
 /// A time-varying energy-harvesting source.
 ///
-/// Implementations take `&mut self` so that stochastic sources can advance
-/// their internal RNG deterministically with time; repeated calls at the
-/// same `t` on sources documented as *replayable* return the same sample.
+/// Implementations take `&mut self` so that a source may keep caches or
+/// cursors between calls.
+///
+/// # Sampling contract
+///
+/// - **Replayable.** The sample at `t` depends only on `t` and the
+///   source's construction, never on which times were sampled before.
+///   Runners rely on this: the transient runner and the bound engine's
+///   supply scan sample ahead in batches, may sample up to one batch past
+///   their last tick, discard the extra samples, and later sample the same
+///   times again.
+/// - **Batch equals scalar.** [`EnergySource::sample_batch`] must fill
+///   exactly what [`EnergySource::sample`] returns at each time.
+///   Overrides may only skip work that provably yields the same samples.
 pub trait EnergySource {
     /// Human-readable name used in logs and figure output.
     fn name(&self) -> &str;
 
     /// Electrical appearance of the source at time `t`.
     fn sample(&mut self, t: Seconds) -> SourceSample;
+
+    /// Samples at every time of `times` into the same position of `out`.
+    ///
+    /// `times` must be non-decreasing and `out` exactly as long. The
+    /// default calls [`EnergySource::sample`] once per time.
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        sample_each(self, times, out);
+    }
 
     /// Current pushed into a rail at `node_v` at time `t`.
     ///
@@ -148,6 +183,23 @@ impl<S: EnergySource + ?Sized> EnergySource for Box<S> {
 
     fn sample(&mut self, t: Seconds) -> SourceSample {
         (**self).sample(t)
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        (**self).sample_batch(times, out);
+    }
+}
+
+/// [`EnergySource::sample_batch`]'s default: one `sample` call per time.
+/// Overrides fall back to it for batches they cannot shortcut.
+fn sample_each<S: EnergySource + ?Sized>(
+    source: &mut S,
+    times: &[Seconds],
+    out: &mut [SourceSample],
+) {
+    assert_eq!(times.len(), out.len(), "one output slot per time");
+    for (slot, &t) in out.iter_mut().zip(times) {
+        *slot = source.sample(t);
     }
 }
 
@@ -237,16 +289,13 @@ impl<S: EnergySource> EnergySource for Scaled<S> {
     }
 
     fn sample(&mut self, t: Seconds) -> SourceSample {
-        match self.inner.sample(t) {
-            SourceSample::Thevenin { v_oc, r_s } => SourceSample::Thevenin {
-                v_oc: v_oc * self.factor,
-                r_s,
-            },
-            SourceSample::Power(p) => SourceSample::Power(p * self.factor),
-            SourceSample::Current { i, v_compliance } => SourceSample::Current {
-                i: i * self.factor,
-                v_compliance,
-            },
+        self.inner.sample(t).scaled(self.factor)
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        self.inner.sample_batch(times, out);
+        for s in out {
+            *s = s.scaled(self.factor);
         }
     }
 }
@@ -298,6 +347,29 @@ impl<S: EnergySource> EnergySource for Gated<S> {
             self.inner.sample(t)
         } else {
             SourceSample::OFF
+        }
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        let (Some(&first), Some(&last)) = (times.first(), times.last()) else {
+            return;
+        };
+        if self
+            .windows
+            .iter()
+            .any(|&(s, e)| first.0 >= s.0 && last.0 < e.0)
+        {
+            // One window holds the whole batch.
+            self.inner.sample_batch(times, out);
+        } else if self
+            .windows
+            .iter()
+            .all(|&(s, e)| e.0 <= first.0 || s.0 > last.0)
+        {
+            // No window meets the batch.
+            out.fill(SourceSample::OFF);
+        } else {
+            sample_each(self, times, out);
         }
     }
 }

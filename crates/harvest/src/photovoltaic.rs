@@ -153,9 +153,36 @@ impl Photovoltaic {
 
     /// Harvested current at time `t` (replayable: same `t` → same value).
     pub fn current_at(&self, t: Seconds) -> Amps {
-        let base = self.night_floor.lerp(self.day_peak, self.day_factor(t));
-        let noisy = base * (1.0 + self.noise_at(t) * self.day_factor(t));
+        let day_factor = self.day_factor(t);
+        let base = self.night_floor.lerp(self.day_peak, day_factor);
+        let noisy = base * (1.0 + self.noise_at(t) * day_factor);
         noisy.max(Amps::ZERO)
+    }
+
+    /// The flat part of the day curve that time-of-day `day` falls in —
+    /// the night before the sunrise twilight, the plateau, or the night
+    /// after the sunset twilight — or `None` inside a twilight.
+    fn flat_part(&self, day: f64) -> Option<u8> {
+        if day < self.sunrise.0 - self.twilight.0 {
+            Some(0)
+        } else if day > self.sunset.0 + self.twilight.0 {
+            Some(2)
+        } else if day >= self.sunrise.0 && day <= self.sunset.0 {
+            Some(1)
+        } else {
+            None
+        }
+    }
+
+    /// `true` when every time in `[first, last]` gives the same current:
+    /// both ends share one noise hour, and their times of day lie in one
+    /// flat part of one day (`first`'s time of day not after `last`'s,
+    /// which within one hour rules out a midnight wrap).
+    fn constant_between(&self, first: Seconds, last: Seconds) -> bool {
+        let hour = |t: Seconds| (t.0 / 3600.0).floor();
+        let (d0, d1) = (first.0.rem_euclid(86_400.0), last.0.rem_euclid(86_400.0));
+        let part = self.flat_part(d0);
+        hour(first) == hour(last) && d0 <= d1 && part.is_some() && part == self.flat_part(d1)
     }
 }
 
@@ -168,6 +195,16 @@ impl EnergySource for Photovoltaic {
         SourceSample::Current {
             i: self.current_at(t),
             v_compliance: self.v_oc,
+        }
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        match *times {
+            [first, .., last] if self.constant_between(first, last) => {
+                assert_eq!(times.len(), out.len(), "one output slot per time");
+                out.fill(self.sample(first));
+            }
+            _ => crate::sample_each(self, times, out),
         }
     }
 }

@@ -190,6 +190,27 @@ impl WindTurbine {
     pub fn envelope(&self, t: Seconds) -> f64 {
         self.gust.envelope(t)
     }
+
+    /// `true` when every time in `[first, last]` lies before a
+    /// [`GustProfile::Single`] gust or after it has died away, so the
+    /// envelope is exactly 0 throughout.
+    fn calm_between(&self, first: Seconds, last: Seconds) -> bool {
+        match self.gust {
+            GustProfile::Single {
+                start,
+                rise,
+                hold,
+                fall,
+            } => {
+                // The same differences and sums `GustProfile::envelope`
+                // compares, so each branch decision carries over.
+                let (dt0, dt1) = (first.0 - start.0, last.0 - start.0);
+                dt1 < 0.0
+                    || (dt0 >= rise.0 && dt0 >= rise.0 + hold.0 && dt0 >= rise.0 + hold.0 + fall.0)
+            }
+            GustProfile::Periodic { .. } | GustProfile::Steady(_) => false,
+        }
+    }
 }
 
 impl EnergySource for WindTurbine {
@@ -201,6 +222,16 @@ impl EnergySource for WindTurbine {
         SourceSample::Thevenin {
             v_oc: self.output_voltage(t),
             r_s: self.resistance,
+        }
+    }
+
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        match *times {
+            [first, .., last] if self.calm_between(first, last) => {
+                assert_eq!(times.len(), out.len(), "one output slot per time");
+                out.fill(self.sample(first));
+            }
+            _ => crate::sample_each(self, times, out),
         }
     }
 }

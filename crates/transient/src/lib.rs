@@ -27,8 +27,9 @@
 //! paper's Fig. 7 setup, with a half-wave rectified sine source):
 //!
 //! ```
+//! use edc_harvest::{SignalGenerator, Waveform};
 //! use edc_transient::{Hibernus, RunOutcome, TransientRunner};
-//! use edc_units::{Amps, Farads, Seconds, Volts};
+//! use edc_units::{Farads, Hertz, Ohms, Seconds, Volts};
 //! use edc_workloads::{BusyLoop, Workload};
 //!
 //! let workload = BusyLoop::new(2000);
@@ -36,10 +37,10 @@
 //!     .capacitance(Farads::from_micro(10.0))
 //!     .strategy(Box::new(Hibernus::new()))
 //!     .program(workload.program())
-//!     .source(|v, t| {
-//!         let v_oc = (4.0 * (std::f64::consts::TAU * 2.0 * t.0).sin()).max(0.0);
-//!         Amps(((v_oc - v.0) / 100.0).max(0.0))
-//!     })
+//!     .source(Box::new(
+//!         SignalGenerator::new(Waveform::HalfRectifiedSine, Volts(4.0), Hertz(2.0))
+//!             .with_resistance(Ohms(100.0)),
+//!     ))
 //!     .build();
 //! let outcome = runner.run_until_complete(Seconds(10.0));
 //! assert_eq!(outcome, RunOutcome::Completed);

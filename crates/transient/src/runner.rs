@@ -6,8 +6,9 @@
 //! (decoupling or a small task buffer) in between. Figures 7 and 8 are
 //! traces of this loop.
 
+use edc_harvest::{EnergySource, SourceSample};
 use edc_mcu::{Mcu, PowerState, RunExit};
-use edc_power::{MonitorEvent, VoltageMonitor};
+use edc_power::{MonitorEvent, Rectifier, VoltageMonitor};
 use edc_sim::{SupplyNode, TimeSeries};
 use edc_telemetry::{Event, Phase, Record, Sink};
 use edc_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
@@ -84,7 +85,9 @@ pub struct RunnerBuilder<'a> {
     trace_decimation: Option<u64>,
     strategy: Option<Box<dyn Strategy + 'a>>,
     program: Option<edc_mcu::isa::Program>,
-    source: Option<Box<dyn FnMut(Volts, Seconds) -> Amps + 'a>>,
+    source: Option<Box<dyn EnergySource + 'a>>,
+    rectifier: Option<Rectifier>,
+    efficiency: f64,
     sink: Option<Box<dyn Sink + 'a>>,
 }
 
@@ -100,6 +103,8 @@ impl<'a> RunnerBuilder<'a> {
             strategy: None,
             program: None,
             source: None,
+            rectifier: None,
+            efficiency: 1.0,
             sink: None,
         }
     }
@@ -154,10 +159,23 @@ impl<'a> RunnerBuilder<'a> {
         self
     }
 
-    /// The energy source: `(rail voltage, time) → current into the node`
-    /// (required). Adapters for `edc_harvest` sources live in `edc-core`.
-    pub fn source(mut self, f: impl FnMut(Volts, Seconds) -> Amps + 'a) -> Self {
-        self.source = Some(Box::new(f));
+    /// The energy source (required).
+    pub fn source(mut self, s: Box<dyn EnergySource + 'a>) -> Self {
+        self.source = Some(s);
+        self
+    }
+
+    /// Rectifies the source's Thévenin open-circuit voltage before it
+    /// meets the rail (default: none).
+    pub fn rectifier(mut self, r: Rectifier) -> Self {
+        self.rectifier = Some(r);
+        self
+    }
+
+    /// Input conversion efficiency in `(0, 1]` scaling the current the
+    /// source pushes into the rail (default 1).
+    pub fn efficiency(mut self, efficiency: f64) -> Self {
+        self.efficiency = efficiency;
         self
     }
 
@@ -173,11 +191,20 @@ impl<'a> RunnerBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if strategy, program or source is missing.
+    /// Panics if strategy, program or source is missing, or the efficiency
+    /// lies outside `(0, 1]`.
     pub fn build(self) -> TransientRunner<'a> {
         let mut strategy = self.strategy.expect("strategy is required");
         let program = self.program.expect("program is required");
-        let source = self.source.expect("source is required");
+        assert!(
+            self.efficiency > 0.0 && self.efficiency <= 1.0,
+            "efficiency in (0, 1]"
+        );
+        let source = RailSource {
+            source: self.source.expect("source is required"),
+            rectifier: self.rectifier,
+            efficiency: self.efficiency,
+        };
         let mut mcu = Mcu::new(program).with_residence(strategy.residence());
         if let Some(pm) = strategy.power_model() {
             mcu = mcu.with_power_model(pm);
@@ -215,6 +242,8 @@ impl<'a> RunnerBuilder<'a> {
                 .trace_decimation
                 .map(|d| TimeSeries::with_decimation("f_core_MHz", d)),
             faulted: false,
+            off_times: vec![Seconds(0.0); OFF_BATCH],
+            off_samples: vec![SourceSample::OFF; OFF_BATCH],
             supply_power: Watts::ZERO,
             sink: self.sink,
         };
@@ -232,6 +261,56 @@ impl<'a> RunnerBuilder<'a> {
     }
 }
 
+/// The harvester as the rail sees it: a source, an optional input
+/// rectifier and the input conversion efficiency.
+struct RailSource<'a> {
+    source: Box<dyn EnergySource + 'a>,
+    rectifier: Option<Rectifier>,
+    efficiency: f64,
+}
+
+impl RailSource<'_> {
+    fn rectified(&self, sample: SourceSample) -> SourceSample {
+        match (self.rectifier, sample) {
+            (Some(rect), SourceSample::Thevenin { v_oc, r_s }) => SourceSample::Thevenin {
+                v_oc: rect.rectify(v_oc),
+                r_s,
+            },
+            _ => sample,
+        }
+    }
+
+    /// The rectified sample at `t`.
+    fn sample(&mut self, t: Seconds) -> SourceSample {
+        let sample = self.source.sample(t);
+        self.rectified(sample)
+    }
+
+    /// The rectified samples at every time of `times`.
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        if let ([t], [slot]) = (times, &mut *out) {
+            // A batch of one is a plain sample (`TransientRunner::step`).
+            *slot = self.sample(*t);
+            return;
+        }
+        self.source.sample_batch(times, out);
+        if self.rectifier.is_some() {
+            for s in out {
+                *s = self.rectified(*s);
+            }
+        }
+    }
+
+    /// Current a rectified sample pushes into a rail at `v`.
+    fn current(&self, sample: SourceSample, v: Volts) -> Amps {
+        sample.current_into(v) * self.efficiency
+    }
+}
+
+/// Off ticks sampled per [`SourceSample`] batch: 5 ms of simulated time at
+/// the default 20 µs timestep.
+const OFF_BATCH: usize = 256;
+
 /// The lifecycle phase a power state maps to.
 fn phase_of(state: PowerState) -> Phase {
     match state {
@@ -247,7 +326,7 @@ pub struct TransientRunner<'a> {
     node: SupplyNode,
     monitor: VoltageMonitor,
     strategy: Box<dyn Strategy + 'a>,
-    source: Box<dyn FnMut(Volts, Seconds) -> Amps + 'a>,
+    source: RailSource<'a>,
     dt: Seconds,
     time: Seconds,
     v_min: Volts,
@@ -261,6 +340,10 @@ pub struct TransientRunner<'a> {
     vcc_trace: Option<TimeSeries>,
     freq_trace: Option<TimeSeries>,
     faulted: bool,
+    /// Sampling times and samples of the current batch of Off ticks
+    /// (scratch, [`OFF_BATCH`] long, kept across calls).
+    off_times: Vec<Seconds>,
+    off_samples: Vec<SourceSample>,
     /// The lifecycle phase last reported to the sink; transitions are
     /// emitted only on change.
     phase: Phase,
@@ -419,13 +502,108 @@ impl<'a> TransientRunner<'a> {
     /// Advances the simulation by one timestep. Returns `false` once the
     /// workload has completed or the machine has faulted.
     pub fn step(&mut self) -> bool {
+        self.advance(1, self.time)
+    }
+
+    /// Advances by one tick while the machine is powered, or by up to
+    /// `max_off` ticks while it stays off and the time stays before
+    /// `deadline` (at least one tick either way). Returns what
+    /// [`TransientRunner::step`] returns.
+    fn advance(&mut self, max_off: usize, deadline: Seconds) -> bool {
+        if self.mcu.state() == PowerState::Off {
+            self.off_ticks(max_off, deadline);
+            true
+        } else {
+            self.powered_tick()
+        }
+    }
+
+    /// Runs `PowerState::Off` ticks from one batch of source samples until
+    /// the rail reaches `V_H` and the machine boots, the time reaches
+    /// `deadline`, or `max_off` ticks (at most [`OFF_BATCH`]) have run. The
+    /// first tick always runs. Each tick does exactly what a per-tick step
+    /// would: charge the node, book the static draw, record the traces and
+    /// the off time, compare against `V_H`.
+    fn off_ticks(&mut self, max_off: usize, deadline: Seconds) {
+        let dt = self.dt;
+        let n = max_off.clamp(1, OFF_BATCH);
+        let (mut times, mut samples) = (
+            std::mem::take(&mut self.off_times),
+            std::mem::take(&mut self.off_samples),
+        );
+        // The same accumulation `self.time += dt` performs tick by tick.
+        let mut t = self.time;
+        for slot in &mut times[..n] {
+            *slot = t;
+            t += dt;
+        }
+        self.source.sample_batch(&times[..n], &mut samples[..n]);
+
+        let i_static = self.mcu.supply_current();
+        let v_high = self.monitor.high();
+        let tracing = self.vcc_trace.is_some() || self.freq_trace.is_some();
+        let mut boot = None;
+        for (&t, &sample) in times[..n].iter().zip(&samples[..n]) {
+            self.stats.ticks += 1;
+            let v_before = self.node.voltage();
+            let i_src = self.source.current(sample, v_before);
+            self.node.step(i_src, i_static, dt);
+            self.stats.energy_consumed += self.node.voltage() * i_static * dt;
+            let v = self.node.voltage();
+            if tracing {
+                self.push_traces(t, v);
+            }
+            self.stats.off_time += dt;
+            if v >= v_high {
+                boot = Some(v_before * i_src);
+                break;
+            }
+            self.time += dt;
+            if self.time >= deadline {
+                break;
+            }
+        }
+        (self.off_times, self.off_samples) = (times, samples);
+
+        if let Some(supply_power) = boot {
+            // Gauges read the supply power only at event time.
+            if self.sink.is_some() {
+                self.supply_power = supply_power;
+            }
+            let v = self.node.voltage();
+            self.monitor.reset();
+            self.monitor.update(v);
+            self.tap(Event::SupplyCrossing { rising: true });
+            self.boot_sequence();
+            self.time += dt;
+        }
+    }
+
+    /// Appends one sample to each enabled figure trace.
+    fn push_traces(&mut self, t: Seconds, v: Volts) {
+        if let Some(trace) = &mut self.vcc_trace {
+            trace.push(t, v.0);
+        }
+        if let Some(trace) = &mut self.freq_trace {
+            let f = if self.mcu.state() == PowerState::Active {
+                self.mcu.frequency().0 / 1e6
+            } else {
+                0.0
+            };
+            trace.push(t, f);
+        }
+    }
+
+    /// One tick of a `Sleep` or `Active` machine.
+    fn powered_tick(&mut self) -> bool {
         let t = self.time;
         let dt = self.dt;
         self.stats.ticks += 1;
 
-        // 1. Source charges the node; static (sleep/off) load discharges it.
+        // 1. Source charges the node; static (sleep) load discharges it.
         let v = self.node.voltage();
-        let i_src = (self.source)(v, t);
+        let sample = self.source.sample(t);
+        let i_src = self.source.current(sample, v);
         if self.sink.is_some() {
             self.supply_power = v * i_src;
         }
@@ -438,30 +616,11 @@ impl<'a> TransientRunner<'a> {
             self.stats.energy_consumed += self.node.voltage() * i_static * dt;
         }
         let v = self.node.voltage();
-
-        if let Some(trace) = &mut self.vcc_trace {
-            trace.push(t, v.0);
-        }
-        if let Some(trace) = &mut self.freq_trace {
-            let f = if self.mcu.state() == PowerState::Active {
-                self.mcu.frequency().0 / 1e6
-            } else {
-                0.0
-            };
-            trace.push(t, f);
-        }
+        self.push_traces(t, v);
 
         // 2. State machine.
         match self.mcu.state() {
-            PowerState::Off => {
-                self.stats.off_time += dt;
-                if v >= self.monitor.high() {
-                    self.monitor.reset();
-                    self.monitor.update(v);
-                    self.tap(Event::SupplyCrossing { rising: true });
-                    self.boot_sequence();
-                }
-            }
+            PowerState::Off => unreachable!("off ticks run in `off_ticks`"),
             PowerState::Sleep => {
                 if v < self.v_min {
                     // The node kept sagging: the sleeping machine dies too.
@@ -578,7 +737,7 @@ impl<'a> TransientRunner<'a> {
     /// passes.
     pub fn run_until_complete(&mut self, deadline: Seconds) -> RunOutcome {
         while self.time < deadline {
-            if !self.step() {
+            if !self.advance(OFF_BATCH, deadline) {
                 break;
             }
         }
@@ -595,7 +754,7 @@ impl<'a> TransientRunner<'a> {
     pub fn run_for(&mut self, duration: Seconds) {
         let end = Seconds(self.time.0 + duration.0);
         while self.time < end && !self.faulted {
-            let live = self.step();
+            let live = self.advance(OFF_BATCH, end);
             if !live {
                 // Completed: keep simulating the idle system so traces cover
                 // the full window.
@@ -609,10 +768,12 @@ impl<'a> TransientRunner<'a> {
 mod tests {
     use super::*;
     use crate::{Hibernus, Restart};
+    use edc_harvest::{DcSupply, Gated};
+    use edc_units::Ohms;
     use edc_workloads::{BusyLoop, Workload};
 
-    fn dc_source(v_oc: f64, r: f64) -> impl FnMut(Volts, Seconds) -> Amps {
-        move |v, _t| Amps(((v_oc - v.0) / r).max(0.0))
+    fn dc_source(v_oc: f64, r: f64) -> Box<dyn EnergySource> {
+        Box::new(DcSupply::new(Volts(v_oc)).with_resistance(Ohms(r)))
     }
 
     #[test]
@@ -638,17 +799,50 @@ mod tests {
         let mut runner = TransientRunner::builder()
             .strategy(Box::new(Restart::new()))
             .program(wl.program())
-            .source(|v, t| {
-                if t.0.rem_euclid(0.1) < 0.06 {
-                    Amps(((3.3 - v.0) / 10.0).max(0.0))
-                } else {
-                    Amps::ZERO
-                }
-            })
+            .source(Box::new(Gated::new(
+                DcSupply::new(Volts(3.3)).with_resistance(Ohms(10.0)),
+                (0..20)
+                    .map(|k| (Seconds(k as f64 * 0.1), Seconds(k as f64 * 0.1 + 0.06)))
+                    .collect(),
+            )))
             .build();
         let out = runner.run_until_complete(Seconds(2.0));
         assert_eq!(out, RunOutcome::Completed);
         wl.verify(runner.mcu()).unwrap();
+    }
+
+    #[test]
+    fn rail_source_applies_rectifier_and_efficiency() {
+        use edc_harvest::{SignalGenerator, Waveform};
+        use edc_power::RectifierKind;
+        use edc_units::Hertz;
+
+        let mut dc = RailSource {
+            source: dc_source(3.0, 10.0),
+            rectifier: None,
+            efficiency: 0.5,
+        };
+        let sample = dc.sample(Seconds(0.0));
+        let i = dc.current(sample, Volts(1.0));
+        assert!((i.0 - 0.1).abs() < 1e-12); // (3−1)/10 × 0.5
+
+        let mut sine = RailSource {
+            source: Box::new(
+                SignalGenerator::new(Waveform::Sine, Volts(3.0), Hertz(1.0))
+                    .with_resistance(Ohms(10.0)),
+            ),
+            rectifier: Some(Rectifier::ideal(RectifierKind::HalfWave)),
+            efficiency: 1.0,
+        };
+        // Negative half-cycle → rectified to zero → no current.
+        let trough = sine.sample(Seconds(0.75));
+        assert_eq!(sine.current(trough, Volts(0.0)), Amps::ZERO);
+        // The batch path rectifies identically.
+        let times = [Seconds(0.25), Seconds(0.75)];
+        let mut batch = [SourceSample::OFF; 2];
+        sine.sample_batch(&times, &mut batch);
+        let crest = sine.sample(times[0]);
+        assert_eq!(batch, [crest, trough]);
     }
 
     #[test]

@@ -10,10 +10,11 @@ use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::core::telemetry::{stats_json, TelemetryReport};
 use energy_driven::core::TelemetryKind;
+use energy_driven::harvest::{DcSupply, Gated};
 use energy_driven::obs::PerfettoTrace;
 use energy_driven::telemetry::{StatsSink, TimelineSink};
 use energy_driven::transient::{Hibernus, RunOutcome, TransientRunner};
-use energy_driven::units::{Amps, Ohms, Seconds, Volts};
+use energy_driven::units::{Ohms, Seconds, Volts};
 use energy_driven::workloads::{BusyLoop, Workload, WorkloadKind};
 use proptest::prelude::*;
 
@@ -29,13 +30,13 @@ fn scripted_outage_timeline() -> (RunOutcome, TimelineSink) {
         .strategy(Box::new(Hibernus::new()))
         .program(wl.program())
         .leakage(Ohms(5_000.0))
-        .source(|v: Volts, t: Seconds| {
-            if (0.005..0.055).contains(&t.0) {
-                Amps::ZERO
-            } else {
-                Amps(((3.3 - v.0) / 10.0).max(0.0))
-            }
-        })
+        .source(Box::new(Gated::new(
+            DcSupply::new(Volts(3.3)).with_resistance(Ohms(10.0)),
+            vec![
+                (Seconds(0.0), Seconds(0.005)),
+                (Seconds(0.055), Seconds(f64::INFINITY)),
+            ],
+        )))
         .telemetry(Box::new(&mut tl))
         .build();
     let outcome = runner.run_until_complete(Seconds(2.0));

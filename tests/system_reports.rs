@@ -2,8 +2,9 @@
 //!
 //! Every source kind runs under three strategies, both topologies (direct,
 //! and buffered behind an 80%-efficient converter), with and without an
-//! input rectifier, with and without board leakage, to two deadlines. Each
-//! case's `SystemReport` JSON folds into one FNV-1a digest. The expected
+//! input rectifier, with and without board leakage, to two deadlines; and
+//! once more at a binary timestep whose ticks sum to the deadline exactly.
+//! Each case's `SystemReport` JSON folds into one FNV-1a digest. The expected
 //! digest was recorded with the per-tick runner that sampled its source
 //! through a `(V, t) → I` closure, so any change to a tick's arithmetic,
 //! its sampling times or the order of its state updates shows up as a
@@ -25,12 +26,15 @@ use energy_driven::units::{Farads, Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
 
 /// The digest every case folds into (see the module docs).
-const EXPECTED_DIGEST: u64 = 0x3149_1c67_bffa_eb97;
+const EXPECTED_DIGEST: u64 = 0x496e_52a2_96f8_9831;
 
 /// A window in which most supplies leave the node off or charging
 /// throughout, and one long enough for the strong supplies to finish the
 /// kernel and for the intermittent ones to brown it out.
 const DEADLINES: [f64; 2] = [0.04, 1.2];
+
+/// A timestep that accumulates without rounding (2⁻¹⁶ s).
+const EXACT_DT: f64 = 1.0 / 65_536.0;
 
 /// Long enough to span several supply cycles under the intermittent
 /// sources.
@@ -148,6 +152,13 @@ fn cases(kinds: &[SourceKind]) -> Vec<ExperimentSpec> {
                 }
             }
         }
+        // A binary timestep sums to the deadline exactly, so the last tick
+        // before it and the `time < deadline` test itself are pinned.
+        specs.push(
+            ExperimentSpec::new(source, StrategyKind::Hibernus, WORKLOAD)
+                .timestep(Seconds(EXACT_DT))
+                .deadline(Seconds(EXACT_DT * 8000.0)),
+        );
     }
     specs
 }
