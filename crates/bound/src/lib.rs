@@ -53,6 +53,32 @@
 //!   with zero boot/restore/checkpoint overhead; a run that does not
 //!   complete scores `INFINITY`, which any lower bound is below.
 //!
+//! # The supply scan
+//!
+//! The scan samples the source in batches of 256 ticks. After the first
+//! batch (which always runs tick by tick: a strong supply settles the
+//! verdicts within a few ticks), a batch whose samples are all
+//! bit-identical to its first (DC, a PV cell at night, a calm turbine, a
+//! trace plateau) is evaluated once: its per-tick energy bound `e` and
+//! rail bound are computed once, the rail maximum is updated once (`max`
+//! is idempotent), and the running energy sum `s` advances in closed form
+//! to the next threshold it can cross (boot energy, then the demand). The result is bit-identical to adding `e` once per tick,
+//! because inside one binade (the floats sharing `s`'s exponent, an even
+//! grid of one ulp) rounding treats every `s` alike. Write `e = q·ulp + r`
+//! with `0 ≤ r < ulp`: `fl(s + e)` is `s + q·ulp`, or one ulp more when
+//! `r > ulp/2`, whatever `s` is, and only an exact tie (`r = ulp/2`)
+//! depends on `s` through round-half-even. One plain add shows the step
+//! `δ = fl(s + e) - s` (exact inside a binade) and TwoSum's exact error
+//! `e - δ`, which rules out a tie. `k` adds then equal `s + k·δ` until the
+//! mantissa would leave the binade, and the first sum at or above a
+//! threshold is an integer division on the ulp grid. Zero, subnormal,
+//! non-finite and negative values, ties, and the add that crosses into
+//! the next binade all run as plain adds; an add that leaves `s`
+//! unchanged is a fixed point. Batches whose samples vary (a gust, a
+//! rectified sine, pulse edges, trace ramps) accumulate tick by tick.
+//! (Goldberg, "What Every Computer Scientist Should Know About
+//! Floating-Point Arithmetic", 1991.)
+//!
 //! # Example
 //!
 //! ```
@@ -480,18 +506,83 @@ impl Bounder {
     ) -> SupplyFacts {
         let dt = spec.timestep.0;
         let c = capacitance.0;
-        // Boot needs the stored energy to reach C·v_high²/2 from 0 V; a
-        // hair of relative slack keeps float rounding on the sound side
-        // (an earlier boot bound is always sound).
-        let e_boot = 0.5 * c * v_high.0 * v_high.0 * (1.0 - 1e-9);
+        let mut scan = Scan {
+            spec,
+            efficiency,
+            c,
+            // Boot needs the stored energy to reach C·v_high²/2 from 0 V;
+            // a hair of relative slack keeps float rounding on the sound
+            // side (an earlier boot bound is always sound).
+            e_boot: 0.5 * c * v_high.0 * v_high.0 * (1.0 - 1e-9),
+            v_high: v_high.0,
+            demand_lb,
+            supply_ub: 0.0,
+            rail_ub: 0.0,
+            boot_tick: None,
+        };
         let mut source = spec.source.make_in(&self.catalog);
-        let mut supply_ub = 0.0f64;
-        let mut rail_ub = 0.0f64;
-        let mut boot_tick: Option<u64> = None;
-        // Per-tick energy and rail bounds of one sample.
-        let bounds = |sample: SourceSample| match sample {
+        let mut times = [Seconds(0.0); SCAN_BATCH];
+        let mut samples = [SourceSample::OFF; SCAN_BATCH];
+        let mut start = 0u64;
+        let mut settled = false;
+        while start < ticks_ub && !settled {
+            // Sample the next batch ahead; an early exit discards the rest
+            // of it.
+            let n = (ticks_ub - start).min(SCAN_BATCH as u64) as usize;
+            for (tick, slot) in (start..).zip(&mut times[..n]) {
+                *slot = Seconds(tick as f64 * dt);
+            }
+            source.sample_batch(&times[..n], &mut samples[..n]);
+            // The first batch always runs tick by tick: the sum starts at
+            // zero, where it crosses a binade every few ticks, and a strong
+            // supply settles within a few ticks, before comparing the
+            // batch's samples would pay.
+            settled = if start > 0 && is_repeated(&samples[..n]) {
+                scan.repeated(start, n as u64, samples[0])
+            } else {
+                scan.ticks(start, &samples[..n])
+            };
+            start += n as u64;
+        }
+        SupplyFacts {
+            supply_ub: scan.supply_ub,
+            rail_ub: scan.rail_ub,
+            boot_tick: scan.boot_tick,
+            scanned_full: !settled,
+        }
+    }
+}
+
+/// One supply scan: the per-sample bound inputs, the thresholds, and the
+/// running energy sum, rail maximum and boot tick.
+struct Scan<'a> {
+    spec: &'a ExperimentSpec,
+    efficiency: f64,
+    c: f64,
+    e_boot: f64,
+    v_high: f64,
+    demand_lb: f64,
+    supply_ub: f64,
+    rail_ub: f64,
+    boot_tick: Option<u64>,
+}
+
+impl Scan<'_> {
+    /// One tick's energy and rail upper bounds for one sample (see the
+    /// module docs' derivations), the rail already capped at [`V_MAX`].
+    /// Forced inline: called from both scan paths, the compiler keeps it
+    /// out of line, and the per-tick loop runs ~8% slower.
+    #[inline(always)]
+    fn bounds(&self, sample: SourceSample) -> (f64, f64) {
+        let (efficiency, c, dt) = (self.efficiency, self.c, self.spec.timestep.0);
+        let (e_ub, v_ub) = match sample {
             SourceSample::Thevenin { v_oc, r_s } => {
-                let v = spec.rectifier.map_or(v_oc, |r| r.rectify(v_oc)).0.max(0.0);
+                let v = self
+                    .spec
+                    .rectifier
+                    .map_or(v_oc, |r| r.rectify(v_oc))
+                    .0
+                    .max(0.0);
                 let r = r_s.0;
                 let i_max = efficiency * v / r;
                 (
@@ -518,42 +609,133 @@ impl Bounder {
                 (i * vc * dt + i * i * dt * dt / (2.0 * c), vc + i * dt / c)
             }
         };
-        let mut times = [Seconds(0.0); SCAN_BATCH];
-        let mut samples = [SourceSample::OFF; SCAN_BATCH];
-        let mut start = 0u64;
-        while start < ticks_ub {
-            // Sample the next batch ahead; an early exit discards the rest
-            // of it.
-            let n = (ticks_ub - start).min(SCAN_BATCH as u64) as usize;
-            for (tick, slot) in (start..).zip(&mut times[..n]) {
-                *slot = Seconds(tick as f64 * dt);
-            }
-            source.sample_batch(&times[..n], &mut samples[..n]);
-            for (tick, &sample) in (start..).zip(&samples[..n]) {
-                let (e_ub, v_ub) = bounds(sample);
-                supply_ub += e_ub;
-                rail_ub = rail_ub.max(v_ub.min(V_MAX.0));
-                if boot_tick.is_none() && supply_ub >= e_boot {
-                    boot_tick = Some(tick);
-                }
-                if supply_ub >= demand_lb && rail_ub + 1e-9 >= v_high.0 && boot_tick.is_some() {
-                    return SupplyFacts {
-                        supply_ub,
-                        rail_ub,
-                        boot_tick,
-                        scanned_full: false,
-                    };
-                }
-            }
-            start += n as u64;
-        }
-        SupplyFacts {
-            supply_ub,
-            rail_ub,
-            boot_tick,
-            scanned_full: true,
-        }
+        (e_ub, v_ub.min(V_MAX.0))
     }
+
+    /// Whether a rail bound reaches the boot threshold (with a hair of
+    /// slack, as the "never boots" verdict uses).
+    fn reaches_boot(&self, rail_ub: f64) -> bool {
+        rail_ub + 1e-9 >= self.v_high
+    }
+
+    /// Accumulates one batch tick by tick from tick `start`; `true` once
+    /// every verdict is settled feasible. The running values stay in
+    /// locals through the loop.
+    fn ticks(&mut self, start: u64, samples: &[SourceSample]) -> bool {
+        let (mut supply_ub, mut rail_ub, mut boot_tick) =
+            (self.supply_ub, self.rail_ub, self.boot_tick);
+        let mut settled = false;
+        for (tick, &sample) in (start..).zip(samples) {
+            let (e_ub, v_ub) = self.bounds(sample);
+            supply_ub += e_ub;
+            rail_ub = rail_ub.max(v_ub);
+            if boot_tick.is_none() && supply_ub >= self.e_boot {
+                boot_tick = Some(tick);
+            }
+            if supply_ub >= self.demand_lb && self.reaches_boot(rail_ub) && boot_tick.is_some() {
+                settled = true;
+                break;
+            }
+        }
+        (self.supply_ub, self.rail_ub, self.boot_tick) = (supply_ub, rail_ub, boot_tick);
+        settled
+    }
+
+    /// Accumulates `n` ticks of one repeated `sample` from tick `start`,
+    /// bit-identical to [`Scan::ticks`] (see the module docs): one bound,
+    /// one rail update (`max` is idempotent), and the energy sum advanced
+    /// in closed form to the next threshold it can cross — the boot
+    /// energy, then the demand once the boot and rail verdicts allow an
+    /// exit.
+    fn repeated(&mut self, start: u64, n: u64, sample: SourceSample) -> bool {
+        let (e_ub, v_ub) = self.bounds(sample);
+        self.rail_ub = self.rail_ub.max(v_ub);
+        let mut left = n;
+        while left > 0 {
+            let thr = match self.boot_tick {
+                None => self.e_boot,
+                Some(_) if self.reaches_boot(self.rail_ub) => self.demand_lb,
+                Some(_) => f64::INFINITY,
+            };
+            let (adds, sum, reached) = advance(self.supply_ub, e_ub, left, thr);
+            self.supply_ub = sum;
+            left -= adds;
+            if !reached {
+                break;
+            }
+            self.boot_tick = self.boot_tick.or(Some(start + n - left - 1));
+            if self.supply_ub >= self.demand_lb && self.reaches_boot(self.rail_ub) {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// Whether every sample of a batch has the first one's exact bits, so
+/// that each would feed [`Scan::bounds`] the same operands (`-0.0` and
+/// `0.0` differ).
+fn is_repeated(samples: &[SourceSample]) -> bool {
+    let bits = |sample: &SourceSample| match *sample {
+        SourceSample::Thevenin { v_oc, r_s } => (0, v_oc.0.to_bits(), r_s.0.to_bits()),
+        SourceSample::Power(p) => (1, p.0.to_bits(), 0),
+        SourceSample::Current { i, v_compliance } => (2, i.0.to_bits(), v_compliance.0.to_bits()),
+    };
+    let first = bits(&samples[0]);
+    samples[1..].iter().all(|s| bits(s) == first)
+}
+
+/// Up to `k` sequential `s += e`, stopping right after the first sum
+/// `>= thr`: returns the adds made, the sum, and whether `thr` was
+/// reached. Bit-identical to the plain loop (see the module docs' "The
+/// supply scan"): each add runs plainly unless the previous one proved
+/// the step repeats exactly, in which case the rest of the binade is
+/// taken in one integer jump.
+fn advance(mut s: f64, e: f64, k: u64, thr: f64) -> (u64, f64, bool) {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let mut adds = 0;
+    while adds < k {
+        let t = s + e;
+        adds += 1;
+        if t >= thr {
+            return (adds, t, true);
+        }
+        let (sb, tb) = (s.to_bits(), t.to_bits());
+        if tb == sb {
+            // A fixed point (`e == 0`, a step under half an ulp, NaN,
+            // infinity): every later add returns `t` again.
+            return (k, t, false);
+        }
+        let prev = s;
+        s = t;
+        // The step repeats exactly when `prev` is a positive normal, `t`
+        // stays in its binade, and the rounding was not a tie: then
+        // `t - prev` is exact, `e - (t - prev)` is TwoSum's exact error,
+        // and every later sum in the binade rounds the same way.
+        let exponent = sb >> 52;
+        if exponent == 0 || exponent >= 0x7ff || tb >> 52 != exponent || tb < sb {
+            continue;
+        }
+        let ulp = f64::from_bits(sb + 1) - prev;
+        if (e - (t - prev)).abs() == 0.5 * ulp {
+            continue;
+        }
+        // Further adds step the mantissa by `d` while it stays in the
+        // binade; the threshold, when it lies in the binade, sits on the
+        // same ulp grid.
+        let d = tb - sb;
+        let room = (MANTISSA - (tb & MANTISSA)) / d;
+        let n = room.min(k - adds);
+        if thr.to_bits() >> 52 == exponent {
+            let need = ((thr.to_bits() & MANTISSA) - (tb & MANTISSA)).div_ceil(d);
+            if need <= n {
+                return (adds + need, f64::from_bits(tb + need * d), true);
+            }
+        }
+        s = f64::from_bits(tb + n * d);
+        adds += n;
+    }
+    (adds, s, false)
 }
 
 /// Derives the per-objective brackets from a spec's dynamics facts.
@@ -796,9 +978,369 @@ mod tests {
         assert!(json.contains("\"never_boots\":true"));
     }
 
+    /// The per-tick supply scan the batched one replaced: one sample, one
+    /// bound and one add per tick. The scan-equivalence property holds
+    /// the batched scan to it bit for bit.
+    fn reference_scan(
+        bounder: &Bounder,
+        spec: &ExperimentSpec,
+        facts: &DynamicsFacts,
+    ) -> SupplyFacts {
+        let dt = spec.timestep.0;
+        let c = facts.capacitance.0;
+        let efficiency = facts.efficiency;
+        let v_high = facts.v_high.0;
+        let e_boot = 0.5 * c * v_high * v_high * (1.0 - 1e-9);
+        let demand_lb = facts.demand_lb.unwrap_or(f64::INFINITY);
+        let bounds = |sample: SourceSample| match sample {
+            SourceSample::Thevenin { v_oc, r_s } => {
+                let v = spec.rectifier.map_or(v_oc, |r| r.rectify(v_oc)).0.max(0.0);
+                let r = r_s.0;
+                let i_max = efficiency * v / r;
+                (
+                    efficiency * v * v / (4.0 * r) * dt + i_max * i_max * dt * dt / (2.0 * c),
+                    v * (efficiency * dt / (r * c)).max(1.0),
+                )
+            }
+            SourceSample::Power(p) => {
+                if p.0 > 0.0 {
+                    let i_max = efficiency * p.0 / POWER_SOURCE_COMPLIANCE_FLOOR.0;
+                    (
+                        efficiency * p.0 * dt + i_max * i_max * dt * dt / (2.0 * c),
+                        f64::INFINITY,
+                    )
+                } else {
+                    (0.0, 0.0)
+                }
+            }
+            SourceSample::Current { i, v_compliance } => {
+                let i = i.0.max(0.0) * efficiency;
+                let vc = v_compliance.0.max(0.0);
+                (i * vc * dt + i * i * dt * dt / (2.0 * c), vc + i * dt / c)
+            }
+        };
+        let mut source = spec.source.make_in(bounder.catalog());
+        let mut supply_ub = 0.0f64;
+        let mut rail_ub = 0.0f64;
+        let mut boot_tick: Option<u64> = None;
+        for tick in 0..facts.ticks_ub {
+            let (e_ub, v_ub) = bounds(source.sample(Seconds(tick as f64 * dt)));
+            supply_ub += e_ub;
+            rail_ub = rail_ub.max(v_ub.min(V_MAX.0));
+            if boot_tick.is_none() && supply_ub >= e_boot {
+                boot_tick = Some(tick);
+            }
+            if supply_ub >= demand_lb && rail_ub + 1e-9 >= v_high && boot_tick.is_some() {
+                return SupplyFacts {
+                    supply_ub,
+                    rail_ub,
+                    boot_tick,
+                    scanned_full: false,
+                };
+            }
+        }
+        SupplyFacts {
+            supply_ub,
+            rail_ub,
+            boot_tick,
+            scanned_full: true,
+        }
+    }
+
+    /// [`advance`]'s reference: the plain loop.
+    fn plain_advance(mut s: f64, e: f64, k: u64, thr: f64) -> (u64, f64, bool) {
+        for adds in 1..=k {
+            s += e;
+            if s >= thr {
+                return (adds, s, true);
+            }
+        }
+        (k, s, false)
+    }
+
+    fn advance_bits(r: (u64, f64, bool)) -> (u64, u64, bool) {
+        (r.0, r.1.to_bits(), r.2)
+    }
+
+    fn facts_bits(s: &SupplyFacts) -> (u64, u64, Option<u64>, bool) {
+        (
+            s.supply_ub.to_bits(),
+            s.rail_ub.to_bits(),
+            s.boot_tick,
+            s.scanned_full,
+        )
+    }
+
+    #[test]
+    fn advance_matches_the_plain_loop_on_edge_cases() {
+        let one_ulp = f64::EPSILON;
+        let below_two = 2.0 - one_ulp;
+        let min_normal = f64::MIN_POSITIVE;
+        let tiny = f64::from_bits(1);
+        let cases = [
+            // Ties: half an ulp of 1.0, and one and a half.
+            (1.0, one_ulp / 2.0),
+            (1.0 + one_ulp, one_ulp / 2.0),
+            (1.0, 1.5 * one_ulp),
+            // Steps under half an ulp are stationary; `e == 0` too.
+            (1.0, one_ulp / 4.0),
+            (1.0, 0.0),
+            (1.0, -0.0),
+            (-0.0, 0.0),
+            (-0.0, -0.0),
+            (0.0, 0.0),
+            (0.0, 1e-3),
+            (-0.0, 1e-3),
+            // Subnormals and the smallest normal binade.
+            (tiny, tiny),
+            (min_normal, tiny),
+            (min_normal - tiny, tiny),
+            (min_normal, 3.0 * tiny),
+            // Non-finite values and negative steps.
+            (f64::NAN, 1.0),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::INFINITY),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            (1.0, -1e-3),
+            (-1.0, 1e-3),
+            (f64::MAX, f64::MAX),
+            // Binade crossings.
+            (below_two, one_ulp),
+            (below_two - 4.0 * one_ulp, 3.0 * one_ulp),
+            (0.1, 0.3),
+            (1e-12, 3.3e-9),
+        ];
+        for (s, e) in cases {
+            for k in [0, 1, 2, 3, 255, 256, 5000] {
+                for thr in [
+                    f64::NEG_INFINITY,
+                    -1.0,
+                    0.0,
+                    s,
+                    s + e,
+                    s + 7.0 * e,
+                    s + 200.0 * e,
+                    2.0,
+                    1.0 + 100.0 * one_ulp,
+                    f64::INFINITY,
+                    f64::NAN,
+                ] {
+                    assert_eq!(
+                        advance_bits(advance(s, e, k, thr)),
+                        advance_bits(plain_advance(s, e, k, thr)),
+                        "s={s:e} e={e:e} k={k} thr={thr:e}"
+                    );
+                }
+            }
+        }
+    }
+
     mod properties {
         use super::*;
+        use edc_core::catalog::TraceId;
+        use edc_core::scenarios::FieldEnvelope;
+        use edc_power::{Rectifier, RectifierKind};
         use proptest::prelude::*;
+
+        /// A float from a random bit pattern, steered towards the values
+        /// the kernel treats specially: `mode` picks raw bits (any class
+        /// and sign), the same bits made positive, a multiple of half an
+        /// ulp of `base` (a tie at every odd count), or a multiple of
+        /// 1e-12 below 1e-6.
+        fn float_from(bits: u64, mode: u8, base: f64) -> f64 {
+            match mode % 4 {
+                0 => f64::from_bits(bits),
+                1 => f64::from_bits(bits & !(1 << 63)),
+                2 => {
+                    let ulp = f64::from_bits(base.abs().to_bits() + 1) - base.abs();
+                    (bits % 64) as f64 * ulp / 2.0
+                }
+                _ => (bits % 1_000_000) as f64 * 1e-12,
+            }
+        }
+
+        /// A trace with flat plateaus (constant batches) and ramps.
+        fn scan_trace(catalog: &mut TraceCatalog) -> TraceId {
+            let powers: Vec<f64> = (0..400)
+                .map(|i| match (i / 50) % 4 {
+                    0 => 0.0,
+                    1 => 2e-3,
+                    2 => 1e-5 * f64::from(i % 50),
+                    _ => 5e-4,
+                })
+                .collect();
+            catalog
+                .register_uniform("scan-plateaus", Seconds(1e-3), &powers)
+                .expect("valid trace")
+        }
+
+        fn scan_source(pick: usize, x: f64, seed: u64, id: TraceId) -> SourceKind {
+            let field = |i: u64| match i % 5 {
+                0 => FieldEnvelope::Turbine,
+                1 => FieldEnvelope::Dc {
+                    volts: 1.5 + 2.5 * x,
+                },
+                2 => FieldEnvelope::Interrupted { hz: 0.5 + 20.0 * x },
+                3 => FieldEnvelope::OutdoorPv { seed },
+                _ => FieldEnvelope::Trace {
+                    id,
+                    decimate: 1 + i % 3,
+                    looped: true,
+                },
+            };
+            match pick {
+                0 => SourceKind::Dc {
+                    volts: 0.5 + 4.0 * x,
+                },
+                1 => SourceKind::RectifiedSine { hz: 1.0 + 99.0 * x },
+                2 => SourceKind::Turbine,
+                3 => SourceKind::Interrupted { hz: 0.2 + 20.0 * x },
+                4 => SourceKind::IndoorPv { seed },
+                5 => SourceKind::OutdoorPv { seed },
+                6 => SourceKind::Trace {
+                    id,
+                    decimate: 1 + seed % 3,
+                    looped: seed.is_multiple_of(2),
+                },
+                _ => SourceKind::FieldView {
+                    field: field(seed),
+                    attenuation: 0.2 + 0.8 * x,
+                    phase_s: 3.0 * x,
+                },
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
+
+            /// The closed-form kernel is bit-identical to the plain loop on
+            /// random starts, steps and thresholds of every float class.
+            #[test]
+            fn advance_matches_the_plain_loop(
+                bits in (proptest::num::u64::ANY, proptest::num::u64::ANY, proptest::num::u64::ANY),
+                modes in (0u8..4, 0u8..4, 0u8..6),
+                k in 0u64..3000,
+            ) {
+                let s = float_from(bits.0, modes.0, 1.0);
+                let e = float_from(bits.1, modes.1, s);
+                let thr = match modes.2 {
+                    0 => f64::INFINITY,
+                    1 => s - e,
+                    2 => s,
+                    // A threshold some way past the start, on or off the
+                    // sum's grid.
+                    3 => s + (bits.2 % 4000) as f64 * e,
+                    4 => s + (bits.2 % 4000) as f64 * e * 1.000_000_1,
+                    _ => float_from(bits.2, 0, s),
+                };
+                prop_assert_eq!(
+                    advance_bits(advance(s, e, k, thr)),
+                    advance_bits(plain_advance(s, e, k, thr))
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+            /// A repeated sample's closed form leaves the scan exactly where
+            /// `n` single ticks of it would, from any running state: every
+            /// sample kind, rails below and above the running maximum, and
+            /// thresholds already passed, ahead, or out of reach.
+            #[test]
+            fn repeated_sample_matches_single_ticks(
+                sample_pick in (0u8..3, 0.0f64..5.0, 0.0f64..1.0),
+                state in (0.0f64..1e-3, 0.0f64..4.0, 0u64..3),
+                thresholds in (0.0f64..2e-3, 1.5f64..3.7, 0.0f64..3e-3),
+                n in 1u64..=256,
+                dt_pick in 0usize..3,
+            ) {
+                let sample = match sample_pick.0 {
+                    0 => SourceSample::Thevenin {
+                        v_oc: Volts(sample_pick.1 - 0.5),
+                        r_s: edc_units::Ohms(1.0 + 200.0 * sample_pick.2),
+                    },
+                    1 => SourceSample::Power(edc_units::Watts(sample_pick.2 * 1e-2)),
+                    _ => SourceSample::Current {
+                        i: edc_units::Amps(sample_pick.2 * 1e-3),
+                        v_compliance: Volts(sample_pick.1),
+                    },
+                };
+                let spec = spec(SourceKind::Dc { volts: 3.3 })
+                    .timestep(Seconds([1e-5, 2e-5, 1e-4][dt_pick]));
+                let scan = || Scan {
+                    spec: &spec,
+                    efficiency: 0.8,
+                    c: 1e-5,
+                    e_boot: thresholds.0,
+                    v_high: thresholds.1,
+                    demand_lb: thresholds.2,
+                    supply_ub: state.0,
+                    rail_ub: state.1,
+                    boot_tick: [None, Some(3), Some(700)][state.2 as usize],
+                };
+                let (mut closed, mut single) = (scan(), scan());
+                let settled = closed.repeated(700, n, sample);
+                let mut single_settled = false;
+                for tick in 700..700 + n {
+                    if single.ticks(tick, &[sample]) {
+                        single_settled = true;
+                        break;
+                    }
+                }
+                prop_assert_eq!(
+                    (closed.supply_ub.to_bits(), closed.rail_ub.to_bits(), closed.boot_tick, settled),
+                    (single.supply_ub.to_bits(), single.rail_ub.to_bits(), single.boot_tick, single_settled)
+                );
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
+
+            /// The batched scan's facts equal the per-tick reference bit
+            /// for bit across every source kind, rectifier, topology,
+            /// timestep, deadline, strategy and workload.
+            #[test]
+            fn batched_scan_matches_the_per_tick_reference(
+                picks in (0usize..8, 0usize..StrategyKind::ALL.len(), 0usize..WorkloadKind::ALL.len()),
+                shape in (0usize..3, 0usize..4, 0usize..4),
+                x in 0.0f64..1.0,
+                seed in 0u64..1000,
+                decoupling_uf in 2.0f64..50.0,
+            ) {
+                let mut catalog = TraceCatalog::new();
+                let id = scan_trace(&mut catalog);
+                let (rectify, topology, timing) = shape;
+                let mut s = ExperimentSpec::new(
+                    scan_source(picks.0, x, seed, id),
+                    StrategyKind::ALL[picks.1],
+                    WorkloadKind::ALL[picks.2],
+                )
+                .decoupling(Farads::from_micro(decoupling_uf))
+                .timestep(Seconds([1e-5, 2e-5, 5e-5, 1e-4][timing]))
+                .deadline(Seconds([0.01, 0.2, 1.0, 3.0][(seed % 4) as usize]));
+                match rectify {
+                    0 => {}
+                    1 => s = s.rectifier(Rectifier::new(RectifierKind::HalfWave, Volts(0.3))),
+                    _ => s = s.rectifier(Rectifier::ideal(RectifierKind::FullWave)),
+                }
+                if topology > 1 {
+                    s = s.topology(Topology::Buffered {
+                        storage: Farads::from_micro(10.0 * topology as f64),
+                        efficiency: 0.5 + 0.5 * x,
+                    });
+                }
+                let mut bounder = Bounder::with_catalog(catalog);
+                let facts = bounder.facts(&s);
+                prop_assert!(facts.is_some(), "generated specs are valid: {}", s.to_json());
+                let facts = facts.expect("checked above");
+                let batched = facts.supply.expect("windows sit under the scan cap");
+                let reference = reference_scan(&bounder, &s, &facts);
+                prop_assert_eq!(facts_bits(&batched), facts_bits(&reference), "{}", s.to_json());
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig { cases: 24, ..ProptestConfig::default() })]

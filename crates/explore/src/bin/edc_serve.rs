@@ -16,13 +16,21 @@
 //!   normal operation — the store stays durable via its append-only
 //!   log).
 //!
+//! Lines are read as raw bytes, at most [`MAX_LINE_BYTES`] of them: a
+//! longer line, or one that is not UTF-8, is skipped and answered with
+//! one `"ok":false` error (after the pending batch), and serving goes on.
+//!
 //! Run: `cargo run --release -p edc-explore --bin edc_serve -- \
 //!       [--store DIR] [--listen ADDR] [--threads N] [--objectives a,b]`
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 
 use edc_explore::serve::ServeSession;
 use edc_explore::{objective_by_name, Objective, Store};
+
+/// Longest request line served, in bytes (the newline excluded). A longer
+/// line is discarded as it is read, never buffered whole.
+const MAX_LINE_BYTES: usize = 1 << 20;
 
 fn usage() -> ! {
     eprintln!(
@@ -94,16 +102,16 @@ fn main() {
 /// Stdin mode: one response line per request, batches flushed on blank
 /// lines and at end-of-input (which also compacts the store).
 fn serve_stdin(mut session: ServeSession) {
-    let stdin = std::io::stdin();
     let mut out = std::io::stdout().lock();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        for response in session.handle_line(&line) {
-            emit(&mut out, &response);
-        }
+    if serve_lines(&mut session, std::io::stdin().lock(), &mut out).is_err() {
+        std::process::exit(1);
     }
-    for response in session.finish() {
-        emit(&mut out, &response);
+    let finished = session
+        .finish()
+        .iter()
+        .try_for_each(|r| writeln!(out, "{r}"));
+    if finished.and_then(|()| out.flush()).is_err() {
+        std::process::exit(1);
     }
 }
 
@@ -121,22 +129,10 @@ fn serve_tcp(mut session: ServeSession, addr: &str) {
             Ok(w) => w,
             Err(_) => continue,
         };
-        let reader = BufReader::new(stream);
-        for line in reader.lines() {
-            let Ok(line) = line else { break };
-            let mut broken = false;
-            for response in session.handle_line(&line) {
-                if writeln!(writer, "{response}").is_err() {
-                    broken = true;
-                    break;
-                }
-            }
-            if broken || writer.flush().is_err() {
-                break;
-            }
-        }
-        // The connection's end answers its still-pending batch; when the
-        // client is already gone the responses are simply dropped.
+        // A write error means the client is gone; either way the
+        // connection's end answers its still-pending batch, and responses
+        // to a departed client are simply dropped.
+        let _ = serve_lines(&mut session, BufReader::new(stream), &mut writer);
         for response in session.flush() {
             let _ = writeln!(writer, "{response}");
         }
@@ -144,11 +140,41 @@ fn serve_tcp(mut session: ServeSession, addr: &str) {
     }
 }
 
-fn emit(out: &mut impl Write, response: &str) {
-    if writeln!(out, "{response}")
-        .and_then(|()| out.flush())
-        .is_err()
-    {
-        std::process::exit(1);
+/// Feeds each line of `input` to the session and writes its responses,
+/// flushed per line, until end of input or a read error. Lines are read as
+/// bytes, at most [`MAX_LINE_BYTES`] at a time; an over-long or non-UTF-8
+/// line gets one error response. Fails only when writing fails.
+fn serve_lines(
+    session: &mut ServeSession,
+    mut input: impl BufRead,
+    out: &mut impl Write,
+) -> std::io::Result<()> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match input.by_ref().take(limit).read_until(b'\n', &mut line) {
+            Ok(0) | Err(_) => return Ok(()),
+            Ok(_) => {}
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        // Only a line cut off at the limit is longer than it.
+        let responses = if line.len() > MAX_LINE_BYTES {
+            // Discard the rest of the line unbuffered; a read error here
+            // recurs on the next read, which ends the input.
+            let _ = input.skip_until(b'\n');
+            session.reject_line(&format!("request line longer than {MAX_LINE_BYTES} bytes"))
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(text) => session.handle_line(text),
+                Err(_) => session.reject_line("request line is not UTF-8"),
+            }
+        };
+        for response in responses {
+            writeln!(out, "{response}")?;
+        }
+        out.flush()?;
     }
 }

@@ -39,7 +39,9 @@
 //!
 //! Responses stream in request order: a batch's evaluate responses are
 //! emitted before any later op's response. Malformed lines produce an
-//! `"ok":false` response and the session keeps serving.
+//! `"ok":false` response and the session keeps serving; `edc_serve` also
+//! answers an over-long or non-UTF-8 line that way
+//! ([`ServeSession::reject_line`]).
 //!
 //! # Examples
 //!
@@ -96,7 +98,15 @@ struct Memoised {
 }
 
 /// One serving session: objectives, catalog, optional store, the session
-/// memo, and the current batch of pending evaluate requests.
+/// memo, the current batch of pending evaluate requests, and one
+/// [`edc_lint::Linter`] for every `lint` request.
+///
+/// The linter is built against the session catalog on the first `lint`
+/// request and kept for the session. What it retains between requests is
+/// its cycle memo: one `u64` bare cycle count per distinct
+/// [`WorkloadKind`](edc_workloads::WorkloadKind) linted, so later specs of
+/// a workload skip its demand run. Lint reports are the same as a fresh
+/// linter's.
 ///
 /// Drive it with [`ServeSession::handle_line`] per input line and
 /// [`ServeSession::finish`] at end-of-input, or [`ServeSession::serve_text`]
@@ -109,6 +119,7 @@ pub struct ServeSession {
     metrics: edc_metrics::Registry,
     memo: HashMap<String, Memoised>,
     pending: Vec<Pending>,
+    linter: Option<edc_lint::Linter>,
 }
 
 impl ServeSession {
@@ -127,6 +138,7 @@ impl ServeSession {
             metrics: edc_metrics::Registry::new(),
             memo: HashMap::new(),
             pending: Vec::new(),
+            linter: None,
         }
     }
 
@@ -146,6 +158,7 @@ impl ServeSession {
     /// Supplies the trace catalog specs and spaces resolve through.
     pub fn catalog(mut self, catalog: TraceCatalog) -> Self {
         self.catalog = catalog;
+        self.linter = None;
         self
     }
 
@@ -175,16 +188,7 @@ impl ServeSession {
         }
         let request = match Json::parse(line) {
             Ok(json) => json,
-            Err(e) => {
-                let mut out = self.flush();
-                out.push(response(
-                    &None,
-                    None,
-                    false,
-                    vec![error_field(&format!("invalid JSON: {e}"))],
-                ));
-                return out;
-            }
+            Err(e) => return self.reject_line(&format!("invalid JSON: {e}")),
         };
         let id = request.get("id").cloned();
         let Some(Json::Str(op)) = request.get("op") else {
@@ -251,6 +255,16 @@ impl ServeSession {
                 out
             }
         }
+    }
+
+    /// Answers a line that is no request (invalid JSON, or a line the
+    /// transport could not read as text: not UTF-8, or too long) with one
+    /// `"ok":false` error, after flushing the pending batch so responses
+    /// stay in request order.
+    pub fn reject_line(&mut self, message: &str) -> Vec<String> {
+        let mut out = self.flush();
+        out.push(response(&None, None, false, vec![error_field(message)]));
+        out
     }
 
     /// Flushes the pending evaluate batch: deduplicates identical and
@@ -495,7 +509,7 @@ impl ServeSession {
         }
     }
 
-    fn handle_lint(&self, id: &Option<Json>, request: &Json) -> String {
+    fn handle_lint(&mut self, id: &Option<Json>, request: &Json) -> String {
         let Some(spec_json) = request.get("spec") else {
             return response(
                 id,
@@ -508,7 +522,10 @@ impl ServeSession {
             Ok(spec) => spec,
             Err(e) => return response(id, Some("lint"), false, vec![error_field(e)]),
         };
-        let report = edc_lint::Linter::with_catalog(self.catalog.clone()).lint_spec(&spec);
+        let report = self
+            .linter
+            .get_or_insert_with(|| edc_lint::Linter::with_catalog(self.catalog.clone()))
+            .lint_spec(&spec);
         response(id, Some("lint"), true, vec![("report", report.to_json())])
     }
 
@@ -736,6 +753,38 @@ mod tests {
         assert!(out[0].contains("nesting too deep"), "{}", out[0]);
         let out = session.serve_text(&evaluate_line(5, &spec()));
         assert!(out.lines().next().unwrap().contains(r#""ok":true"#));
+    }
+
+    #[test]
+    fn one_session_lints_like_a_fresh_session_per_line() {
+        let lint_specs = [
+            spec(),
+            spec().source(SourceKind::Dc { volts: 1.5 }),
+            spec().workload(WorkloadKind::Crc16(64)),
+            spec().source(SourceKind::OutdoorPv { seed: 7 }),
+            spec().source(SourceKind::Turbine).deadline(Seconds(0.3)),
+            spec().workload(WorkloadKind::Endless),
+            spec().source(SourceKind::RectifiedSine { hz: -1.0 }),
+            spec(),
+        ];
+        let mut lines = Vec::new();
+        for (i, s) in lint_specs.iter().enumerate() {
+            lines.push(format!(
+                r#"{{"id":{i},"op":"lint","spec":{}}}"#,
+                s.to_json()
+            ));
+            if i % 3 == 1 {
+                let evaluated = spec().workload(WorkloadKind::BusyLoop(100 + i as u16));
+                lines.push(evaluate_line(100 + i as u64, &evaluated));
+            }
+        }
+        let shared = ServeSession::new().threads(1).serve_text(&lines.join("\n"));
+        let fresh: String = lines
+            .iter()
+            .map(|line| ServeSession::new().threads(1).serve_text(line))
+            .collect();
+        assert_eq!(shared.lines().count(), lines.len(), "one response per line");
+        assert_eq!(shared, fresh);
     }
 
     #[test]
