@@ -11,10 +11,11 @@
 //!   script leave byte-identical store files.
 //! - TCP mode (`--listen ADDR`): connections are accepted and served one
 //!   at a time over the same session, so every client shares the session
-//!   memo and store. A connection's end flushes its pending batch; the
-//!   store is compacted when the listener terminates (never, under
-//!   normal operation — the store stays durable via its append-only
-//!   log).
+//!   memo and store. A connection's end flushes its pending batch; so does
+//!   [`IDLE_TIMEOUT`] without a byte from the client, which closes the
+//!   connection, so one idle client cannot hold up the others. The store
+//!   is compacted when the listener terminates (never, under normal
+//!   operation — the store stays durable via its append-only log).
 //!
 //! Lines are read as raw bytes, at most [`MAX_LINE_BYTES`] of them: a
 //! longer line, or one that is not UTF-8, is skipped and answered with
@@ -24,6 +25,8 @@
 //!       [--store DIR] [--listen ADDR] [--threads N] [--objectives a,b]`
 
 use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use edc_explore::serve::ServeSession;
 use edc_explore::{objective_by_name, Objective, Store};
@@ -31,6 +34,9 @@ use edc_explore::{objective_by_name, Objective, Store};
 /// Longest request line served, in bytes (the newline excluded). A longer
 /// line is discarded as it is read, never buffered whole.
 const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How long a TCP connection may stay silent before it is closed.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 fn usage() -> ! {
     eprintln!(
@@ -118,13 +124,26 @@ fn serve_stdin(mut session: ServeSession) {
 /// TCP mode: connections served one at a time over the shared session,
 /// so every client warms the same memo and store.
 fn serve_tcp(mut session: ServeSession, addr: &str) {
-    let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
+    let listener = TcpListener::bind(addr).unwrap_or_else(|e| {
         eprintln!("cannot listen on {addr}: {e}");
         std::process::exit(1);
     });
     eprintln!("edc_serve listening on {addr}");
-    for stream in listener.incoming() {
+    serve_connections(&mut session, listener.incoming(), IDLE_TIMEOUT);
+}
+
+/// Serves accepted connections one at a time. A read that waits longer
+/// than `idle` ends its connection like end of input does.
+fn serve_connections(
+    session: &mut ServeSession,
+    connections: impl Iterator<Item = std::io::Result<TcpStream>>,
+    idle: Duration,
+) {
+    for stream in connections {
         let Ok(stream) = stream else { continue };
+        if stream.set_read_timeout(Some(idle)).is_err() {
+            continue;
+        }
         let mut writer = match stream.try_clone() {
             Ok(w) => w,
             Err(_) => continue,
@@ -132,7 +151,7 @@ fn serve_tcp(mut session: ServeSession, addr: &str) {
         // A write error means the client is gone; either way the
         // connection's end answers its still-pending batch, and responses
         // to a departed client are simply dropped.
-        let _ = serve_lines(&mut session, BufReader::new(stream), &mut writer);
+        let _ = serve_lines(session, BufReader::new(stream), &mut writer);
         for response in session.flush() {
             let _ = writeln!(writer, "{response}");
         }
@@ -176,5 +195,40 @@ fn serve_lines(
             writeln!(out, "{response}")?;
         }
         out.flush()?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_idle_client_does_not_block_the_next() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind a local port");
+        let addr = listener.local_addr().expect("bound address");
+        std::thread::scope(|s| {
+            // Serves the two clients below, then returns.
+            let server = s.spawn(|| {
+                let mut session = ServeSession::new().threads(1);
+                let two = listener.incoming().take(2);
+                serve_connections(&mut session, two, Duration::from_millis(100));
+            });
+            // Accepted first, this client never sends a byte.
+            let idle = TcpStream::connect(addr).expect("first client connects");
+            let mut client = TcpStream::connect(addr).expect("second client connects");
+            client
+                .set_read_timeout(Some(Duration::from_secs(20)))
+                .expect("client timeout");
+            client
+                .write_all(b"{\"id\":1,\"op\":\"metrics\"}\n")
+                .expect("request sent");
+            let mut reply = String::new();
+            BufReader::new(&client)
+                .read_line(&mut reply)
+                .expect("a reply before the client gives up");
+            assert!(reply.contains(r#""ok":true,"op":"metrics""#), "{reply}");
+            drop((idle, client));
+            server.join().expect("server thread");
+        });
     }
 }

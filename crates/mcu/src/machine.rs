@@ -16,6 +16,10 @@ use crate::isa::{Addr, Insn, Operand, Program, Reg};
 use crate::mem::{Memory, MemoryFault, FRAM_BASE, SNAPSHOT_BASE, SNAPSHOT_FRAME_WORDS, SRAM_WORDS};
 use crate::power::{ExecutionResidence, PowerModel, PowerState};
 
+mod replay;
+
+use replay::BootMemo;
+
 /// Valid-snapshot seal word, written last during a snapshot.
 const SEAL_VALID: u16 = 0xA55A;
 
@@ -480,6 +484,8 @@ pub struct Mcu {
     total_cycles: u64,
     total_instructions: u64,
     reboots: u64,
+    /// Recorded boots, replayed by [`Mcu::run`].
+    memo: BootMemo,
 }
 
 impl Mcu {
@@ -504,6 +510,7 @@ impl Mcu {
             total_cycles: 0,
             total_instructions: 0,
             reboots: 0,
+            memo: BootMemo::default(),
         };
         mcu.load_program_data();
         mcu
@@ -512,18 +519,21 @@ impl Mcu {
     /// Switches the execution residence (QuickRecall runs FRAM-resident).
     pub fn with_residence(mut self, residence: ExecutionResidence) -> Self {
         self.residence = residence;
+        self.memo = BootMemo::default();
         self
     }
 
     /// Replaces the power model.
     pub fn with_power_model(mut self, power: PowerModel) -> Self {
         self.power = power;
+        self.memo = BootMemo::default();
         self
     }
 
     /// Selects how snapshots treat peripheral state.
     pub fn with_peripheral_policy(mut self, policy: PeripheralPolicy) -> Self {
         self.peripheral_policy = policy;
+        self.memo = BootMemo::default();
         self
     }
 
@@ -556,6 +566,7 @@ impl Mcu {
 
     /// Mutable memory access (test setup, workload verification).
     pub fn memory_mut(&mut self) -> &mut Memory {
+        self.memo.end();
         &mut self.mem
     }
 
@@ -571,6 +582,7 @@ impl Mcu {
 
     /// Mutable clock access (the power-neutral governor's hook).
     pub fn clock_mut(&mut self) -> &mut ClockLadder {
+        self.memo.end();
         &mut self.clock
     }
 
@@ -604,6 +616,11 @@ impl Mcu {
         self.total_instructions
     }
 
+    /// `run` calls answered by replaying a recorded boot (see [`Mcu::run`]).
+    pub fn replayed_calls(&self) -> u64 {
+        self.memo.replayed()
+    }
+
     /// Number of power-loss reboots endured.
     pub fn reboots(&self) -> u64 {
         self.reboots
@@ -635,6 +652,7 @@ impl Mcu {
 
     /// Enters sleep (clock gated, SRAM retained).
     pub fn sleep(&mut self) {
+        self.memo.end();
         if self.state == PowerState::Active {
             self.state = PowerState::Sleep;
         }
@@ -642,6 +660,7 @@ impl Mcu {
 
     /// Wakes from sleep.
     pub fn wake(&mut self) {
+        self.memo.end();
         if self.state == PowerState::Sleep {
             self.state = PowerState::Active;
         }
@@ -654,6 +673,7 @@ impl Mcu {
     /// the low memory region is itself FRAM, so only registers and
     /// peripherals are lost.
     pub fn power_loss(&mut self) {
+        self.memo.end();
         self.state = PowerState::Off;
         if self.residence == ExecutionResidence::Sram {
             self.mem.corrupt_volatile();
@@ -671,6 +691,7 @@ impl Mcu {
         self.state = PowerState::Active;
         self.halted = false;
         self.reboots += 1;
+        self.memo.arm();
     }
 
     // --- snapshot engine ----------------------------------------------------
@@ -750,6 +771,7 @@ impl Mcu {
     /// `completed: false` is returned — the "snapshot started but not
     /// completed before the supply was interrupted" failure.
     pub fn take_snapshot(&mut self, energy_budget: Option<Joules>) -> SnapshotOutcome {
+        self.memo.end();
         let words = self.snapshot_words();
         let (cycles, full_cost) =
             self.power
@@ -814,6 +836,7 @@ impl Mcu {
     /// Erases all snapshots (test setup; also what a `Halt`-aware runner
     /// does so a completed program is not resurrected).
     pub fn invalidate_snapshot(&mut self) {
+        self.memo.end();
         for i in 0..2 {
             self.mem.fram_slice_mut(Self::frame_offset(i), 1)[0] = 0;
         }
@@ -822,6 +845,7 @@ impl Mcu {
     /// Restores the newest sealed snapshot, if any: SRAM and CPU state come
     /// back, execution resumes where the snapshot was taken.
     pub fn restore_snapshot(&mut self) -> Option<RestoreOutcome> {
+        self.memo.end();
         let newest = self.newest_sealed_frame()?;
         let words = self.snapshot_words();
         let (cycles, energy) =
@@ -874,6 +898,36 @@ impl Mcu {
     /// instructions. Cycles, instructions, energy and the exit — marker,
     /// fault, halt or budget — are otherwise identical to checking every
     /// instruction.
+    ///
+    /// # Boot replay
+    ///
+    /// A machine that boots into the same state again and again (the
+    /// restart baseline re-running from `main` after every outage) makes the
+    /// same calls at every boot, and `run` answers them from a memo instead
+    /// of interpreting them again. The invariant: every call returns the
+    /// report the interpreter would, and leaves the machine — CPU state,
+    /// memory words, access counts, ADC, radio, totals and `halted` —
+    /// exactly as the interpreter would. No state is ever deferred, so every
+    /// accessor stays exact.
+    ///
+    /// - The key of a boot is its image at the first `run` after
+    ///   [`Mcu::cold_boot`]: the CPU state, the ADC index and every SRAM
+    ///   and FRAM word, compared in full. Each call also keys on its
+    ///   `cycle_budget`, `stop_at_markers` and the clock frequency.
+    ///   Residence, power model and peripheral policy are fixed once the
+    ///   machine is built (the `with_*` builders clear the memo).
+    /// - Only the last boot's image is kept. A boot that repeats it records
+    ///   its calls (state after each call, accesses, radio words and memory
+    ///   writes); a later boot that repeats it replays them while the
+    ///   arguments match. At the first mismatch the trace is cut there and
+    ///   recording goes on; past its end it grows.
+    /// - Any other `&mut self` method ends replay and recording until the
+    ///   next `cold_boot`: `memory_mut`, `clock_mut`, `sleep`, `wake`,
+    ///   `power_loss`, and taking, restoring or invalidating a snapshot.
+    /// - A trace holds at most 4096 calls and 2¹⁸ memory writes; a boot
+    ///   that runs past that runs uncached.
+    ///
+    /// [`Mcu::replayed_calls`] counts the calls answered from the memo.
     pub fn run(&mut self, cycle_budget: u64, stop_at_markers: bool) -> RunReport {
         if self.halted {
             return RunReport {
@@ -891,7 +945,11 @@ impl Mcu {
                 exit: RunExit::BudgetExhausted,
             };
         }
+        self.run_memoized(cycle_budget, stop_at_markers)
+    }
 
+    /// The interpreter behind [`Mcu::run`], on an active, unhalted machine.
+    fn interpret(&mut self, cycle_budget: u64, stop_at_markers: bool) -> RunReport {
         let f = self.clock.frequency();
         let fram_wait = f > self.power.fram_wait_threshold;
         let wait_per_access = u64::from(fram_wait);

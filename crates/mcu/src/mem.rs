@@ -72,12 +72,26 @@ impl AccessCounts {
     }
 }
 
+/// Most writes one [`WriteLog`] holds: 1 MiB of `(address, value)` pairs.
+const WRITE_LOG_CAP: usize = 1 << 18;
+
+/// The writes [`Memory::write`] made while a log was open.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct WriteLog {
+    /// `(address, value)` of every successful write, in order.
+    pub(crate) writes: Vec<(u16, u16)>,
+    /// A write found `writes` at [`WRITE_LOG_CAP`] and was not logged.
+    pub(crate) overflowed: bool,
+}
+
 /// The unified memory: SRAM plus FRAM with access tracking.
 #[derive(Debug, Clone)]
 pub struct Memory {
     sram: Vec<u16>,
     fram: Vec<u16>,
     counts: AccessCounts,
+    /// Open while the machine records a boot (see `Mcu::run`).
+    log: Option<WriteLog>,
 }
 
 impl Memory {
@@ -87,6 +101,7 @@ impl Memory {
             sram: vec![0; SRAM_WORDS as usize],
             fram: vec![0; FRAM_WORDS as usize],
             counts: AccessCounts::default(),
+            log: None,
         }
     }
 
@@ -133,7 +148,48 @@ impl Memory {
         } else {
             return Err(MemoryFault::Unmapped(addr));
         }
+        if let Some(log) = &mut self.log {
+            if log.writes.len() < WRITE_LOG_CAP {
+                log.writes.push((addr, value));
+            } else {
+                log.overflowed = true;
+            }
+        }
         Ok(())
+    }
+
+    /// Opens a write log that appends to `writes`.
+    pub(crate) fn open_log(&mut self, writes: Vec<(u16, u16)>) {
+        self.log = Some(WriteLog {
+            writes,
+            overflowed: false,
+        });
+    }
+
+    /// Closes the write log and hands it back.
+    pub(crate) fn close_log(&mut self) -> WriteLog {
+        self.log.take().unwrap_or_default()
+    }
+
+    /// Makes logged writes again, counting each as `write` does.
+    pub(crate) fn replay_writes(&mut self, writes: &[(u16, u16)]) {
+        for &(addr, value) in writes {
+            match self.sram.get_mut(addr as usize) {
+                Some(w) => {
+                    self.counts.sram_writes += 1;
+                    *w = value;
+                }
+                None => {
+                    self.counts.fram_writes += 1;
+                    self.fram[(addr - FRAM_BASE) as usize] = value;
+                }
+            }
+        }
+    }
+
+    /// Every SRAM word and every FRAM word.
+    pub(crate) fn words(&self) -> (&[u16], &[u16]) {
+        (&self.sram, &self.fram)
     }
 
     /// Reads without counting (snapshot engine internals, test inspection).

@@ -91,8 +91,8 @@ fn sources(catalog: &mut TraceCatalog) -> Vec<SourceKind> {
 }
 
 /// Drives `spec` one `step` call at a time, the way a stepping harness
-/// does, and reports.
-fn stepped(spec: &ExperimentSpec, catalog: &TraceCatalog) -> SystemReport {
+/// does, and reports, with the number of `run` calls the machine replayed.
+fn stepped(spec: &ExperimentSpec, catalog: &TraceCatalog) -> (SystemReport, u64) {
     let mut system = spec.build_in(catalog).expect("valid spec");
     let mut live = true;
     while live && system.runner().time() < spec.deadline {
@@ -106,7 +106,10 @@ fn stepped(spec: &ExperimentSpec, catalog: &TraceCatalog) -> SystemReport {
     } else {
         RunOutcome::Faulted
     };
-    system.report(outcome)
+    (
+        system.report(outcome),
+        system.runner().mcu().replayed_calls(),
+    )
 }
 
 /// Outcome counts over all cases, to show the grid reaches every regime.
@@ -172,12 +175,18 @@ fn system_reports_match_the_recorded_digest() {
     for spec in cases(&kinds) {
         let report = spec.run_in(&catalog).expect("valid spec");
         let json = report.to_json().to_string();
+        let (stepped_report, replayed) = stepped(&spec, &catalog);
         assert_eq!(
-            stepped(&spec, &catalog).to_json().to_string(),
+            stepped_report.to_json().to_string(),
             json,
             "step-by-step run of {} diverged",
             spec.label()
         );
+        if matches!(spec.source, SourceKind::Dc { .. }) {
+            // The DC supply boots the node once: there is no boot to replay.
+            assert_eq!(report.stats.boots, 1, "{}", spec.label());
+            assert_eq!(replayed, 0, "{} replayed a call", spec.label());
+        }
         h.bytes(json.as_bytes());
         cov.completed += u32::from(report.outcome == RunOutcome::Completed);
         cov.never_booted += u32::from(report.stats.boots == 0);
@@ -191,4 +200,66 @@ fn system_reports_match_the_recorded_digest() {
         cov.brownouts
     );
     assert_eq!(h.0, EXPECTED_DIGEST, "digest {:#018x}", h.0);
+}
+
+/// The digest of the multi-boot restart cells (recorded before the
+/// interpreter replayed repeated boots).
+const MULTI_BOOT_DIGEST: u64 = 0xb112_67e4_9ee9_c5b9;
+
+/// Restart cells that brown out and boot again and again, each boot
+/// re-running the kernel from `main`: the 50 Hz rectified sine, and an
+/// interrupted supply whose on-phase is shorter than the kernel. Every case
+/// boots at least five times.
+fn multi_boot_cases() -> Vec<ExperimentSpec> {
+    let cells = [
+        (
+            SourceKind::RectifiedSine { hz: 50.0 },
+            WorkloadKind::Fourier(64),
+        ),
+        (
+            SourceKind::RectifiedSine { hz: 50.0 },
+            WorkloadKind::Crc16(512),
+        ),
+        (
+            SourceKind::Interrupted { hz: 40.0 },
+            WorkloadKind::Fourier(64),
+        ),
+        (
+            SourceKind::Interrupted { hz: 40.0 },
+            WorkloadKind::Crc16(2048),
+        ),
+    ];
+    let mut specs = Vec::new();
+    for (source, workload) in cells {
+        for deadline in [0.3, 0.5] {
+            specs.push(
+                ExperimentSpec::new(source, StrategyKind::Restart, workload)
+                    .deadline(Seconds(deadline)),
+            );
+        }
+    }
+    specs
+}
+
+#[test]
+fn multi_boot_reports_match_the_recorded_digest() {
+    let catalog = TraceCatalog::new();
+    let mut h = Fnv::new();
+    for spec in multi_boot_cases() {
+        let mut system = spec.build_in(&catalog).expect("valid spec");
+        let report = system.run(spec.deadline);
+        assert!(
+            system.runner().mcu().replayed_calls() > 0,
+            "{} replayed no boot",
+            spec.label()
+        );
+        assert!(
+            report.stats.boots >= 5,
+            "{} booted {} times",
+            spec.label(),
+            report.stats.boots
+        );
+        h.bytes(report.to_json().to_string().as_bytes());
+    }
+    assert_eq!(h.0, MULTI_BOOT_DIGEST, "digest {:#018x}", h.0);
 }
