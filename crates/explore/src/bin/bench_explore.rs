@@ -30,7 +30,7 @@ use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::{
-    CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, SpecSpace,
+    CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, Provenance, SpecSpace,
     SuccessiveHalving,
 };
 use edc_units::{Joules, Seconds, Volts};
@@ -137,7 +137,7 @@ fn main() {
     let halving_full_fidelity = halving
         .trace
         .iter()
-        .filter(|t| !t.cached && t.spec.timestep == fine)
+        .filter(|t| t.provenance != Provenance::Memo && t.spec.timestep == fine)
         .count();
     let best_on_grid_front = halving
         .best()

@@ -1,31 +1,46 @@
 //! The shared evaluation engine: memoised, budgeted, parallel.
 //!
-//! Every searcher funds its simulations through one [`Evaluator`]. The
-//! evaluator:
+//! Every searcher funds its simulations through one [`Evaluator`]. An
+//! [`Evaluator::evaluate`] call **canonicalises** each candidate spec
+//! (forcing stats telemetry when an objective needs it) and keys its memo
+//! cache on the spec's canonical JSON, so the same design is never
+//! simulated twice — within a search *or* across rungs of different
+//! fidelity (the timestep is part of the key). The call's cache misses,
+//! first occurrence only and in input order, then pass through three
+//! stages, each handed the misses still unresolved and returning the ones
+//! it could not resolve:
 //!
-//! - **canonicalises** each candidate spec (forcing stats telemetry when an
-//!   objective needs it) and keys its memo cache on the spec's canonical
-//!   JSON, so the same design is never simulated twice — within a search
-//!   *or* across rungs of different fidelity (the timestep is part of the
-//!   key);
-//! - **enforces the budget**: a batch whose cache misses would exceed the
-//!   configured cost ceiling (in full-fidelity-equivalent units) fails
-//!   with [`ExploreError::BudgetExhausted`] before any of them run. Cost
-//!   per miss is `(reference_dt / dt) × (deadline / reference_deadline) ÷
-//!   trace decimation × objective cost scale`: coarse timesteps, shortened
-//!   rung deadlines and decimated trace sources all charge fractionally,
-//!   while fleet objectives (which deploy every candidate as a whole
-//!   population) charge ≈ their node count per miss;
-//! - **fans out** cache misses across scoped worker threads via the sweep
-//!   engine's [`run_specs_timed_metered`], whose results come back in
-//!   input order —
-//!   so thread count affects wall-clock only, never results — resolving
-//!   [`SourceKind::Trace`](edc_core::scenarios::SourceKind::Trace)
-//!   candidates through the catalog supplied by
-//!   [`Evaluator::with_catalog`];
-//! - **records a trace** entry per requested evaluation, in request order,
-//!   which is what makes [`ExploreReport`](crate::ExploreReport) JSON
-//!   byte-identical across repeated and serial-vs-parallel runs.
+//! 1. **store** — a connected persistent store serves the misses it holds
+//!    at zero cost ([`Evaluator::with_store`]);
+//! 2. **lint** — the static prefilter scores provably infeasible specs
+//!    without simulating them ([`Evaluator::with_prefilter`]);
+//! 3. **simulate** — the rest **fan out** across scoped worker threads
+//!    via the sweep engine's [`run_specs_timed_metered`], whose results
+//!    come back in input order, so thread count affects wall-clock only,
+//!    never results. [`SourceKind::Trace`](edc_core::scenarios::SourceKind::Trace)
+//!    candidates resolve through the catalog supplied by
+//!    [`Evaluator::with_catalog`]. With branch-and-bound on
+//!    ([`Evaluator::with_bound`]) the misses run in fixed chunks, and a
+//!    miss dominated at its static lower bounds is settled without
+//!    running.
+//!
+//! The simulate stage **enforces the budget**: a batch (or, with
+//! branch-and-bound, a chunk) whose misses would exceed the configured
+//! cost ceiling (in full-fidelity-equivalent units) fails with
+//! [`ExploreError::BudgetExhausted`] before any of them run. Cost per miss
+//! is `(reference_dt / dt) × (deadline / reference_deadline) ÷ trace
+//! decimation × objective cost scale`: coarse timesteps, shortened rung
+//! deadlines and decimated trace sources all charge fractionally, while
+//! fleet objectives (which deploy every candidate as a whole population)
+//! charge ≈ their node count per miss.
+//!
+//! Every request is **traced** as one [`TraceEntry`] with its
+//! [`Provenance`], in request order, which is what makes
+//! [`ExploreReport`](crate::ExploreReport) JSON byte-identical across
+//! repeated and serial-vs-parallel runs. Each successful call publishes
+//! its counts (requests, misses, cache hits, lint, bound and store work)
+//! to the metrics registry under its search phase, and its wall-clock to
+//! the quarantined `edc_eval_wall_seconds{phase}` gauge.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -35,10 +50,8 @@ use std::time::Instant;
 use edc_bench::sweep::run_specs_timed_metered;
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
-use edc_core::SystemReport;
 use edc_core::TelemetryKind;
 use edc_lint::Linter;
-use edc_obs::{ProfileReport, ProfileSpan};
 use edc_store::StoreHandle;
 use edc_units::Seconds;
 
@@ -58,7 +71,35 @@ pub struct Evaluation {
     pub scores: Vec<f64>,
 }
 
-/// One trace entry: an evaluation request and whether the cache served it.
+/// Where a requested point's scores came from. Every request has exactly
+/// one provenance: the stage that settled its key when the key was a
+/// first-occurrence cache miss of the call, [`Provenance::Memo`] for a
+/// later request of a stored or simulated key, and always the static
+/// stage for a lint- or bound-pruned key, whose stand-in scores are never
+/// served as cache hits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Provenance {
+    /// The memo cache served the request: an earlier request, in this
+    /// call or a previous one, had the key stored or simulated.
+    Memo,
+    /// The persistent store served the request without simulating, at
+    /// zero cost.
+    Store,
+    /// The lint prefilter scored the candidate statically: it was never
+    /// simulated and its scores are the objectives' DNF values (or exact
+    /// static brackets).
+    Lint,
+    /// Branch-and-bound dominance pruned the candidate: it was never
+    /// simulated and its scores are its objectives' static lower bounds
+    /// (sound optimistic stand-ins; an already-simulated incumbent
+    /// dominates even these, so the true scores cannot reach the Pareto
+    /// front).
+    Bound,
+    /// The request's own call simulated the candidate.
+    Simulated,
+}
+
+/// One trace entry: an evaluation request and where its scores came from.
 #[derive(Debug, Clone)]
 pub struct TraceEntry {
     /// Which search phase requested the evaluation (e.g. `grid`,
@@ -68,23 +109,66 @@ pub struct TraceEntry {
     pub spec: ExperimentSpec,
     /// One score per objective.
     pub scores: Vec<f64>,
-    /// `true` when the memo cache served the request without simulating.
-    pub cached: bool,
-    /// `true` when the lint prefilter scored the candidate statically —
-    /// it was never simulated and its scores are the objectives' DNF
-    /// values.
-    pub pruned: bool,
-    /// `true` when branch-and-bound dominance pruned the candidate — it
-    /// was never simulated and its scores are its objectives' static
-    /// lower bounds (sound optimistic stand-ins; an already-simulated
-    /// incumbent dominates even these, so the true scores cannot reach
-    /// the Pareto front).
-    pub bound_pruned: bool,
-    /// `true` when the persistent store served the request without
-    /// simulating (first request for the key only; repeats within the
-    /// process hit the memo cache as usual).
-    pub store_hit: bool,
+    /// Where the scores came from.
+    pub provenance: Provenance,
 }
+
+/// A counts row: one [`Evaluator::evaluate`] call's counts, or the
+/// evaluator's running totals of them, indexed like [`COUNTERS`].
+type Counts = [u64; 9];
+
+const REQUESTS: usize = 0;
+/// Misses the store and lint stages left: bound-pruned or simulated.
+const MISSES: usize = 1;
+const CACHE_HITS: usize = 2;
+const LINT_CHECKS: usize = 3;
+const LINT_PRUNED: usize = 4;
+const BOUND_CHECKS: usize = 5;
+const BOUND_PRUNED: usize = 6;
+const STORE_HITS: usize = 7;
+const STORE_MISSES: usize = 8;
+
+/// Name and help of the per-phase counter each [`Counts`] entry is
+/// published as. The two store counters are registered only while a
+/// store is connected.
+const COUNTERS: [(&str, &str); 9] = [
+    (
+        "edc_eval_requests",
+        "Evaluation requests, per search phase.",
+    ),
+    (
+        "edc_eval_misses",
+        "Evaluation requests that simulated (memo-cache misses), per search phase.",
+    ),
+    (
+        "edc_eval_cache_hits",
+        "Evaluation requests served by the memo cache, per search phase.",
+    ),
+    (
+        "edc_eval_lint_checks",
+        "Cache misses the lint prefilter examined, per search phase.",
+    ),
+    (
+        "edc_eval_lint_pruned",
+        "Cache misses the lint prefilter scored statically, per search phase.",
+    ),
+    (
+        "edc_eval_bound_checks",
+        "Cache misses branch-and-bound derived static lower bounds for, per search phase.",
+    ),
+    (
+        "edc_eval_bound_pruned",
+        "Cache misses branch-and-bound dominance-pruned without simulating, per search phase.",
+    ),
+    (
+        "edc_store_hits",
+        "Memo-cache misses served by the persistent store, per search phase.",
+    ),
+    (
+        "edc_store_misses",
+        "Memo-cache misses the persistent store could not serve, per search phase.",
+    ),
+];
 
 /// The memoised, budgeted, parallel evaluation engine.
 pub struct Evaluator<'a> {
@@ -96,28 +180,21 @@ pub struct Evaluator<'a> {
     reference_deadline: Option<Seconds>,
     cost_scale: f64,
     catalog: TraceCatalog,
-    cache: HashMap<String, Vec<f64>>,
-    simulations: u64,
-    cache_hits: u64,
+    /// Scores and the stage that settled them, per canonical spec key.
+    cache: HashMap<String, (Vec<f64>, Provenance)>,
+    totals: Counts,
+    /// Summed miss by miss, so its rounding is that of one running sum.
     cost_units: f64,
     trace: Vec<TraceEntry>,
     prefilter: bool,
     linter: Option<Linter>,
-    pruned: HashSet<String>,
-    lint_checks: u64,
-    lint_pruned: u64,
     bound: bool,
-    bound_checks: u64,
-    bound_pruned: u64,
-    bound_pruned_keys: HashSet<String>,
-    /// Exact score vectors (simulated or statically-exact) that serve as
-    /// dominance incumbents for branch-and-bound pruning. Never contains
-    /// a bound-pruned candidate's lower-bound stand-in.
+    /// Exact score vectors (simulated, stored or statically-exact) that
+    /// serve as dominance incumbents for branch-and-bound pruning. Never
+    /// contains a bound-pruned candidate's lower-bound stand-in.
     incumbents: Vec<Vec<f64>>,
-    profile: ProfileReport,
     metrics: Option<edc_metrics::Registry>,
     store: Option<StoreHandle>,
-    store_hits: u64,
 }
 
 /// Histogram bounds for per-miss simulation cost in
@@ -167,24 +244,15 @@ impl<'a> Evaluator<'a> {
             reference_deadline: None,
             catalog: TraceCatalog::new(),
             cache: HashMap::new(),
-            simulations: 0,
-            cache_hits: 0,
+            totals: [0; 9],
             cost_units: 0.0,
             trace: Vec::new(),
             prefilter: false,
             linter: None,
-            pruned: HashSet::new(),
-            lint_checks: 0,
-            lint_pruned: 0,
             bound: false,
-            bound_checks: 0,
-            bound_pruned: 0,
-            bound_pruned_keys: HashSet::new(),
             incumbents: Vec::new(),
-            profile: ProfileReport::new(),
             metrics: None,
             store: None,
-            store_hits: 0,
         }
     }
 
@@ -240,9 +308,10 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Routes this evaluator's process metrics into `registry` instead of
-    /// [`edc_metrics::global`]: per-phase request/hit/miss/lint counters,
-    /// a per-miss cost histogram, and the sweep-layer counters of every
-    /// miss batch it fans out. Point different evaluators at different
+    /// [`edc_metrics::global`]: per-phase request/hit/miss/lint/bound
+    /// (and, with a store, store) counters, a per-miss cost histogram, the
+    /// quarantined per-phase `edc_eval_wall_seconds` wall-clock gauge, and
+    /// the sweep-layer counters of every miss batch it fans out. Point different evaluators at different
     /// registries to compare their expositions in isolation.
     ///
     /// ```
@@ -316,8 +385,9 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Evaluates a batch of candidates, serving repeats from the memo
-    /// cache and simulating the rest in parallel. Results come back in
-    /// input order; one trace entry is recorded per input.
+    /// cache and resolving the first occurrence of each miss through the
+    /// store, lint and simulate stages, in that order. Results come back
+    /// in input order; one trace entry is recorded per input.
     ///
     /// # Errors
     ///
@@ -327,23 +397,15 @@ impl<'a> Evaluator<'a> {
     /// same currency as [`Evaluator::cost_units`] (nothing is simulated in
     /// that case) — or the first
     /// [`BuildError`](edc_core::experiment::BuildError) if a candidate
-    /// fails validation.
+    /// fails validation. Work done before the error stays in the totals
+    /// but is not published to the metrics registry.
     pub fn evaluate(
         &mut self,
         specs: Vec<ExperimentSpec>,
         phase: &str,
     ) -> Result<Vec<Evaluation>, ExploreError> {
         let started = Instant::now();
-        let before = (
-            self.cache_hits,
-            self.lint_checks,
-            self.lint_pruned,
-            self.cost_units,
-            self.bound_checks,
-            self.bound_pruned,
-        );
-        let objectives = self.objectives;
-        let prepared: Vec<ExperimentSpec> = specs
+        let specs: Vec<ExperimentSpec> = specs
             .into_iter()
             .map(|s| {
                 if self.force_stats {
@@ -353,366 +415,305 @@ impl<'a> Evaluator<'a> {
                 }
             })
             .collect();
-        let keys: Vec<String> = prepared.iter().map(|s| s.to_json().to_string()).collect();
-
-        // Cache misses, first occurrence only, in input order.
-        let mut missing: Vec<usize> = Vec::new();
+        let keys: Vec<String> = specs.iter().map(|s| s.to_json().to_string()).collect();
         let mut queued: HashSet<&str> = HashSet::new();
-        for (i, key) in keys.iter().enumerate() {
-            if !self.cache.contains_key(key) && queued.insert(key) {
-                missing.push(i);
-            }
-        }
-
-        // Persistent store: resolve misses from prior processes' runs
-        // before any lint/bound/simulation work. Hits are billed at zero
-        // cost and (in bound mode) become dominance incumbents; scores
-        // the stored entry lacks are recomputed bit-exactly from its
-        // stored report and merged back for the next reader.
-        let mut store_fresh: HashSet<usize> = HashSet::new();
-        let mut store_misses: u64 = 0;
-        if let Some(store) = self.store.clone() {
-            let mut guard = store
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            let mut survivors = Vec::with_capacity(missing.len());
-            for &i in &missing {
-                let hit = guard.get(&keys[i]).and_then(|entry| {
-                    let resolved: Option<Vec<f64>> = objectives
-                        .iter()
-                        .map(|o| {
-                            o.store_key()
-                                .and_then(|k| entry.scores.get(&k).copied())
-                                .or_else(|| o.score_json(&entry.report))
-                        })
-                        .collect();
-                    resolved.map(|scores| {
-                        let mut recomputed: BTreeMap<String, f64> = BTreeMap::new();
-                        for (o, s) in objectives.iter().zip(&scores) {
-                            if let Some(key) = o.store_key() {
-                                if !entry.scores.contains_key(&key) && !s.is_nan() {
-                                    recomputed.insert(key, *s);
-                                }
-                            }
-                        }
-                        (scores, recomputed, entry.report.clone(), entry.cost)
-                    })
-                });
-                let Some((scores, recomputed, report, cost)) = hit else {
-                    store_misses += 1;
-                    survivors.push(i);
-                    continue;
-                };
-                if !recomputed.is_empty() {
-                    guard
-                        .put(&prepared[i].to_json(), report, recomputed, cost)
-                        .map_err(ExploreError::Store)?;
-                }
-                if self.bound {
-                    // Store hits carry exact scores: valid incumbents.
-                    self.incumbents.push(scores.clone());
-                }
-                self.cache.insert(keys[i].clone(), scores);
-                store_fresh.insert(i);
-                self.store_hits += 1;
-            }
-            missing = survivors;
-        }
-
-        // Lint prefilter: score statically-infeasible misses without
-        // simulating. Only sound when every objective's static score is
-        // exact — a declared constant DNF score, or (with bound pruning
-        // enabled) a degenerate `lo == hi` bracket from the shared
-        // engine. The budget below then only sees the surviving misses.
-        if self.prefilter {
-            let dnf: Option<Vec<f64>> = objectives.iter().map(|o| o.dnf_score()).collect();
-            if dnf.is_some() || self.bound {
-                let linter = self
-                    .linter
-                    .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
-                let mut survivors = Vec::with_capacity(missing.len());
-                for &i in &missing {
-                    self.lint_checks += 1;
-                    if linter.lint_spec(&prepared[i]).has_errors() {
-                        let static_scores: Option<Vec<f64>> = if self.bound {
-                            objectives
-                                .iter()
-                                .map(|o| {
-                                    o.dnf_score().or_else(|| {
-                                        o.static_bracket(&prepared[i], linter.bounder())
-                                            .filter(|b| b.is_exact())
-                                            .map(|b| b.lo)
-                                    })
-                                })
-                                .collect()
-                        } else {
-                            dnf.clone()
-                        };
-                        match static_scores {
-                            Some(scores) => {
-                                if self.bound {
-                                    // Statically-exact scores are valid
-                                    // dominance incumbents.
-                                    self.incumbents.push(scores.clone());
-                                }
-                                self.cache.insert(keys[i].clone(), scores);
-                                self.pruned.insert(keys[i].clone());
-                                self.lint_pruned += 1;
-                            }
-                            None => survivors.push(i),
-                        }
-                    } else {
-                        survivors.push(i);
-                    }
-                }
-                missing = survivors;
-            }
-        }
-
-        if self.budget.is_some() && !self.bound {
-            // With bound pruning the batch is charged chunk by chunk
-            // below (later chunks may never run); without it the whole
-            // batch is admitted or rejected up front.
-            if let Some(budget) = self.budget {
-                let batch_cost: f64 = missing.iter().map(|&i| self.cost_of(&prepared[i])).sum();
-                let needed = self.cost_units + batch_cost;
-                if needed > budget as f64 {
-                    return Err(ExploreError::BudgetExhausted { budget, needed });
-                }
-            }
-        }
+        let first_miss: Vec<bool> = keys
+            .iter()
+            .map(|k| !self.cache.contains_key(k) && queued.insert(k))
+            .collect();
+        let missing: Vec<usize> = (0..keys.len()).filter(|&i| first_miss[i]).collect();
 
         let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
-        if !missing.is_empty() {
-            let miss_cost = registry.histogram(
+        let mut counts: Counts = [0; 9];
+        let resolved = self
+            .store_stage(&specs, &keys, missing, &mut counts)
+            .map(|missing| self.lint_stage(&specs, &keys, missing, &mut counts))
+            .and_then(|missing| {
+                self.simulate(&specs, &keys, missing, &registry, phase, &mut counts)
+            });
+        let evaluations = resolved.map(|()| {
+            counts[REQUESTS] = specs.len() as u64;
+            let mut evaluations = Vec::with_capacity(specs.len());
+            for ((spec, key), first) in specs.into_iter().zip(keys).zip(first_miss) {
+                let (scores, origin) = self.cache[&key].clone();
+                let provenance = match origin {
+                    Provenance::Lint | Provenance::Bound => origin,
+                    _ if first => origin,
+                    _ => Provenance::Memo,
+                };
+                counts[CACHE_HITS] += u64::from(provenance == Provenance::Memo);
+                self.trace.push(TraceEntry {
+                    phase: phase.to_string(),
+                    spec,
+                    scores: scores.clone(),
+                    provenance,
+                });
+                evaluations.push(Evaluation { spec, key, scores });
+            }
+            evaluations
+        });
+        for (total, n) in self.totals.iter_mut().zip(counts) {
+            *total += n;
+        }
+        let evaluations = evaluations?;
+
+        let label = [("phase", phase)];
+        let published = if self.store.is_some() {
+            COUNTERS.len()
+        } else {
+            STORE_HITS
+        };
+        for ((name, help), value) in COUNTERS.iter().zip(counts).take(published) {
+            registry.counter(name, help, &label).inc_by(value);
+        }
+        registry
+            .wall_gauge(
+                "edc_eval_wall_seconds",
+                "Wall-clock seconds spent in evaluation calls, per search phase.",
+                &label,
+            )
+            .add(started.elapsed().as_secs_f64());
+        Ok(evaluations)
+    }
+
+    /// Settles `key` at `scores`: caches them with their origin and, in
+    /// bound mode, keeps exact ones (anything but a lower-bound stand-in)
+    /// as dominance incumbents.
+    fn settle(&mut self, key: &str, scores: Vec<f64>, origin: Provenance) {
+        if self.bound && origin != Provenance::Bound {
+            self.incumbents.push(scores.clone());
+        }
+        self.cache.insert(key.to_string(), (scores, origin));
+    }
+
+    /// Store stage: serves the misses a connected store holds, at zero
+    /// cost. Scores the stored entry lacks are recomputed bit-exactly
+    /// from its stored report and merged back for the next reader.
+    /// Returns the misses the store could not serve.
+    fn store_stage(
+        &mut self,
+        specs: &[ExperimentSpec],
+        keys: &[String],
+        missing: Vec<usize>,
+        counts: &mut Counts,
+    ) -> Result<Vec<usize>, ExploreError> {
+        let Some(store) = self.store.clone() else {
+            return Ok(missing);
+        };
+        let objectives = self.objectives;
+        let mut guard = store
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut survivors = Vec::with_capacity(missing.len());
+        for i in missing {
+            let hit = guard.get(&keys[i]).and_then(|entry| {
+                let resolved: Option<Vec<f64>> = objectives
+                    .iter()
+                    .map(|o| {
+                        o.store_key()
+                            .and_then(|k| entry.scores.get(&k).copied())
+                            .or_else(|| o.score_json(&entry.report))
+                    })
+                    .collect();
+                resolved.map(|scores| {
+                    let mut recomputed: BTreeMap<String, f64> = BTreeMap::new();
+                    for (o, s) in objectives.iter().zip(&scores) {
+                        if let Some(key) = o.store_key() {
+                            if !entry.scores.contains_key(&key) && !s.is_nan() {
+                                recomputed.insert(key, *s);
+                            }
+                        }
+                    }
+                    (scores, recomputed, entry.report.clone(), entry.cost)
+                })
+            });
+            let Some((scores, recomputed, report, cost)) = hit else {
+                counts[STORE_MISSES] += 1;
+                survivors.push(i);
+                continue;
+            };
+            if !recomputed.is_empty() {
+                guard
+                    .put(&specs[i].to_json(), report, recomputed, cost)
+                    .map_err(ExploreError::Store)?;
+            }
+            self.settle(&keys[i], scores, Provenance::Store);
+            counts[STORE_HITS] += 1;
+        }
+        Ok(survivors)
+    }
+
+    /// Lint stage: scores statically-infeasible misses without
+    /// simulating. Only sound when every objective's static score is
+    /// exact — a declared constant DNF score, or (with bound pruning
+    /// enabled) a degenerate `lo == hi` bracket from the shared engine —
+    /// so it runs only when one of the two can apply. Returns the misses
+    /// it did not score.
+    fn lint_stage(
+        &mut self,
+        specs: &[ExperimentSpec],
+        keys: &[String],
+        missing: Vec<usize>,
+        counts: &mut Counts,
+    ) -> Vec<usize> {
+        let dnf: Option<Vec<f64>> = self.objectives.iter().map(|o| o.dnf_score()).collect();
+        if !self.prefilter || (dnf.is_none() && !self.bound) {
+            return missing;
+        }
+        let (objectives, bound) = (self.objectives, self.bound);
+        let linter = self
+            .linter
+            .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
+        let mut pruned = Vec::new();
+        let mut survivors = Vec::with_capacity(missing.len());
+        for i in missing {
+            counts[LINT_CHECKS] += 1;
+            let static_scores = if !linter.lint_spec(&specs[i]).has_errors() {
+                None
+            } else if bound {
+                objectives
+                    .iter()
+                    .map(|o| {
+                        o.dnf_score().or_else(|| {
+                            o.static_bracket(&specs[i], linter.bounder())
+                                .filter(|b| b.is_exact())
+                                .map(|b| b.lo)
+                        })
+                    })
+                    .collect()
+            } else {
+                dnf.clone()
+            };
+            match static_scores {
+                Some(scores) => pruned.push((i, scores)),
+                None => survivors.push(i),
+            }
+        }
+        for (i, scores) in pruned {
+            self.settle(&keys[i], scores, Provenance::Lint);
+            counts[LINT_PRUNED] += 1;
+        }
+        survivors
+    }
+
+    /// Simulate stage: runs the remaining misses through the sweep engine
+    /// and scores them, charging each its cost and writing it back to a
+    /// connected store. Without bound pruning the misses run as one
+    /// chunk, admitted or rejected by the budget as a whole. With it they
+    /// run in input-order chunks of [`BOUND_CHUNK`], each budget-checked
+    /// on its own; before each chunk, every pending miss whose static
+    /// lower bounds an exact incumbent dominates is settled at those
+    /// bounds instead of running.
+    fn simulate(
+        &mut self,
+        specs: &[ExperimentSpec],
+        keys: &[String],
+        mut pending: Vec<usize>,
+        registry: &edc_metrics::Registry,
+        phase: &str,
+        counts: &mut Counts,
+    ) -> Result<(), ExploreError> {
+        if pending.is_empty() {
+            return Ok(());
+        }
+        let objectives = self.objectives;
+        let lower_bounds: Option<HashMap<usize, Vec<f64>>> = self.bound.then(|| {
+            let linter = self
+                .linter
+                .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
+            pending
+                .iter()
+                .filter_map(|&i| {
+                    counts[BOUND_CHECKS] += 1;
+                    let lo: Option<Vec<f64>> = objectives
+                        .iter()
+                        .map(|o| o.static_bracket(&specs[i], linter.bounder()).map(|b| b.lo))
+                        .collect();
+                    lo.map(|lo| (i, lo))
+                })
+                .collect()
+        });
+        let histogram = || {
+            registry.histogram(
                 "edc_eval_miss_cost_units",
                 "Per-miss simulation cost in full-fidelity-equivalent units.",
                 &[("phase", phase)],
                 &COST_UNIT_BOUNDS,
-            );
-            if self.bound {
-                // Branch-and-bound: a per-miss lower-bound vector, then
-                // chunked simulation with a dominance-pruning pass over
-                // the pending misses before each chunk.
-                let mut lo_vecs: HashMap<usize, Vec<f64>> = HashMap::new();
-                {
-                    let linter = self
-                        .linter
-                        .get_or_insert_with(|| Linter::with_catalog(self.catalog.clone()));
-                    for &i in &missing {
-                        self.bound_checks += 1;
-                        let lo: Option<Vec<f64>> = objectives
-                            .iter()
-                            .map(|o| {
-                                o.static_bracket(&prepared[i], linter.bounder())
-                                    .map(|b| b.lo)
-                            })
-                            .collect();
-                        if let Some(lo) = lo {
-                            lo_vecs.insert(i, lo);
-                        }
-                    }
+            )
+        };
+        // Bound mode registers the histogram up front, so it exists even
+        // when every miss is pruned; one whole-batch chunk registers it
+        // once the budget admits the batch.
+        let mut miss_cost = self.bound.then(histogram);
+        let chunk_len = if self.bound {
+            BOUND_CHUNK
+        } else {
+            pending.len()
+        };
+        loop {
+            if let Some(lower_bounds) = &lower_bounds {
+                let (pruned, kept): (Vec<usize>, Vec<usize>) = pending.iter().partition(|&i| {
+                    lower_bounds
+                        .get(i)
+                        .is_some_and(|lo| self.incumbents.iter().any(|inc| dominates(inc, lo)))
+                });
+                for i in pruned {
+                    self.settle(&keys[i], lower_bounds[&i].clone(), Provenance::Bound);
+                    counts[BOUND_PRUNED] += 1;
+                    counts[MISSES] += 1;
                 }
-                let mut pending = missing.clone();
-                while !pending.is_empty() {
-                    let mut survivors = Vec::with_capacity(pending.len());
-                    for &i in &pending {
-                        let dominated = lo_vecs
-                            .get(&i)
-                            .is_some_and(|lo| self.incumbents.iter().any(|inc| dominates(inc, lo)));
-                        if dominated {
-                            // An exact incumbent dominates this candidate
-                            // even at its optimistic lower bounds; its true
-                            // scores can never reach the front. Cache the
-                            // bounds as a sound stand-in.
-                            self.cache.insert(keys[i].clone(), lo_vecs[&i].clone());
-                            self.bound_pruned_keys.insert(keys[i].clone());
-                            self.bound_pruned += 1;
-                        } else {
-                            survivors.push(i);
-                        }
-                    }
-                    pending = survivors;
-                    if pending.is_empty() {
-                        break;
-                    }
-                    let take = pending.len().min(BOUND_CHUNK);
-                    let chunk: Vec<usize> = pending.drain(..take).collect();
-                    if let Some(budget) = self.budget {
-                        let chunk_cost: f64 =
-                            chunk.iter().map(|&i| self.cost_of(&prepared[i])).sum();
-                        let needed = self.cost_units + chunk_cost;
-                        if needed > budget as f64 {
-                            return Err(ExploreError::BudgetExhausted { budget, needed });
-                        }
-                    }
-                    let batch: Vec<ExperimentSpec> = chunk.iter().map(|&i| prepared[i]).collect();
-                    let rows =
-                        run_specs_timed_metered(batch, self.threads, &self.catalog, &registry)?
-                            .rows;
-                    for (&i, row) in chunk.iter().zip(rows) {
-                        let scores: Vec<f64> = objectives
-                            .iter()
-                            .map(|o| o.score(&prepared[i], &row.report))
-                            .collect();
-                        self.incumbents.push(scores.clone());
-                        let cost = self.cost_of(&prepared[i]);
-                        if let Some(store) = &self.store {
-                            store_write_back(
-                                store,
-                                objectives,
-                                &prepared[i],
-                                &row.report,
-                                &scores,
-                                cost,
-                                &registry,
-                                phase,
-                            )?;
-                        }
-                        self.cache.insert(keys[i].clone(), scores);
-                        self.simulations += 1;
-                        self.cost_units += cost;
-                        miss_cost.observe(cost);
-                    }
+                pending = kept;
+            }
+            if pending.is_empty() {
+                return Ok(());
+            }
+            let chunk: Vec<usize> = pending.drain(..chunk_len.min(pending.len())).collect();
+            let costs: Vec<f64> = chunk.iter().map(|&i| self.cost_of(&specs[i])).collect();
+            if let Some(budget) = self.budget {
+                let needed = self.cost_units + costs.iter().sum::<f64>();
+                if needed > budget as f64 {
+                    return Err(ExploreError::BudgetExhausted { budget, needed });
                 }
-            } else {
-                let batch: Vec<ExperimentSpec> = missing.iter().map(|&i| prepared[i]).collect();
-                let rows =
-                    run_specs_timed_metered(batch, self.threads, &self.catalog, &registry)?.rows;
-                for (&i, row) in missing.iter().zip(rows) {
-                    let scores: Vec<f64> = objectives
+            }
+            let miss_cost = miss_cost.get_or_insert_with(histogram);
+            let batch: Vec<ExperimentSpec> = chunk.iter().map(|&i| specs[i]).collect();
+            let runs = run_specs_timed_metered(batch, self.threads, &self.catalog, registry)?.rows;
+            for ((&i, run), cost) in chunk.iter().zip(runs).zip(costs) {
+                let scores: Vec<f64> = objectives
+                    .iter()
+                    .map(|o| o.score(&specs[i], &run.report))
+                    .collect();
+                if let Some(store) = &self.store {
+                    // Written back: the canonical spec, the full report,
+                    // every persistable score (NaN never stored) and the
+                    // cost the miss was billed.
+                    let named: BTreeMap<String, f64> = objectives
                         .iter()
-                        .map(|o| o.score(&prepared[i], &row.report))
+                        .zip(&scores)
+                        .filter(|(_, s)| !s.is_nan())
+                        .filter_map(|(o, &s)| o.store_key().map(|key| (key, s)))
                         .collect();
-                    let cost = self.cost_of(&prepared[i]);
-                    if let Some(store) = &self.store {
-                        store_write_back(
-                            store,
-                            objectives,
-                            &prepared[i],
-                            &row.report,
-                            &scores,
-                            cost,
-                            &registry,
-                            phase,
-                        )?;
+                    let appended = store
+                        .lock()
+                        .unwrap_or_else(std::sync::PoisonError::into_inner)
+                        .put(&specs[i].to_json(), run.report.to_json(), named, cost)?;
+                    if appended {
+                        registry
+                            .counter(
+                                "edc_store_writes",
+                                "Simulated evaluations written back to the persistent store, per \
+                                 search phase.",
+                                &[("phase", phase)],
+                            )
+                            .inc();
                     }
-                    self.cache.insert(keys[i].clone(), scores);
-                    self.simulations += 1;
-                    self.cost_units += cost;
-                    miss_cost.observe(cost);
                 }
+                self.settle(&keys[i], scores, Provenance::Simulated);
+                counts[MISSES] += 1;
+                self.cost_units += cost;
+                miss_cost.observe(cost);
             }
         }
-
-        let fresh: HashSet<usize> = missing.iter().copied().collect();
-        let mut evaluations = Vec::with_capacity(prepared.len());
-        for (i, (spec, key)) in prepared.into_iter().zip(keys).enumerate() {
-            let scores = self.cache[&key].clone();
-            // A pruned candidate was never simulated: its entries are
-            // marked pruned (or bound-pruned), not cached, and don't count
-            // as cache hits.
-            let pruned = self.pruned.contains(&key);
-            let bound_pruned = self.bound_pruned_keys.contains(&key);
-            let store_hit = store_fresh.contains(&i);
-            let cached = !pruned && !bound_pruned && !store_hit && !fresh.contains(&i);
-            if cached {
-                self.cache_hits += 1;
-            }
-            self.trace.push(TraceEntry {
-                phase: phase.to_string(),
-                spec,
-                scores: scores.clone(),
-                cached,
-                pruned,
-                bound_pruned,
-                store_hit,
-            });
-            evaluations.push(Evaluation { spec, key, scores });
-        }
-        let phase_label = [("phase", phase)];
-        registry
-            .counter(
-                "edc_eval_requests",
-                "Evaluation requests, per search phase.",
-                &phase_label,
-            )
-            .inc_by(evaluations.len() as u64);
-        registry
-            .counter(
-                "edc_eval_misses",
-                "Evaluation requests that simulated (memo-cache misses), per search phase.",
-                &phase_label,
-            )
-            .inc_by(missing.len() as u64);
-        registry
-            .counter(
-                "edc_eval_cache_hits",
-                "Evaluation requests served by the memo cache, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.cache_hits - before.0);
-        registry
-            .counter(
-                "edc_eval_lint_checks",
-                "Cache misses the lint prefilter examined, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.lint_checks - before.1);
-        registry
-            .counter(
-                "edc_eval_lint_pruned",
-                "Cache misses the lint prefilter scored statically, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.lint_pruned - before.2);
-        registry
-            .counter(
-                "edc_eval_bound_checks",
-                "Cache misses branch-and-bound derived static lower bounds for, per search phase.",
-                &phase_label,
-            )
-            .inc_by(self.bound_checks - before.4);
-        registry
-            .counter(
-                "edc_eval_bound_pruned",
-                "Cache misses branch-and-bound dominance-pruned without simulating, per search \
-                 phase.",
-                &phase_label,
-            )
-            .inc_by(self.bound_pruned - before.5);
-        if self.store.is_some() {
-            registry
-                .counter(
-                    "edc_store_hits",
-                    "Memo-cache misses served by the persistent store, per search phase.",
-                    &phase_label,
-                )
-                .inc_by(store_fresh.len() as u64);
-            registry
-                .counter(
-                    "edc_store_misses",
-                    "Memo-cache misses the persistent store could not serve, per search phase.",
-                    &phase_label,
-                )
-                .inc_by(store_misses);
-        }
-        let mut span = ProfileSpan::new(phase)
-            .counter("requests", evaluations.len() as f64)
-            .counter("misses", missing.len() as f64)
-            .counter("cache_hits", (self.cache_hits - before.0) as f64)
-            .counter("lint_checks", (self.lint_checks - before.1) as f64)
-            .counter("lint_pruned", (self.lint_pruned - before.2) as f64)
-            .counter("bound_checks", (self.bound_checks - before.4) as f64)
-            .counter("bound_pruned", (self.bound_pruned - before.5) as f64)
-            .counter("cost", self.cost_units - before.3);
-        if self.store.is_some() {
-            // Appended so store-less profiles keep their exact shape.
-            span = span.counter("store_hits", store_fresh.len() as f64);
-        }
-        self.profile
-            .push(span.wall(started.elapsed().as_secs_f64()));
-        Ok(evaluations)
     }
 
     /// Number of objectives each evaluation is scored on.
@@ -722,12 +723,12 @@ impl<'a> Evaluator<'a> {
 
     /// Number of simulations actually run (cache misses).
     pub fn simulations(&self) -> u64 {
-        self.simulations
+        self.totals[MISSES] - self.totals[BOUND_PRUNED]
     }
 
     /// Number of evaluation requests served from the memo cache.
     pub fn cache_hits(&self) -> u64 {
-        self.cache_hits
+        self.totals[CACHE_HITS]
     }
 
     /// Full-fidelity-equivalent simulation cost: each run contributes
@@ -739,24 +740,25 @@ impl<'a> Evaluator<'a> {
         self.cost_units
     }
 
-    /// Number of specs the lint prefilter examined (cache misses seen
-    /// while the prefilter was enabled and every objective had a DNF
-    /// score).
+    /// Number of specs the lint prefilter examined: the cache misses the
+    /// store did not serve, counted while the prefilter was enabled and
+    /// either every objective had a DNF score or bound pruning was on
+    /// (which lets exact static brackets stand in for DNF scores).
     pub fn lint_checks(&self) -> u64 {
-        self.lint_checks
+        self.totals[LINT_CHECKS]
     }
 
     /// Number of specs the lint prefilter scored statically instead of
     /// simulating.
     pub fn lint_pruned(&self) -> u64 {
-        self.lint_pruned
+        self.totals[LINT_PRUNED]
     }
 
     /// Number of cache misses branch-and-bound examined for static lower
     /// bounds (bound pruning enabled; misses where an objective produced
     /// no bracket are still counted, they just can never be pruned).
     pub fn bound_checks(&self) -> u64 {
-        self.bound_checks
+        self.totals[BOUND_CHECKS]
     }
 
     /// Number of cache misses branch-and-bound dominance-pruned: scored
@@ -764,31 +766,19 @@ impl<'a> Evaluator<'a> {
     /// already-exact incumbent dominates even their most optimistic
     /// possible scores.
     pub fn bound_pruned(&self) -> u64 {
-        self.bound_pruned
+        self.totals[BOUND_PRUNED]
     }
 
     /// Number of memo-cache misses the persistent store served without
     /// simulating (each billed at zero cost). Always zero without
     /// [`Evaluator::with_store`].
     pub fn store_hits(&self) -> u64 {
-        self.store_hits
+        self.totals[STORE_HITS]
     }
 
     /// The recorded trace, in evaluation-request order.
     pub fn trace(&self) -> &[TraceEntry] {
         &self.trace
-    }
-
-    /// Per-phase profiling: one [`ProfileSpan`] per successful
-    /// [`Evaluator::evaluate`] call, named after its search phase, whose
-    /// counters (`requests`, `misses`, `cache_hits`, `lint_checks`,
-    /// `lint_pruned`, `bound_checks`, `bound_pruned`, `cost`) are the
-    /// call's deltas of the corresponding
-    /// totals — deterministic — while `wall_s` carries the call's real
-    /// duration, quarantined by [`ProfileReport`]. Calls that fail (budget
-    /// exhaustion, validation) record no span.
-    pub fn profile(&self) -> &ProfileReport {
-        &self.profile
     }
 
     /// Consumes the evaluator, yielding its trace.
@@ -797,51 +787,11 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Writes one simulated evaluation back to the persistent store: the
-/// canonical spec, the full report JSON, every persistable objective
-/// score (by [`Objective::store_key`]; NaN never stored), and the cost
-/// the miss was billed.
-#[allow(clippy::too_many_arguments)]
-fn store_write_back(
-    store: &StoreHandle,
-    objectives: &[Box<dyn Objective>],
-    spec: &ExperimentSpec,
-    report: &SystemReport,
-    scores: &[f64],
-    cost: f64,
-    registry: &edc_metrics::Registry,
-    phase: &str,
-) -> Result<(), ExploreError> {
-    let mut named: BTreeMap<String, f64> = BTreeMap::new();
-    for (o, s) in objectives.iter().zip(scores) {
-        if let Some(key) = o.store_key() {
-            if !s.is_nan() {
-                named.insert(key, *s);
-            }
-        }
-    }
-    let mut guard = store
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let appended = guard
-        .put(&spec.to_json(), report.to_json(), named, cost)
-        .map_err(ExploreError::Store)?;
-    if appended {
-        registry
-            .counter(
-                "edc_store_writes",
-                "Simulated evaluations written back to the persistent store, per search phase.",
-                &[("phase", phase)],
-            )
-            .inc();
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::objective::{BrownoutCount, CompletionTime, P99Outage};
+    use edc_core::json::Json;
     use edc_core::scenarios::{SourceKind, StrategyKind};
     use edc_workloads::WorkloadKind;
 
@@ -856,6 +806,31 @@ mod tests {
 
     fn objectives() -> Vec<Box<dyn Objective>> {
         vec![Box::new(CompletionTime), Box::new(BrownoutCount)]
+    }
+
+    /// Trace entry `i` as report JSON, its spec written `S` and, for a
+    /// stored or simulated entry, its measured scores written `SCORES`.
+    fn traced(eval: &Evaluator, i: usize) -> String {
+        let names: Vec<String> = eval
+            .objectives
+            .iter()
+            .map(|o| o.name().to_string())
+            .collect();
+        let entry = &eval.trace()[i];
+        let json = crate::trace_json(entry, &names).to_string();
+        let json = json.replace(&entry.spec.to_json().to_string(), "S");
+        match entry.provenance {
+            Provenance::Lint | Provenance::Bound => json,
+            _ => {
+                let scores = Json::Obj(
+                    names
+                        .into_iter()
+                        .zip(entry.scores.iter().map(|&s| Json::Num(s)))
+                        .collect(),
+                );
+                json.replace(&scores.to_string(), "SCORES")
+            }
+        }
     }
 
     #[test]
@@ -875,7 +850,49 @@ mod tests {
         assert_eq!(eval.cache_hits(), 2);
         assert_eq!(again[0].scores, first[1].scores);
         assert_eq!(eval.trace().len(), 4);
-        assert!(eval.trace()[3].cached);
+        assert_eq!(eval.trace()[3].provenance, Provenance::Memo);
+
+        // A store hit repeated inside one batch: the first request is the
+        // store's, the second the memo cache's.
+        let dir = std::env::temp_dir().join("edc-eval-unit-repeats");
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = edc_store::Store::open(&dir).expect("opens").into_handle();
+        Evaluator::new(&objectives, 1, None, Seconds(20e-6))
+            .with_store(store.clone())
+            .evaluate(vec![spec(300)], "cold")
+            .expect("evaluates");
+        let mut warm = Evaluator::new(&objectives, 1, None, Seconds(20e-6)).with_store(store);
+        warm.evaluate(vec![spec(300), spec(300)], "warm")
+            .expect("evaluates");
+        assert_eq!((warm.simulations(), warm.store_hits()), (0, 1));
+        assert_eq!(warm.cache_hits(), 1);
+        assert_eq!(
+            [traced(&warm, 0), traced(&warm, 1)],
+            [
+                r#"{"phase":"warm","spec":S,"scores":SCORES,"cached":false,"store":true}"#,
+                r#"{"phase":"warm","spec":S,"scores":SCORES,"cached":true}"#,
+            ]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // A lint-pruned key requested again in a later batch stays
+        // lint-pruned and is never a cache hit.
+        let completion: Vec<Box<dyn Objective>> = vec![Box::new(CompletionTime)];
+        let mut linted = Evaluator::new(&completion, 1, None, Seconds(20e-6)).with_prefilter(true);
+        let dark = spec(100).source(SourceKind::Dc { volts: 1.5 });
+        linted.evaluate(vec![dark, dark], "a").expect("evaluates");
+        linted.evaluate(vec![dark], "b").expect("evaluates");
+        assert_eq!((linted.simulations(), linted.lint_pruned()), (0, 1));
+        assert_eq!(linted.cache_hits(), 0);
+        let pruned = r#"{"phase":"PHASE","spec":S,"scores":{"completion_s":null},"cached":false,"pruned":true}"#;
+        assert_eq!(
+            [traced(&linted, 0), traced(&linted, 1), traced(&linted, 2)],
+            [
+                pruned.replace("PHASE", "a"),
+                pruned.replace("PHASE", "a"),
+                pruned.replace("PHASE", "b"),
+            ]
+        );
     }
 
     #[test]
@@ -925,35 +942,45 @@ mod tests {
     }
 
     #[test]
-    fn profile_records_one_span_per_call_with_delta_counters() {
+    fn metrics_record_one_counts_row_per_call() {
         let objectives = objectives();
-        let mut eval = Evaluator::new(&objectives, 2, None, Seconds(20e-6));
+        let registry = edc_metrics::Registry::new();
+        let mut eval =
+            Evaluator::new(&objectives, 2, None, Seconds(20e-6)).with_metrics(registry.clone());
         eval.evaluate(vec![spec(100), spec(200), spec(100)], "grid")
             .expect("evaluates");
         eval.evaluate(vec![spec(200)], "rung0@4x")
             .expect("evaluates");
-        let spans = eval.profile().spans();
-        assert_eq!(spans.len(), 2);
-        assert_eq!(spans[0].name, "grid");
+        let text = registry.render_text();
+        let counter = |name: &str, phase: &str| -> String {
+            let prefix = format!("{name}_total{{phase=\"{phase}\"}} ");
+            text.lines()
+                .find_map(|l| l.strip_prefix(prefix.as_str()))
+                .unwrap_or("absent")
+                .to_string()
+        };
+        let row = |phase: &str| -> Vec<String> {
+            COUNTERS
+                .iter()
+                .map(|(name, _)| counter(name, phase))
+                .collect()
+        };
+        // Store-less: the two store counters stay unregistered.
         assert_eq!(
-            spans[0].counters,
-            vec![
-                ("requests".to_string(), 3.0),
-                ("misses".to_string(), 2.0),
-                ("cache_hits".to_string(), 1.0),
-                ("lint_checks".to_string(), 0.0),
-                ("lint_pruned".to_string(), 0.0),
-                ("bound_checks".to_string(), 0.0),
-                ("bound_pruned".to_string(), 0.0),
-                ("cost".to_string(), 2.0),
-            ]
+            row("grid"),
+            ["3", "2", "1", "0", "0", "0", "0", "absent", "absent"]
         );
         // The second call is a pure cache hit: no misses, no new cost.
-        assert_eq!(spans[1].name, "rung0@4x");
-        assert_eq!(spans[1].counters[1], ("misses".to_string(), 0.0));
-        assert_eq!(spans[1].counters[2], ("cache_hits".to_string(), 1.0));
-        assert_eq!(spans[1].counters[7], ("cost".to_string(), 0.0));
-        assert!(spans.iter().all(|s| s.wall_s >= 0.0));
+        assert_eq!(
+            row("rung0@4x"),
+            ["1", "0", "1", "0", "0", "0", "0", "absent", "absent"]
+        );
+        assert!((eval.cost_units() - 2.0).abs() < 1e-12);
+        // Wall-clock is quarantined: absent from the deterministic view.
+        assert!(!text.contains("edc_eval_wall_seconds"));
+        let full = registry.render_text_full();
+        assert!(full.contains("edc_eval_wall_seconds{phase=\"grid\"}"));
+        assert!(full.contains("edc_eval_wall_seconds{phase=\"rung0@4x\"}"));
     }
 
     #[test]
@@ -979,8 +1006,20 @@ mod tests {
         assert_eq!(eval.bound_checks(), 2);
         assert_eq!(eval.bound_pruned(), 1);
         assert_eq!(evals[0].scores, vec![f64::INFINITY, 0.0]);
-        let entry = &eval.trace()[1];
-        assert!(entry.bound_pruned && !entry.cached && !entry.pruned);
+
+        // Requested again later, the key stays bound-pruned at its lower
+        // bounds and is never a cache hit.
+        eval.evaluate(vec![dark], "again").expect("evaluates");
+        assert_eq!((eval.simulations(), eval.bound_pruned()), (1, 1));
+        assert_eq!(eval.cache_hits(), 0);
+        let pruned = r#"{"phase":"PHASE","spec":S,"scores":{"completion_s":null,"brownouts":0},"cached":false,"bound_pruned":true}"#;
+        assert_eq!(
+            [traced(&eval, 1), traced(&eval, 2)],
+            [
+                pruned.replace("PHASE", "probe"),
+                pruned.replace("PHASE", "again")
+            ]
+        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod serve;
 pub mod space;
 
 pub use edc_store::{Store, StoreEntry, StoreError, StoreHandle};
-pub use evaluator::{Evaluation, Evaluator, TraceEntry};
+pub use evaluator::{Evaluation, Evaluator, Provenance, TraceEntry};
 pub use fleet::{
     FleetBrownoutShortfall, FleetCoverageShortfall, FleetEnergyPerTask, FleetNodesToCover,
     FleetTemplate,
@@ -398,7 +398,6 @@ impl Explorer {
             store: self.store.is_some(),
             store_hits: eval.store_hits(),
             front,
-            profile: eval.profile().clone(),
             trace: eval.into_trace(),
         })
     }
@@ -449,13 +448,6 @@ pub struct ExploreReport {
     pub store_hits: u64,
     /// The non-dominated designs among the searcher's final candidates.
     pub front: ParetoFront,
-    /// Per-phase profiling: one span per [`Evaluator::evaluate`] call,
-    /// with deterministic counters and quarantined wall-clock readings.
-    /// Deliberately **not** part of [`ExploreReport::to_json`] — its
-    /// deterministic half is available as `profile.counters_json()`, its
-    /// wall-clock half as `profile.timing_json()`, mirroring how
-    /// `SweepRun.timing` stays out of committed artifacts.
-    pub profile: edc_obs::ProfileReport,
     /// Every evaluation request, in order.
     pub trace: Vec<TraceEntry>,
 }
@@ -538,9 +530,10 @@ impl ExploreReport {
 }
 
 /// One trace entry as JSON (scores keyed by objective name; non-finite
-/// scores emit as `null`). The `pruned` / `bound_pruned` keys only appear
-/// on entries a static pass scored without simulating, keeping
-/// prefilter-free trace JSON unchanged.
+/// scores emit as `null`). `cached` is whether the memo cache served the
+/// request; a `pruned`, `bound_pruned` or `store` key appears only on
+/// entries with that [`Provenance`], keeping prefilter-, bound- and
+/// store-free trace JSON unchanged.
 fn trace_json(t: &TraceEntry, objectives: &[String]) -> Json {
     let mut fields = vec![
         ("phase", Json::Str(t.phase.clone())),
@@ -555,16 +548,13 @@ fn trace_json(t: &TraceEntry, objectives: &[String]) -> Json {
                     .collect(),
             ),
         ),
-        ("cached", Json::Bool(t.cached)),
+        ("cached", Json::Bool(t.provenance == Provenance::Memo)),
     ];
-    if t.pruned {
-        fields.push(("pruned", Json::Bool(true)));
-    }
-    if t.bound_pruned {
-        fields.push(("bound_pruned", Json::Bool(true)));
-    }
-    if t.store_hit {
-        fields.push(("store", Json::Bool(true)));
+    match t.provenance {
+        Provenance::Lint => fields.push(("pruned", Json::Bool(true))),
+        Provenance::Bound => fields.push(("bound_pruned", Json::Bool(true))),
+        Provenance::Store => fields.push(("store", Json::Bool(true))),
+        Provenance::Memo | Provenance::Simulated => {}
     }
     Json::obj(fields)
 }

@@ -76,7 +76,7 @@ use edc_core::json::Json;
 use edc_store::{encode_score, hex16, key_hash, parse_hex16, StoreEntry, StoreHandle};
 use edc_units::Seconds;
 
-use crate::evaluator::Evaluator;
+use crate::evaluator::{Evaluator, Provenance};
 use crate::objective::Objective;
 use crate::search::{CoordinateDescent, ExhaustiveGrid, RandomSearch, Searcher, SuccessiveHalving};
 use crate::space::SpecSpace;
@@ -320,10 +320,9 @@ impl ServeSession {
             for ((p, evaluation), entry) in unique.iter().zip(&evaluations).zip(&trace) {
                 fresh_source.insert(
                     p.key.clone(),
-                    if entry.store_hit {
-                        "store"
-                    } else {
-                        "simulated"
+                    match entry.provenance {
+                        Provenance::Store => "store",
+                        _ => "simulated",
                     },
                 );
                 self.memo.insert(

@@ -12,8 +12,9 @@ use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::core::TelemetryKind;
 use energy_driven::explore::{
     BrownoutCount, CompletionTime, EnergyPerTask, Evaluator, ExhaustiveGrid, Explorer, Objective,
-    P99Outage, SpecSpace,
+    P99Outage, SpecSpace, Store,
 };
+use energy_driven::metrics::Registry;
 use energy_driven::units::{Farads, Seconds};
 use energy_driven::workloads::WorkloadKind;
 
@@ -120,20 +121,16 @@ fn soundness_every_simulated_score_lands_inside_its_bracket() {
     assert!(exact >= 60, "only {exact} exact brackets across the pool");
 }
 
-/// Bound-pruned explore reports are part of the repo-wide determinism
-/// contract: serial == parallel == repeat, byte for byte, and the front
-/// matches a bound-free run of the same space.
-#[test]
-fn bound_pruned_reports_are_byte_identical_and_front_preserving() {
+/// 18 points: more than one bound chunk, so completed incumbents from
+/// the first chunk can dominance-prune dark designs in the second.
+fn eighteen_point_space() -> SpecSpace {
     let base = ExperimentSpec::new(
         SourceKind::Dc { volts: 3.3 },
         StrategyKind::Restart,
         WorkloadKind::BusyLoop(200),
     )
     .deadline(Seconds(0.05));
-    // 18 points: more than one bound chunk, so completed incumbents from
-    // the first chunk can dominance-prune dark designs in the second.
-    let space = SpecSpace::over(base)
+    SpecSpace::over(base)
         .sources(&[SourceKind::Dc { volts: 3.3 }, SourceKind::Dc { volts: 1.0 }])
         .strategies(&[
             StrategyKind::Restart,
@@ -144,8 +141,15 @@ fn bound_pruned_reports_are_byte_identical_and_front_preserving() {
             WorkloadKind::BusyLoop(200),
             WorkloadKind::Crc16(64),
             WorkloadKind::Endless,
-        ]);
+        ])
+}
 
+/// Bound-pruned explore reports are part of the repo-wide determinism
+/// contract: serial == parallel == repeat, byte for byte, and the front
+/// matches a bound-free run of the same space.
+#[test]
+fn bound_pruned_reports_are_byte_identical_and_front_preserving() {
+    let space = eighteen_point_space();
     let run = |bound: bool, threads: usize| {
         Explorer::new()
             .objective(CompletionTime)
@@ -209,4 +213,54 @@ fn evaluator_bound_prunes_dark_candidates_against_incumbents() {
         .expect("dark batch evaluates");
     assert_eq!(evaluator.simulations(), 1, "the dark candidate never ran");
     assert_eq!(evaluator.bound_pruned(), 1);
+}
+
+/// The evaluator's metrics exposition with every stage on: a cold
+/// prefilter + bound search over a fresh store (lint-prunes, bound-prunes,
+/// simulates and writes back), then a warm one over the same store (store
+/// hits), both into one private registry, pinned byte for byte. Among
+/// other things it pins that `edc_eval_misses` counts bound-pruned misses
+/// but not lint-pruned ones. Regenerate deliberately with
+/// `BLESS=1 cargo test --test bound`.
+#[test]
+fn cold_and_warm_bound_search_exposition_matches_the_golden_file() {
+    let dir = std::env::temp_dir().join("edc-tests-bound-exposition");
+    let _ = std::fs::remove_dir_all(&dir);
+    let registry = Registry::new();
+    // 36 points, so the 24 misses the prefilter leaves span two bound
+    // chunks and the second chunk's dark designs can be bound-pruned.
+    let space =
+        eighteen_point_space().decoupling(&[Farads::from_micro(10.0), Farads::from_micro(22.0)]);
+    let run = || {
+        Explorer::new()
+            .objective(CompletionTime)
+            .objective(BrownoutCount)
+            .prefilter(true)
+            .bound(true)
+            .threads(2)
+            .metrics(registry.clone())
+            .store(Store::open(&dir).expect("store opens").into_handle())
+            .run(&space, &ExhaustiveGrid)
+            .expect("explores")
+    };
+    let cold = run();
+    assert!(cold.lint_pruned > 0 && cold.bound_pruned > 0 && cold.evaluations > 0);
+    let warm = run();
+    assert_eq!((warm.evaluations, warm.store_hits), (0, cold.evaluations));
+    let exposed = registry.render_text();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/explore_eval.metrics.txt"
+    );
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, &exposed).expect("golden file writable");
+    }
+    let golden =
+        std::fs::read_to_string(path).expect("golden file present (BLESS=1 to regenerate)");
+    assert_eq!(
+        exposed, golden,
+        "evaluator exposition drifted from the golden file; if the change is \
+         intentional, re-bless with BLESS=1 cargo test --test bound"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
 }

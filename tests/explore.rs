@@ -15,9 +15,11 @@ use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::explore::evaluator::Evaluation;
 use energy_driven::explore::seed::sizing_seeded_decoupling_axis;
 use energy_driven::explore::{
-    dominates, BrownoutCount, CompletionTime, CoordinateDescent, ExhaustiveGrid, Explorer,
-    ParetoFront, RandomSearch, Searcher, SpecSpace, SuccessiveHalving,
+    dominates, BrownoutCount, CompletionTime, CoordinateDescent, Evaluator, ExhaustiveGrid,
+    ExploreError, Explorer, Objective, ParetoFront, Provenance, RandomSearch, Searcher, SpecSpace,
+    SuccessiveHalving,
 };
+use energy_driven::metrics::Registry;
 use energy_driven::units::{Farads, Joules, Seconds, Volts};
 use energy_driven::workloads::WorkloadKind;
 use proptest::prelude::*;
@@ -149,7 +151,7 @@ fn halving_lands_on_the_grid_front_within_quarter_budget() {
     let full_fidelity = halving
         .trace
         .iter()
-        .filter(|t| !t.cached && t.spec.timestep == fine)
+        .filter(|t| t.provenance != Provenance::Memo && t.spec.timestep == fine)
         .count();
     assert!(
         full_fidelity as f64 <= 0.25 * grid.evaluations as f64,
@@ -546,5 +548,100 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// A budget error leaves the evaluator's totals and its metrics exactly
+/// where the stages that did run left them. Without bound pruning the
+/// whole batch is rejected before anything runs, so nothing is counted or
+/// registered. With it, the batch is charged chunk by chunk: the first
+/// chunk is simulated, charged and observed in the miss-cost histogram,
+/// while the per-call request counters (published only by a successful
+/// call) stay unregistered.
+#[test]
+fn budget_errors_leave_totals_and_exposition_as_recorded() {
+    let objectives: Vec<Box<dyn Objective>> =
+        vec![Box::new(CompletionTime), Box::new(BrownoutCount)];
+    // Slowest first, so no later candidate is dominated at its lower
+    // bounds by an earlier incumbent; the last spec repeats the first.
+    let mut specs: Vec<ExperimentSpec> = (0..20u16)
+        .map(|i| {
+            ExperimentSpec::new(
+                SourceKind::Dc { volts: 3.3 },
+                StrategyKind::Restart,
+                WorkloadKind::BusyLoop(300 - i),
+            )
+            .deadline(Seconds(0.05))
+        })
+        .collect();
+    specs.push(specs[0]);
+    for bound in [false, true] {
+        let registry = Registry::new();
+        let mut eval = Evaluator::new(&objectives, 2, Some(16), Seconds(20e-6))
+            .with_bound(bound)
+            .with_metrics(registry.clone());
+        let err = eval
+            .evaluate(specs.clone(), "batch")
+            .expect_err("over budget");
+        assert_eq!(
+            err,
+            ExploreError::BudgetExhausted {
+                budget: 16,
+                needed: 20.0
+            }
+        );
+        let exposed = registry.render_text();
+        let summary = |kind: &str| -> Vec<&str> {
+            exposed
+                .lines()
+                .filter(|l| l.starts_with(kind))
+                .collect::<Vec<_>>()
+        };
+        if !bound {
+            assert_eq!(exposed, "# EOF\n");
+            assert_eq!(
+                (eval.simulations(), eval.cost_units(), eval.cache_hits()),
+                (0, 0.0, 0)
+            );
+            continue;
+        }
+        assert_eq!(
+            (eval.simulations(), eval.cost_units(), eval.cache_hits()),
+            (16, 16.0, 0)
+        );
+        assert_eq!(
+            summary("# TYPE"),
+            [
+                "# TYPE edc_eval_miss_cost_units histogram",
+                "# TYPE edc_runner_boots counter",
+                "# TYPE edc_runner_brownouts counter",
+                "# TYPE edc_runner_completions counter",
+                "# TYPE edc_runner_cycle_carry_activations counter",
+                "# TYPE edc_runner_instructions counter",
+                "# TYPE edc_runner_restores counter",
+                "# TYPE edc_runner_runs counter",
+                "# TYPE edc_runner_snapshots counter",
+                "# TYPE edc_runner_ticks counter",
+                "# TYPE edc_sweep_batch_cells histogram",
+                "# TYPE edc_sweep_batches counter",
+                "# TYPE edc_sweep_cells counter",
+            ]
+        );
+        assert_eq!(
+            summary("edc_eval"),
+            [
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"0.015625\"} 0",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"0.0625\"} 0",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"0.25\"} 0",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"1\"} 16",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"4\"} 16",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"16\"} 16",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"64\"} 16",
+                "edc_eval_miss_cost_units_bucket{phase=\"batch\",le=\"+Inf\"} 16",
+                "edc_eval_miss_cost_units_sum{phase=\"batch\"} 16",
+                "edc_eval_miss_cost_units_count{phase=\"batch\"} 16",
+            ]
+        );
+        assert_eq!(summary("edc_sweep_cells"), ["edc_sweep_cells_total 16"]);
     }
 }
