@@ -50,11 +50,11 @@ fn timing_line(label: &str, run: &SweepRun) -> String {
 fn main() {
     let path = edc_bench::artifact_path("BENCH_sweep.json");
 
-    let null_run = grid(TelemetryKind::Null).run_timed().unwrap_or_else(|e| {
+    let null_run = grid(TelemetryKind::Null).run().unwrap_or_else(|e| {
         eprintln!("baseline sweep failed to assemble: {e}");
         std::process::exit(1);
     });
-    let stats_run = grid(TelemetryKind::Stats).run_timed().unwrap_or_else(|e| {
+    let stats_run = grid(TelemetryKind::Stats).run().unwrap_or_else(|e| {
         eprintln!("telemetry sweep failed to assemble: {e}");
         std::process::exit(1);
     });

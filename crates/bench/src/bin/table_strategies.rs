@@ -31,7 +31,7 @@ fn main() {
             WorkloadKind::MatMul,      // ~16 k cycles: fits one window
         ]);
     let rows = match sweep.run() {
-        Ok(rows) => rows,
+        Ok(run) => run.rows,
         Err(e) => {
             eprintln!("sweep failed to assemble: {e}");
             std::process::exit(1);

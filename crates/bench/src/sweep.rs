@@ -24,7 +24,8 @@
 //! .deadline(Seconds(3.0));
 //! let rows = Sweep::over(base)
 //!     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-//!     .run()?;
+//!     .run()?
+//!     .rows;
 //! assert_eq!(rows.len(), 2);
 //! assert_eq!(rows[1].report.strategy, "hibernus");
 //! # Ok::<(), edc_core::experiment::BuildError>(())
@@ -40,7 +41,6 @@ use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::telemetry::{stats_json, TelemetryReport};
 use edc_core::SystemReport;
-use edc_obs::{ProfileReport, ProfileSpan};
 use edc_telemetry::StatsSink;
 use edc_workloads::WorkloadKind;
 
@@ -159,23 +159,15 @@ impl Sweep {
         specs
     }
 
-    /// Runs every grid point, fanning out across scoped worker threads.
+    /// Runs every grid point, fanning out across scoped worker threads,
+    /// and measures wall-clock time (total and per cell) for `BENCH`
+    /// artifacts.
     ///
     /// # Errors
     ///
     /// Returns the first (by grid order) [`BuildError`]; rows are only
     /// returned when the entire grid assembled and ran.
-    pub fn run(&self) -> Result<Vec<SweepRow>, BuildError> {
-        Ok(self.run_timed()?.rows)
-    }
-
-    /// Like [`Sweep::run`], but also measures wall-clock time (total and
-    /// per cell) for `BENCH` artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by grid order) [`BuildError`].
-    pub fn run_timed(&self) -> Result<SweepRun, BuildError> {
+    pub fn run(&self) -> Result<SweepRun, BuildError> {
         let threads = self
             .threads
             .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
@@ -312,7 +304,7 @@ impl SweepRun {
     /// .deadline(Seconds(1.0));
     /// let run = Sweep::over(base)
     ///     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-    ///     .run_timed()?;
+    ///     .run()?;
     ///
     /// let store = Store::open(&dir)?.into_handle();
     /// let registry = edc_metrics::Registry::new();
@@ -352,75 +344,21 @@ impl SweepRun {
         }
         Ok(appended)
     }
-
-    /// The sweep as a per-cell [`ProfileReport`]: one span per grid row,
-    /// named `cell{index}/{label}`, carrying deterministic run counters
-    /// (boots, brownouts, snapshots, restores, retired cycles) and the
-    /// cell's quarantined wall-clock reading.
-    pub fn profile(&self) -> ProfileReport {
-        let mut profile = ProfileReport::new();
-        for (row, &wall_s) in self.rows.iter().zip(&self.timing.per_cell_s) {
-            let s = &row.report.stats;
-            profile.push(
-                ProfileSpan::new(format!("cell{}/{}", row.index, row.spec.label()))
-                    .counter("boots", s.boots as f64)
-                    .counter("brownouts", s.brownouts as f64)
-                    .counter("snapshots", s.snapshots as f64)
-                    .counter("restores", s.restores as f64)
-                    .counter("cycles", s.cycles as f64)
-                    .wall(wall_s),
-            );
-        }
-        profile
-    }
 }
 
 /// Runs an explicit spec list (one worker per thread, rows claimed by
-/// index) and returns rows in input order.
+/// index) and returns rows in input order, with wall-clock time per cell
+/// and for the whole grid. Every worker resolves [`SourceKind::Trace`]
+/// entries through the same shared `catalog`. Metrics go to the
+/// process-wide [`edc_metrics::global`] registry; see
+/// [`run_specs_timed_metered`] for an explicit one.
 ///
 /// # Errors
 ///
 /// Returns the first (by input order) [`BuildError`]. Validation is pure
-/// and cheap, so the whole grid is checked before any simulation starts —
-/// a doomed sweep fails immediately instead of after minutes of wasted
-/// runs.
-pub fn run_specs(specs: Vec<ExperimentSpec>, threads: usize) -> Result<Vec<SweepRow>, BuildError> {
-    Ok(run_specs_timed(specs, threads)?.rows)
-}
-
-/// Like [`run_specs`], resolving trace-backed sources through `catalog`
-/// (shared read-only across the workers).
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`].
-pub fn run_specs_in(
-    specs: Vec<ExperimentSpec>,
-    threads: usize,
-    catalog: &TraceCatalog,
-) -> Result<Vec<SweepRow>, BuildError> {
-    Ok(run_specs_timed_in(specs, threads, catalog)?.rows)
-}
-
-/// Like [`run_specs`], but also measures wall-clock time per cell and for
-/// the whole grid.
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated before any simulation starts.
-pub fn run_specs_timed(specs: Vec<ExperimentSpec>, threads: usize) -> Result<SweepRun, BuildError> {
-    run_specs_timed_in(specs, threads, &TraceCatalog::new())
-}
-
-/// The catalog-threaded primitive under [`run_specs_timed`]: every worker
-/// resolves [`SourceKind::Trace`] entries through the same shared
-/// `catalog`.
-///
-/// # Errors
-///
-/// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated (catalog resolution included) before any simulation starts.
+/// and cheap, so the whole grid (catalog resolution included) is checked
+/// before any simulation starts — a doomed sweep fails immediately
+/// instead of after minutes of wasted runs.
 pub fn run_specs_timed_in(
     specs: Vec<ExperimentSpec>,
     threads: usize,
@@ -618,15 +556,16 @@ mod tests {
         let sweep = Sweep::over(small_base())
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
             .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)]);
-        let parallel = sweep.clone().threads(4).run().expect("sweep runs");
-        let serial = sweep.threads(1).run().expect("sweep runs");
+        let parallel = sweep.clone().threads(4).run().expect("sweep runs").rows;
+        let serial = sweep.threads(1).run().expect("sweep runs").rows;
         assert_eq!(render_json(&parallel), render_json(&serial));
         let again = Sweep::over(small_base())
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
             .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)])
             .threads(3)
             .run()
-            .expect("sweep runs");
+            .expect("sweep runs")
+            .rows;
         assert_eq!(render_json(&parallel), render_json(&again));
     }
 
@@ -652,7 +591,7 @@ mod tests {
     fn timed_run_measures_every_cell() {
         let run = Sweep::over(small_base())
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
+            .run()
             .expect("sweep runs");
         assert_eq!(run.timing.per_cell_s.len(), run.rows.len());
         assert!(run.timing.per_cell_s.iter().all(|&s| s > 0.0));
@@ -663,32 +602,11 @@ mod tests {
     }
 
     #[test]
-    fn sweep_profile_has_one_span_per_cell_with_deterministic_counters() {
-        let run = || {
-            Sweep::over(small_base())
-                .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-                .run_timed()
-                .expect("sweep runs")
-        };
-        let a = run();
-        let profile = a.profile();
-        assert_eq!(profile.spans().len(), a.rows.len());
-        assert!(profile.spans()[0].name.starts_with("cell0/"));
-        assert!(profile.spans().iter().all(|s| s.wall_s > 0.0));
-        // Counters are a pure function of the grid; wall-clock is not.
-        let b = run();
-        assert_eq!(
-            profile.counters_json().to_string(),
-            b.profile().counters_json().to_string()
-        );
-    }
-
-    #[test]
     fn stats_telemetry_aggregates_across_cells() {
         use edc_core::TelemetryKind;
         let run = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
+            .run()
             .expect("sweep runs");
         let merged = run.aggregate_stats().expect("stats cells present");
         let per_cell: u64 = run
@@ -707,7 +625,7 @@ mod tests {
         assert!(!telemetry.contains("per_cell_s"));
         let again = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run_timed()
+            .run()
             .expect("sweep runs");
         assert_eq!(telemetry, again.telemetry_json().to_string());
     }
@@ -725,7 +643,8 @@ mod tests {
         let rows = Sweep::over(small_base())
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
             .run()
-            .expect("sweep runs");
+            .expect("sweep runs")
+            .rows;
         let text = render_text(&rows);
         assert!(text.contains("restart") && text.contains("hibernus"));
         let json = render_json(&rows);

@@ -182,8 +182,8 @@ impl FieldSpec {
     /// traces into `catalog` on the way (idempotent: re-registering the
     /// same name-and-samples pair recalls the existing id). This is what
     /// lets trace-backed fleets expand into ordinary per-node
-    /// [`SourceKind::FieldView`] specs and run through the same
-    /// `run_specs` path as synthetic envelopes.
+    /// [`SourceKind::FieldView`] specs and run through the same sweep
+    /// engine path as synthetic envelopes.
     ///
     /// # Errors
     ///

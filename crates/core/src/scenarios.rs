@@ -135,7 +135,7 @@ pub enum SourceKind {
     /// [`TraceCatalog`]: the spec names the
     /// recording by its `Copy` [`TraceId`] handle (interned name + content
     /// hash) and build-time consumers resolve the samples through the
-    /// catalog threaded into `build_in`/`run_specs_in`. Absent from
+    /// catalog threaded into `build_in`/`run_specs_timed_in`. Absent from
     /// [`SourceKind::ALL`] because traces have no canonical parameters —
     /// a catalog supplies them.
     Trace {
@@ -242,9 +242,9 @@ impl SourceKind {
     }
 
     /// [`SourceKind::validate`], plus resolution of trace handles against
-    /// the build catalog — the check `build_in`/`run_specs_in` gate on, so
-    /// a spec naming a trace the catalog does not hold fails as a value,
-    /// never a panic.
+    /// the build catalog — the check `build_in`/`run_specs_timed_in` gate
+    /// on, so a spec naming a trace the catalog does not hold fails as a
+    /// value, never a panic.
     ///
     /// # Errors
     ///

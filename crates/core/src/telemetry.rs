@@ -6,8 +6,8 @@
 //! [`crate::json`] can serialise with deterministic field order.
 
 use edc_telemetry::{
-    Event, GaugeSample, Histogram, PhaseChange, Record, RingBuffer, Sink, StatsSink, Summary,
-    TelemetryKind, TimelineSink,
+    Event, GaugeSample, Histogram, PhaseChange, Record, RingBuffer, Sink, StatsSink, TelemetryKind,
+    TimelineSink,
 };
 
 use crate::json::Json;
@@ -133,20 +133,6 @@ fn record_json(r: &Record) -> Json {
         pairs.push(("cost_j", Json::Num(cost.0)));
     }
     Json::obj(pairs)
-}
-
-/// A histogram summary as JSON.
-pub fn summary_json(s: &Summary) -> Json {
-    Json::obj(vec![
-        ("count", Json::Uint(s.count)),
-        ("min", Json::Num(s.min)),
-        ("max", Json::Num(s.max)),
-        ("mean", Json::Num(s.mean)),
-        ("p50", Json::Num(s.p50)),
-        ("p90", Json::Num(s.p90)),
-        ("p99", Json::Num(s.p99)),
-        ("p999", Json::Num(s.p999)),
-    ])
 }
 
 /// A [`Histogram`]'s summary *plus* its explicit cumulative `le` buckets

@@ -22,6 +22,10 @@
 //! committed cold `BENCH_explore.json` — a warm store must change the
 //! budget, never the result.
 
+#[path = "common/store.rs"]
+mod store;
+
+use std::path::Path;
 use std::time::Instant;
 
 use edc_bench::{banner, TextTable};
@@ -93,13 +97,7 @@ fn main() {
         .objective(CompletionTime)
         .objective(EnergyPerTask);
     if let Some(dir) = &args.store {
-        match edc_explore::Store::open(dir) {
-            Ok(store) => explorer = explorer.store(store.into_handle()),
-            Err(e) => {
-                eprintln!("cannot open store at {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
+        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
     }
 
     let started = Instant::now();

@@ -27,78 +27,23 @@
 //! stored score needs no static analysis), so the prune-count and
 //! cost-strictness assertions only apply to store-less runs.
 
+#[path = "common/recordings.rs"]
+mod recordings;
+#[path = "common/space224.rs"]
+mod space224;
+#[path = "common/store.rs"]
+mod store;
+
+use std::path::Path;
 use std::time::Instant;
 
 use edc_bench::banner;
-use edc_core::catalog::TraceCatalog;
-use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
-use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_explore::seed::sizing_seeded_decoupling_axis;
-use edc_explore::{lint_space, CompletionTime, EnergyPerTask, ExhaustiveGrid, Explorer, SpecSpace};
+use edc_explore::{lint_space, CompletionTime, EnergyPerTask, ExhaustiveGrid, Explorer};
 use edc_lint::Linter;
-use edc_units::{Joules, Seconds, Volts};
-use edc_workloads::WorkloadKind;
 
-/// The same two synthetic "recordings" as `bench_trace` (see that binary
-/// for provenance): a rectified mains cycle and a bursty office profile.
-fn catalog() -> TraceCatalog {
-    let mut catalog = TraceCatalog::new();
-    let mains: Vec<(f64, f64)> = (0..20)
-        .map(|i| {
-            let phase = (i as f64 / 20.0) * std::f64::consts::TAU;
-            (i as f64 * 1e-3, 8e-3 * phase.sin().max(0.0))
-        })
-        .collect();
-    catalog
-        .register("mains-cycle", mains)
-        .expect("valid recording");
-    let bursty: Vec<(f64, f64)> = (0..16)
-        .map(|i| (i as f64 * 2e-3, if i % 4 < 2 { 6e-3 } else { 0.5e-3 }))
-        .collect();
-    catalog
-        .register("bursty-office", bursty)
-        .expect("valid recording");
-    catalog
-}
-
-/// `bench_trace`'s space, extended along two axes with statically
-/// infeasible designs: non-looped trace playback (the 19 ms mains
-/// recording ends on a 0 W sample held for the remaining ~4 s → `E004`)
-/// and the `endless` workload (→ `E005`). (2 recordings × 2 decimations ×
-/// 2 loop modes) × 2 workloads × 7 strategies × 2 capacitances = 224
-/// designs, a large fraction of them provably dead weight.
-fn space(catalog: &TraceCatalog) -> SpecSpace {
-    let sources: Vec<SourceKind> = catalog
-        .ids()
-        .into_iter()
-        .flat_map(|id| {
-            [1u64, 4].into_iter().flat_map(move |decimate| {
-                [true, false]
-                    .into_iter()
-                    .map(move |looped| SourceKind::Trace {
-                        id,
-                        decimate,
-                        looped,
-                    })
-            })
-        })
-        .collect();
-    let decoupling =
-        sizing_seeded_decoupling_axis(Joules::from_micro(5.0), Volts(2.0), Volts(3.6), 0.1, 8.0, 2)
-            .expect("canonical rails are valid");
-    let base = ExperimentSpec::new(
-        sources[0],
-        StrategyKind::Hibernus,
-        WorkloadKind::Fourier(256),
-    )
-    .deadline(Seconds(4.0));
-    SpecSpace::over(base)
-        .sources(&sources)
-        .workloads(&[WorkloadKind::Fourier(256), WorkloadKind::Endless])
-        .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
-}
+use recordings::catalog;
+use space224::space;
 
 fn main() {
     let args = edc_bench::bench_args("BENCH_lint.json");
@@ -115,13 +60,7 @@ fn main() {
         .objective(EnergyPerTask)
         .catalog(catalog.clone());
     if let Some(dir) = &args.store {
-        match edc_explore::Store::open(dir) {
-            Ok(store) => explorer = explorer.store(store.into_handle()),
-            Err(e) => {
-                eprintln!("cannot open store at {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
+        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
     }
 
     let started = Instant::now();

@@ -18,8 +18,9 @@
 //! Output path override: `bench_obs <path>` (default `BENCH_obs.json` in
 //! the working directory).
 
-use edc_bench::sweep::{run_specs_timed, SweepRow};
+use edc_bench::sweep::{run_specs_timed_in, SweepRow};
 use edc_bench::{banner, TextTable};
+use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
@@ -65,7 +66,7 @@ fn run_variant(
     let mut rows = None;
     for _ in 0..reps {
         let batch: Vec<ExperimentSpec> = specs.iter().map(|s| s.telemetry(telemetry)).collect();
-        let run = run_specs_timed(batch, threads).unwrap_or_else(|e| {
+        let run = run_specs_timed_in(batch, threads, &TraceCatalog::new()).unwrap_or_else(|e| {
             eprintln!("sweep failed: {e}");
             std::process::exit(1);
         });

@@ -25,89 +25,27 @@
 //! Store directories live under the system temp dir and are rebuilt from
 //! scratch on every run.
 
+#[path = "common/recordings.rs"]
+mod recordings;
+#[path = "common/space224.rs"]
+mod space224;
+#[path = "common/store.rs"]
+mod store;
+
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use edc_bench::banner;
 use edc_core::catalog::TraceCatalog;
-use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
-use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::{
     CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, SpecSpace, Store,
     StoreHandle,
 };
-use edc_units::{Joules, Seconds, Volts};
-use edc_workloads::WorkloadKind;
 
-/// The same two synthetic "recordings" as `bench_lint` (see `bench_trace`
-/// for provenance): a rectified mains cycle and a bursty office profile.
-fn catalog() -> TraceCatalog {
-    let mut catalog = TraceCatalog::new();
-    let mains: Vec<(f64, f64)> = (0..20)
-        .map(|i| {
-            let phase = (i as f64 / 20.0) * std::f64::consts::TAU;
-            (i as f64 * 1e-3, 8e-3 * phase.sin().max(0.0))
-        })
-        .collect();
-    catalog
-        .register("mains-cycle", mains)
-        .expect("valid recording");
-    let bursty: Vec<(f64, f64)> = (0..16)
-        .map(|i| (i as f64 * 2e-3, if i % 4 < 2 { 6e-3 } else { 0.5e-3 }))
-        .collect();
-    catalog
-        .register("bursty-office", bursty)
-        .expect("valid recording");
-    catalog
-}
-
-/// `bench_lint`'s 224-design space, byte for byte: (2 recordings × 2
-/// decimations × 2 loop modes) × 2 workloads × 7 strategies × 2
-/// capacitances.
-fn space(catalog: &TraceCatalog) -> SpecSpace {
-    let sources: Vec<SourceKind> = catalog
-        .ids()
-        .into_iter()
-        .flat_map(|id| {
-            [1u64, 4].into_iter().flat_map(move |decimate| {
-                [true, false]
-                    .into_iter()
-                    .map(move |looped| SourceKind::Trace {
-                        id,
-                        decimate,
-                        looped,
-                    })
-            })
-        })
-        .collect();
-    let decoupling =
-        sizing_seeded_decoupling_axis(Joules::from_micro(5.0), Volts(2.0), Volts(3.6), 0.1, 8.0, 2)
-            .expect("canonical rails are valid");
-    let base = ExperimentSpec::new(
-        sources[0],
-        StrategyKind::Hibernus,
-        WorkloadKind::Fourier(256),
-    )
-    .deadline(Seconds(4.0));
-    SpecSpace::over(base)
-        .sources(&sources)
-        .workloads(&[WorkloadKind::Fourier(256), WorkloadKind::Endless])
-        .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
-}
-
-fn open_handle(dir: &Path) -> StoreHandle {
-    match Store::open(dir) {
-        Ok(store) => store.into_handle(),
-        Err(e) => {
-            eprintln!("cannot open store at {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
-}
+use recordings::catalog;
+use space224::space;
 
 /// One exhaustive grid over the space, backed by `store`.
 fn run(catalog: &TraceCatalog, space: &SpecSpace, store: StoreHandle) -> (ExploreReport, f64) {
@@ -177,7 +115,7 @@ fn main() {
     let designs = space.len() as u64;
 
     // Cold: a fresh store simulates everything and writes it all back.
-    let (cold, cold_s) = run(&catalog, &space, open_handle(&dir_a));
+    let (cold, cold_s) = run(&catalog, &space, store::open_or_exit(&dir_a));
     if (cold.evaluations, cold.store_hits) != (designs, 0) {
         fail("cold run must simulate every design with zero store hits");
     }
@@ -185,7 +123,7 @@ fn main() {
     // Fully warm: reopen the store from disk — zero simulations, same
     // front. This is the tentpole claim: persistence replaces simulation
     // without perturbing the result.
-    let (warm, warm_s) = run(&catalog, &space, open_handle(&dir_a));
+    let (warm, warm_s) = run(&catalog, &space, store::open_or_exit(&dir_a));
     if (warm.evaluations, warm.store_hits) != (0, designs) {
         fail("fully-warm run must hit the store for every design and simulate nothing");
     }
@@ -224,7 +162,7 @@ fn main() {
         }
         seeded
     };
-    let (half, half_s) = run(&catalog, &space, open_handle(&dir_b));
+    let (half, half_s) = run(&catalog, &space, store::open_or_exit(&dir_b));
     if (half.evaluations, half.store_hits) != (designs - seeded, seeded) {
         fail("half-warm run must simulate exactly the unseeded half");
     }
@@ -234,7 +172,7 @@ fn main() {
 
     // Independent rebuild: a third store built from scratch, in whatever
     // order the parallel evaluator writes back.
-    let (rebuild, rebuild_s) = run(&catalog, &space, open_handle(&dir_c));
+    let (rebuild, rebuild_s) = run(&catalog, &space, store::open_or_exit(&dir_c));
     if (rebuild.evaluations, rebuild.store_hits) != (designs, 0) {
         fail("rebuild run must simulate every design with zero store hits");
     }

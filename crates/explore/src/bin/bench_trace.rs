@@ -23,6 +23,12 @@
 //! cold `BENCH_trace.json` — a warm store must change the budget, never
 //! the result.
 
+#[path = "common/recordings.rs"]
+mod recordings;
+#[path = "common/store.rs"]
+mod store;
+
+use std::path::Path;
 use std::time::Instant;
 
 use edc_bench::{banner, TextTable};
@@ -38,32 +44,7 @@ use edc_explore::{
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
-/// The two deterministic synthetic "recordings". Offline stand-ins for
-/// the paper's published traces (DOI 10.5258/SOTON/404058), generated
-/// rather than downloaded, so the artifact stays reproducible.
-fn catalog() -> TraceCatalog {
-    let mut catalog = TraceCatalog::new();
-    // One rectified mains cycle of harvested power, 1 ms sampling.
-    let mains: Vec<(f64, f64)> = (0..20)
-        .map(|i| {
-            let phase = (i as f64 / 20.0) * std::f64::consts::TAU;
-            (i as f64 * 1e-3, 8e-3 * phase.sin().max(0.0))
-        })
-        .collect();
-    catalog
-        .register("mains-cycle", mains)
-        .expect("valid recording");
-    // A bursty office profile: strong bursts with weak troughs, 2 ms
-    // sampling — the duty pattern that separates eager from lazy
-    // checkpoint strategies.
-    let bursty: Vec<(f64, f64)> = (0..16)
-        .map(|i| (i as f64 * 2e-3, if i % 4 < 2 { 6e-3 } else { 0.5e-3 }))
-        .collect();
-    catalog
-        .register("bursty-office", bursty)
-        .expect("valid recording");
-    catalog
-}
+use recordings::catalog;
 
 /// The benchmark space: (2 recordings × 2 decimation levels) × all 7
 /// strategies × 2 sizing-seeded capacitances = 56 designs.
@@ -146,13 +127,7 @@ fn main() {
         .objective(EnergyPerTask)
         .catalog(catalog.clone());
     if let Some(dir) = &args.store {
-        match edc_explore::Store::open(dir) {
-            Ok(store) => explorer = explorer.store(store.into_handle()),
-            Err(e) => {
-                eprintln!("cannot open store at {dir}: {e}");
-                std::process::exit(1);
-            }
-        }
+        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
     }
 
     let started = Instant::now();

@@ -138,7 +138,7 @@ const COUNTERS: [(&str, &str); 9] = [
     ),
     (
         "edc_eval_misses",
-        "Evaluation requests that simulated (memo-cache misses), per search phase.",
+        "Cache misses left after the store and lint stages (bound-pruned or simulated), per search phase.",
     ),
     (
         "edc_eval_cache_hits",

@@ -78,7 +78,6 @@ use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::json::Json;
 use edc_core::telemetry::{stats_json, TelemetryReport};
 use edc_core::SystemReport;
-use edc_obs::ProfileReport;
 use edc_telemetry::StatsSink;
 
 pub use edc_core::fleet::{FieldSpec, Placement};
@@ -161,22 +160,6 @@ impl Fleet {
     /// Returns the first violated constraint of the spec; once validation
     /// passes, per-node assembly cannot fail.
     pub fn run(&self) -> Result<FleetReport, FleetError> {
-        Ok(self.run_profiled()?.0)
-    }
-
-    /// Like [`Fleet::run`], additionally yielding a wall-clock profile:
-    /// one [`ProfileSpan`](edc_obs::ProfileSpan) per *simulated* node (via
-    /// [`SweepRun::profile`](edc_bench::sweep::SweepRun::profile)) — with
-    /// [`Fleet::dedup`] on, nodes served by cloning an identical bucket's
-    /// report record no span. Span counters are deterministic lifecycle
-    /// counts; `wall_s` is that node's real simulation time — quarantined
-    /// from the [`FleetReport`], which stays byte-stable.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated constraint of the spec; once validation
-    /// passes, per-node assembly cannot fail.
-    pub fn run_profiled(&self) -> Result<(FleetReport, ProfileReport), FleetError> {
         self.spec.validate()?;
         let threads = self
             .threads
@@ -233,7 +216,6 @@ impl Fleet {
             .inc_by((assignment.len() - unique.len()) as u64);
         let run = run_specs_timed_metered(unique, threads, &catalog, &registry)
             .map_err(FleetError::Design)?;
-        let profile = run.profile();
         let bucket_reports: Vec<SystemReport> =
             run.rows.into_iter().map(|row| row.report).collect();
         let nodes: Vec<SystemReport> = assignment
@@ -241,14 +223,11 @@ impl Fleet {
             .map(|bucket| bucket_reports[bucket].clone())
             .collect();
         let metrics = FleetMetrics::from_reports(&self.spec, &nodes);
-        Ok((
-            FleetReport {
-                spec: self.spec.clone(),
-                nodes,
-                metrics,
-            },
-            profile,
-        ))
+        Ok(FleetReport {
+            spec: self.spec.clone(),
+            nodes,
+            metrics,
+        })
     }
 
     /// Statically lints the fleet without deploying it: collect-all spec
@@ -424,15 +403,6 @@ impl FleetReport {
     }
 }
 
-/// Convenience: runs `spec` with default parallelism.
-///
-/// # Errors
-///
-/// Returns the first violated constraint of the spec.
-pub fn run_fleet(spec: FleetSpec) -> Result<FleetReport, FleetError> {
-    Fleet::new(spec).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -525,28 +495,6 @@ mod tests {
     }
 
     #[test]
-    fn run_profiled_yields_one_span_per_node_and_the_same_report() {
-        let fleet = Fleet::new(envelope_spec(3)).threads(2);
-        let (report, profile) = fleet.run_profiled().expect("runs");
-        assert_eq!(profile.spans().len(), 3);
-        assert!(profile.spans().iter().all(|s| s.wall_s > 0.0));
-        // The profile is quarantined: the report itself is byte-stable.
-        let plain = fleet.run().expect("runs");
-        assert_eq!(
-            report.to_json().to_string(),
-            plain.to_json().to_string(),
-            "profiling never perturbs the deterministic report"
-        );
-        let boots = profile.spans()[0]
-            .counters
-            .iter()
-            .find(|(k, _)| k == "boots")
-            .expect("boots counter")
-            .1;
-        assert_eq!(boots, report.nodes[0].stats.boots as f64);
-    }
-
-    #[test]
     fn bucket_dedup_simulates_once_and_preserves_the_report() {
         // No placement gradient and no stagger: all 3 node specs are
         // byte-identical, so dedup collapses them to one simulation.
@@ -559,15 +507,17 @@ mod tests {
         let fleet = Fleet::new(spec.clone())
             .threads(2)
             .metrics(registry.clone());
-        let (deduped, profile) = fleet.run_profiled().expect("runs");
-        assert_eq!(profile.spans().len(), 1, "one bucket simulated");
+        let deduped = fleet.run().expect("runs");
         let text = registry.render_text();
         assert!(
             text.contains("edc_fleet_bucket_dedup_hits_total 2"),
             "{text}"
         );
         assert!(text.contains("edc_fleet_nodes_total 3"), "{text}");
-        assert!(text.contains("edc_sweep_cells_total 1"), "{text}");
+        assert!(
+            text.contains("edc_sweep_cells_total 1\n"),
+            "one bucket simulated: {text}"
+        );
         let plain = Fleet::new(spec)
             .threads(2)
             .dedup(false)
@@ -584,11 +534,16 @@ mod tests {
     fn distinct_placements_never_dedup() {
         let registry = edc_metrics::Registry::new();
         let fleet = Fleet::new(envelope_spec(3)).metrics(registry.clone());
-        let (_, profile) = fleet.run_profiled().expect("runs");
-        assert_eq!(profile.spans().len(), 3, "all buckets distinct");
-        assert!(registry
-            .render_text()
-            .contains("edc_fleet_bucket_dedup_hits_total 0"));
+        fleet.run().expect("runs");
+        let text = registry.render_text();
+        assert!(
+            text.contains("edc_sweep_cells_total 3\n"),
+            "all buckets distinct: {text}"
+        );
+        assert!(
+            text.contains("edc_fleet_bucket_dedup_hits_total 0"),
+            "{text}"
+        );
     }
 
     #[test]

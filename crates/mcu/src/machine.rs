@@ -1023,11 +1023,6 @@ impl Mcu {
         }
     }
 
-    /// Wall-clock time of `cycles` at the current clock.
-    pub fn cycles_to_time(&self, cycles: u64) -> Seconds {
-        Seconds(cycles as f64 / self.clock.frequency().0)
-    }
-
     /// Cycle budget available in `dt` at the current clock.
     pub fn cycles_in(&self, dt: Seconds) -> u64 {
         (self.clock.frequency().0 * dt.0) as u64

@@ -1,20 +1,12 @@
-//! `edc-obs`: observability for runs and searches.
+//! `edc-obs`: Perfetto timeline export of runs.
 //!
-//! Two layers, both byte-deterministic where it matters:
-//!
-//! - [`perfetto`] maps a run's retained
-//!   [`TimelineSink`](edc_telemetry::TimelineSink) streams onto
-//!   Perfetto/Chrome trace-event JSON — one track per run (or fleet
-//!   node), lifecycle phases as duration slices, events as instants, and
-//!   stored-energy/supply-power counter tracks. Everything is stamped in
-//!   *simulation* time, so the export is a pure function of the run and
-//!   byte-identical across repeats.
-//! - [`profile`] carries wall-clock profiles of the search stack
-//!   (evaluator, searchers, sweeps, fleets) as a [`ProfileReport`]: the
-//!   *counters* section (cache hits, prune counts, billed cost) is
-//!   deterministic, while wall-clock readings live in a quarantined
-//!   *timing* section — the same split `SweepRun.timing` uses — so
-//!   committed artifacts stay byte-stable.
+//! [`perfetto`] maps a run's retained
+//! [`TimelineSink`](edc_telemetry::TimelineSink) streams onto
+//! Perfetto/Chrome trace-event JSON — one track per run (or fleet node),
+//! lifecycle phases as duration slices, events as instants, and
+//! stored-energy/supply-power counter tracks. Everything is stamped in
+//! *simulation* time, so the export is a pure function of the run and
+//! byte-identical across repeats.
 //!
 //! # Examples
 //!
@@ -39,7 +31,5 @@
 #![warn(missing_docs)]
 
 pub mod perfetto;
-pub mod profile;
 
 pub use perfetto::PerfettoTrace;
-pub use profile::{ProfileReport, ProfileSpan};

@@ -135,12 +135,6 @@ impl SupplyNode {
         self.energy_clamped
     }
 
-    /// Forces the rail voltage (used by tests and by scenario setup).
-    pub fn set_voltage(&mut self, v: Volts) {
-        assert!(v.0 >= 0.0, "rail voltage must be ≥ 0");
-        self.voltage = v;
-    }
-
     /// Advances the node by `dt` with the given source and load currents.
     ///
     /// Currents are clamped to physical behaviour: the rail voltage can never

@@ -2,7 +2,8 @@
 //! are values not panics, parallel sweeps are deterministic and match
 //! serial execution, and reports round-trip through JSON.
 
-use edc_bench::sweep::{render_json, render_text, run_specs, Sweep};
+use edc_bench::sweep::{render_json, render_text, run_specs_timed_in, Sweep};
+use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::{BuildError, Experiment, ExperimentSpec};
 use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
@@ -112,9 +113,11 @@ fn full_strategy_sweep_is_deterministic_and_matches_serial() {
         .strategies(&StrategyKind::ALL)
         .workloads(&[WorkloadKind::Crc16(256), WorkloadKind::MatMul]);
 
-    let parallel_a = sweep.clone().run().expect("grid assembles");
-    let parallel_b = sweep.clone().threads(5).run().expect("grid assembles");
-    let serial = run_specs(sweep.specs(), 1).expect("grid assembles");
+    let parallel_a = sweep.clone().run().expect("grid assembles").rows;
+    let parallel_b = sweep.clone().threads(5).run().expect("grid assembles").rows;
+    let serial = run_specs_timed_in(sweep.specs(), 1, &TraceCatalog::new())
+        .expect("grid assembles")
+        .rows;
 
     assert_eq!(parallel_a.len(), StrategyKind::ALL.len() * 2);
     let json_a = render_json(&parallel_a);

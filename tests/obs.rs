@@ -111,6 +111,7 @@ fn sweep_cells() -> &'static Vec<StatsSink> {
         sweep
             .run()
             .expect("sweep runs")
+            .rows
             .into_iter()
             .map(|row| match row.report.telemetry {
                 Some(TelemetryReport::Stats(s)) => *s,

@@ -2,16 +2,19 @@
 //! (`edc_serve` / [`ServeSession`]): in-flight deduplication — the
 //! acceptance criterion of the serving loop — and the committed golden
 //! request/response transcript, replayed through the library exactly as
-//! CI replays it through the binary.
+//! CI replays it through the binary — and property tests that hostile
+//! lines never panic the parser or the session.
 
 use std::path::PathBuf;
 
 use energy_driven::core::experiment::ExperimentSpec;
+use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::explore::{ServeSession, Store};
 use energy_driven::metrics::Registry;
 use energy_driven::units::Seconds;
 use energy_driven::workloads::WorkloadKind;
+use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("edc-tests-serve-{tag}"));
@@ -75,4 +78,56 @@ fn the_committed_golden_transcript_replays_byte_identically() {
         .metrics(Registry::new())
         .store(store);
     assert_eq!(session.serve_text(&requests), expected);
+}
+
+/// One hostile request line, chosen by `kind`: random bytes (decoded
+/// lossily), a strict prefix of a golden request line, or `[` nested up
+/// to 100 000 deep. No kind yields a valid request, so none simulates.
+fn hostile_line(kind: u8, pick: u64, bytes: &[u8]) -> String {
+    match kind {
+        0 => String::from_utf8_lossy(bytes).into_owned(),
+        1 => {
+            let requests = golden("serve_requests.txt");
+            let lines: Vec<&str> = requests.lines().filter(|l| !l.is_empty()).collect();
+            let line = lines[(pick % lines.len() as u64) as usize];
+            line[..(pick >> 32) as usize % line.len()].to_string()
+        }
+        _ => "[".repeat(1 + (pick % 100_000) as usize),
+    }
+}
+
+proptest! {
+    #[test]
+    fn json_parse_never_panics_on_hostile_lines(
+        kind in 0u8..3,
+        pick in proptest::num::u64::ANY,
+        bytes in proptest::collection::vec(proptest::num::u8::ANY, 0..96),
+    ) {
+        let line = hostile_line(kind, pick, &bytes);
+        let parsed = Json::parse(&line);
+        if kind != 0 {
+            prop_assert!(parsed.is_err(), "{line:?} parsed");
+        }
+    }
+
+    #[test]
+    fn serve_text_answers_each_hostile_line_once(
+        picks in proptest::collection::vec(
+            (0u8..3, proptest::num::u64::ANY, proptest::collection::vec(proptest::num::u8::ANY, 0..96)),
+            1..10,
+        ),
+    ) {
+        let script: Vec<String> = picks
+            .iter()
+            .map(|(kind, pick, bytes)| hostile_line(*kind, *pick, bytes))
+            .collect();
+        let script = script.join("\n");
+        let requests = script.lines().filter(|l| !l.trim().is_empty()).count();
+        let out = ServeSession::new().threads(1).serve_text(&script);
+        prop_assert_eq!(out.lines().count(), requests, "{}", out);
+        for response in out.lines() {
+            let json = Json::parse(response).expect("responses are JSON");
+            prop_assert_eq!(json.get("ok"), Some(&Json::Bool(false)));
+        }
+    }
 }

@@ -27,6 +27,7 @@ fn survey() -> &'static [SweepRow] {
             .strategies(&StrategyKind::ALL)
             .run()
             .expect("the strategy grid assembles")
+            .rows
     })
 }
 

@@ -208,8 +208,8 @@ proptest! {
         let sweep = Sweep::over(base)
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus, StrategyKind::Mementos])
             .workloads(&[WorkloadKind::Crc16(128), WorkloadKind::MatMul]);
-        let parallel = sweep.clone().threads(threads).run_timed().expect("sweep runs");
-        let serial = sweep.threads(1).run_timed().expect("sweep runs");
+        let parallel = sweep.clone().threads(threads).run().expect("sweep runs");
+        let serial = sweep.threads(1).run().expect("sweep runs");
         prop_assert_eq!(
             parallel.telemetry_json().to_string(),
             serial.telemetry_json().to_string()

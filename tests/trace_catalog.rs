@@ -10,7 +10,7 @@
 //!    rebuilt from its own JSON replays the run byte-identically.
 //! 3. Decimation follows `TracePlayback::decimated` semantics exactly.
 //! 4. Fleet envelope *and* trace fields execute through the single
-//!    spec-driven `run_specs` path with identical per-node results to
+//!    spec-driven sweep-engine path with identical per-node results to
 //!    hand-built boxed sources.
 
 use energy_driven::core::catalog::TraceCatalog;
@@ -200,7 +200,7 @@ fn trace_fleet_runs_spec_driven_and_matches_boxed_node_sources() {
     let report = Fleet::new(fleet_spec.clone())
         .threads(2)
         .run()
-        .expect("trace fleet runs through run_specs");
+        .expect("trace fleet runs through the sweep engine");
     assert_eq!(report.nodes.len(), 3);
 
     // The per-node specs really are plain data (FieldView over Trace).
@@ -267,14 +267,15 @@ fn sweeps_carry_trace_axes_through_the_catalog() {
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
             .catalog(catalog.clone())
     };
-    let parallel = sweep().threads(4).run().expect("trace sweep runs");
-    let serial = sweep().threads(1).run().expect("trace sweep runs");
+    let parallel = sweep().threads(4).run().expect("trace sweep runs").rows;
+    let serial = sweep().threads(1).run().expect("trace sweep runs").rows;
     assert_eq!(parallel.len(), 4);
     assert_eq!(
         edc_bench::sweep::render_json(&parallel),
         edc_bench::sweep::render_json(&serial)
     );
     // Without the catalog the same grid fails up front, as a value.
-    let err = edc_bench::sweep::run_specs(sweep().specs(), 2).expect_err("no catalog");
+    let err = edc_bench::sweep::run_specs_timed_in(sweep().specs(), 2, &TraceCatalog::new())
+        .expect_err("no catalog");
     assert!(err.to_string().contains("not registered"), "{err}");
 }
