@@ -1135,12 +1135,6 @@ impl<'a> System<'a> {
             telemetry: self.runner.telemetry().and_then(TelemetryReport::from_sink),
         }
     }
-
-    /// Decomposes into the raw runner and workload, for harnesses that
-    /// drive the simulation loop directly.
-    pub fn into_parts(self) -> (TransientRunner<'a>, Box<dyn Workload + 'a>) {
-        (self.runner, self.workload)
-    }
 }
 
 #[cfg(test)]

@@ -134,6 +134,28 @@ impl SourceSample {
             },
         }
     }
+
+    /// Whether every sample of `samples` has the first one's exact bits
+    /// (`-0.0` and `0.0` differ), so that any computation would see the
+    /// same operands in each. An empty slice counts as repeated.
+    pub fn is_repeated(samples: &[Self]) -> bool {
+        let Some((first, rest)) = samples.split_first() else {
+            return true;
+        };
+        let first = first.bits();
+        rest.iter().all(|s| s.bits() == first)
+    }
+
+    /// The sample's kind and exact field bits.
+    fn bits(self) -> (u8, u64, u64) {
+        match self {
+            SourceSample::Thevenin { v_oc, r_s } => (0, v_oc.0.to_bits(), r_s.0.to_bits()),
+            SourceSample::Power(p) => (1, p.0.to_bits(), 0),
+            SourceSample::Current { i, v_compliance } => {
+                (2, i.0.to_bits(), v_compliance.0.to_bits())
+            }
+        }
+    }
 }
 
 /// A time-varying energy-harvesting source.

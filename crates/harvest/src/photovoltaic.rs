@@ -40,7 +40,6 @@ pub struct Photovoltaic {
     sunset: Seconds,
     /// Edge softness of the day plateau.
     twilight: Seconds,
-    v_oc: Volts,
     /// Relative amplitude of the deterministic per-seed noise.
     noise_frac: f64,
     /// Pre-generated hourly noise factors (two weeks' worth, looped).
@@ -48,6 +47,9 @@ pub struct Photovoltaic {
 }
 
 const NOISE_TABLE_HOURS: usize = 24 * 14;
+
+/// The cell's open-circuit (compliance) voltage.
+const OPEN_CIRCUIT: Volts = Volts(2.4);
 
 impl Photovoltaic {
     /// The canonical Fig. 1(b) indoor cell: 285 µA night floor, 425 µA day
@@ -102,17 +104,9 @@ impl Photovoltaic {
             sunrise,
             sunset,
             twilight: Seconds::from_hours(1.5),
-            v_oc: Volts(2.4),
             noise_frac: 0.06,
             noise_table,
         }
-    }
-
-    /// Overrides the open-circuit (compliance) voltage.
-    pub fn with_open_circuit_voltage(mut self, v_oc: Volts) -> Self {
-        assert!(v_oc.is_positive(), "open-circuit voltage must be > 0");
-        self.v_oc = v_oc;
-        self
     }
 
     /// Overrides the relative noise amplitude (0 disables noise).
@@ -194,7 +188,7 @@ impl EnergySource for Photovoltaic {
     fn sample(&mut self, t: Seconds) -> SourceSample {
         SourceSample::Current {
             i: self.current_at(t),
-            v_compliance: self.v_oc,
+            v_compliance: OPEN_CIRCUIT,
         }
     }
 

@@ -5,7 +5,7 @@ use std::f64::consts::PI;
 
 use edc_units::{Hertz, Ohms, Seconds, Volts};
 
-use crate::{EnergySource, SourceSample};
+use crate::{sample_each, EnergySource, SourceSample};
 
 /// Waveform shapes produced by [`SignalGenerator`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -165,6 +165,29 @@ impl EnergySource for SignalGenerator {
             v_oc: self.voltage_at(t),
             r_s: self.resistance,
         }
+    }
+
+    /// Exact for a pulse: for `x = f·t` with `t ≥ 0`, `fl(f·t)` is monotone
+    /// in `t` and `x.rem_euclid(1.0)` is exact, so it rises monotonically
+    /// inside one cycle. A batch whose first and last `x` share a cycle and
+    /// lie on the same side of `duty` therefore holds one level, and its
+    /// samples are all the first one. Other waveforms and batches sample
+    /// per time.
+    fn sample_batch(&mut self, times: &[Seconds], out: &mut [SourceSample]) {
+        if let (Waveform::Pulse { duty }, Some(&first), Some(&last)) =
+            (self.waveform, times.first(), times.last())
+        {
+            let (a, b) = (self.frequency.0 * first.0, self.frequency.0 * last.0);
+            if first.0 >= 0.0
+                && a.floor() == b.floor()
+                && (a.rem_euclid(1.0) < duty) == (b.rem_euclid(1.0) < duty)
+            {
+                assert_eq!(times.len(), out.len(), "one output slot per time");
+                out.fill(self.sample(first));
+                return;
+            }
+        }
+        sample_each(self, times, out);
     }
 }
 

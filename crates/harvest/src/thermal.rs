@@ -28,8 +28,6 @@ pub struct ThermalGenerator {
     name: String,
     /// Seebeck output per kelvin of gradient.
     volts_per_kelvin: Volts,
-    /// Nominal gradient.
-    gradient_k: f64,
     /// Gradient excursion amplitude (walk bounds).
     excursion_k: f64,
     internal_resistance: Ohms,
@@ -87,7 +85,6 @@ impl ThermalGenerator {
         Self {
             name: format!("teg-{gradient_k}K"),
             volts_per_kelvin,
-            gradient_k,
             excursion_k,
             internal_resistance,
             walk,
@@ -108,11 +105,6 @@ impl ThermalGenerator {
     /// Open-circuit voltage at `t`.
     pub fn open_circuit_at(&self, t: Seconds) -> Volts {
         self.volts_per_kelvin * self.gradient_at(t)
-    }
-
-    /// The nominal gradient.
-    pub fn nominal_gradient(&self) -> f64 {
-        self.gradient_k
     }
 
     /// The excursion bound.

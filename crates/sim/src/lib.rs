@@ -33,7 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use edc_units::{Amps, Coulombs, Farads, Joules, Ohms, Seconds, Volts, Watts};
+use edc_units::{advance, Amps, Coulombs, Farads, Joules, Ohms, Seconds, Volts, Watts};
 
 /// A single supply rail: storage capacitance, its voltage, and bookkeeping
 /// for the energy that has flowed through it.
@@ -174,6 +174,42 @@ impl SupplyNode {
         }
         self.voltage = v1;
         v1
+    }
+
+    /// Repeats `k` times a [`SupplyNode::step`] that leaves the rail voltage
+    /// bit-identical, advancing the energy books in closed form with
+    /// [`edc_units::advance`]: the result is bit for bit what `k` calls of
+    /// `step` would leave. Returns `false` and changes nothing when the
+    /// step is not such a fixed point.
+    pub fn repeat_fixed_step(&mut self, i_in: Amps, i_out: Amps, dt: Seconds, k: u64) -> bool {
+        // One step from books of -0.0, the additive identity, leaves each
+        // book holding exactly the addend the step adds to it.
+        let mut probe = Self {
+            energy_in: Joules(-0.0),
+            energy_out: Joules(-0.0),
+            energy_leaked: Joules(-0.0),
+            energy_clamped: Joules(-0.0),
+            ..self.clone()
+        };
+        probe.step(i_in, i_out, dt);
+        if probe.voltage.0.to_bits() != self.voltage.0.to_bits() {
+            return false;
+        }
+        // A step that refunds an overdraw leaves the rail at +0 V, and it
+        // books the draw and then the refund: `energy_out` takes one
+        // constant addend only when both are exact zeros, so their
+        // difference must be +0.0.
+        if self.voltage.0.to_bits() == 0 && probe.energy_out.0.to_bits() != 0 {
+            return false;
+        }
+        let repeat = |sum: &mut Joules, e: Joules| {
+            sum.0 = advance(sum.0, e.0, k, f64::INFINITY).1;
+        };
+        repeat(&mut self.energy_in, probe.energy_in);
+        repeat(&mut self.energy_out, probe.energy_out);
+        repeat(&mut self.energy_leaked, probe.energy_leaked);
+        repeat(&mut self.energy_clamped, probe.energy_clamped);
+        true
     }
 
     /// Removes a lump of energy from the node immediately (e.g. the cost of a
@@ -511,6 +547,118 @@ mod tests {
         assert_eq!(acc.total(), Joules(6.0));
         assert_eq!(acc.mean_power(), Watts(3.0));
         assert_eq!(EnergyIntegrator::new().mean_power(), Watts::ZERO);
+    }
+
+    /// A node's voltage and energy books, as exact bits.
+    fn node_bits(node: &SupplyNode) -> [u64; 5] {
+        [
+            node.voltage().0.to_bits(),
+            node.energy_in().0.to_bits(),
+            node.energy_out().0.to_bits(),
+            node.energy_leaked().0.to_bits(),
+            node.energy_clamped().0.to_bits(),
+        ]
+    }
+
+    /// `repeat_fixed_step` against `k` plain steps from the same node:
+    /// returns whether it took the step.
+    fn check_repeat(node: &SupplyNode, i_in: Amps, i_out: Amps, dt: Seconds, k: u64) -> bool {
+        let (mut closed, mut plain) = (node.clone(), node.clone());
+        let fixed = closed.repeat_fixed_step(i_in, i_out, dt, k);
+        if fixed {
+            for _ in 0..k {
+                plain.step(i_in, i_out, dt);
+            }
+        }
+        assert_eq!(
+            node_bits(&closed),
+            node_bits(&plain),
+            "{node:?} {i_in} {i_out} k={k}"
+        );
+        fixed
+    }
+
+    #[test]
+    fn repeat_fixed_step_matches_plain_steps_at_fixed_points() {
+        let dt = Seconds(2e-5);
+        // A dead rail under load: every step refunds an exact +0.0.
+        let dead = SupplyNode::new(micro(10.0), Volts(0.0)).with_leakage(Ohms(1e5));
+        assert!(check_repeat(
+            &dead,
+            Amps::ZERO,
+            Amps::from_micro(5.0),
+            dt,
+            255
+        ));
+        // An unbounded draw makes the refund NaN, not zero: no fixed point.
+        assert!(!check_repeat(&dead, Amps::ZERO, Amps(f64::INFINITY), dt, 3));
+        // A rail on its clamp books the same excess every step.
+        let mut clamped = SupplyNode::new(micro(10.0), Volts(0.0)).with_clamp(Volts(1.0));
+        for _ in 0..1000 {
+            clamped.step(Amps::from_milli(10.0), Amps::ZERO, dt);
+        }
+        assert_eq!(clamped.voltage(), Volts(1.0));
+        assert!(check_repeat(
+            &clamped,
+            Amps::from_milli(10.0),
+            Amps::ZERO,
+            dt,
+            100_000
+        ));
+        // A charging rail is no fixed point and is left alone.
+        assert!(!check_repeat(
+            &clamped,
+            Amps::ZERO,
+            Amps::from_milli(1.0),
+            dt,
+            10
+        ));
+        // An overdraw that empties a charged rail refunds a non-zero draw.
+        let full = SupplyNode::new(micro(1.0), Volts(0.1));
+        assert!(!check_repeat(&full, Amps::ZERO, Amps(1.0), dt, 10));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+
+        /// From random states, `repeat_fixed_step` either equals `k` plain
+        /// steps bit for bit or changes nothing.
+        #[test]
+        fn prop_repeat_fixed_step_matches_plain_steps(
+            v0_pick in (0u8..4, 0.0f64..3.6),
+            currents in (0u8..4, 0.0f64..1e-3, 0.0f64..1e-3),
+            shape in (0u8..4, 1.0f64..100.0),
+            books in (0.0f64..1.0, 0u8..3),
+            k in 0u64..600,
+        ) {
+            let c = micro(shape.1);
+            let clamp = Volts(0.5 + v0_pick.1 / 2.0);
+            let v0 = match v0_pick.0 {
+                0 => Volts::ZERO,
+                1 if shape.0 & 2 == 2 => clamp,
+                _ => Volts(v0_pick.1),
+            };
+            let mut node = SupplyNode::new(c, v0);
+            if shape.0 & 1 == 1 {
+                node = node.with_leakage(Ohms(1e4 + 1e6 * currents.1));
+            }
+            if shape.0 & 2 == 2 {
+                node = node.with_clamp(clamp);
+            }
+            // Books already in a high binade, so each add rounds.
+            let scale = [0.0, 1e-6, 1e3][books.1 as usize];
+            node.energy_in = Joules(books.0 * scale);
+            node.energy_out = Joules(books.0 * scale * 0.5);
+            node.energy_leaked = Joules(books.0 * scale * 0.25);
+            node.energy_clamped = Joules(books.0 * scale * 0.125);
+            let (i_in, i_out) = match currents.0 {
+                0 => (Amps::ZERO, Amps(currents.2)),
+                1 => (Amps(currents.1), Amps::ZERO),
+                2 => (Amps(currents.1 * 1e-12), Amps::ZERO),
+                _ => (Amps(currents.1), Amps(currents.2)),
+            };
+            check_repeat(&node, i_in, i_out, Seconds(2e-5), k);
+        }
     }
 
     proptest! {

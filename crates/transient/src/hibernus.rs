@@ -13,23 +13,21 @@ use edc_units::{Farads, Volts};
 
 use crate::{LowVoltageResponse, Strategy};
 
+/// Restore-threshold headroom above `V_H`.
+const RESTORE_HEADROOM: Volts = Volts(0.4);
+
 /// The Hibernus checkpoint strategy (design-time calibrated).
 #[derive(Debug, Clone, Copy)]
 pub struct Hibernus {
     /// Safety margin on the Eq. (4) snapshot budget.
     margin: f64,
-    /// Restore-threshold headroom above `V_H`.
-    restore_headroom: Volts,
 }
 
 impl Hibernus {
     /// Creates Hibernus with the default 50% energy margin and 0.4 V restore
     /// headroom.
     pub fn new() -> Self {
-        Self {
-            margin: 0.5,
-            restore_headroom: Volts(0.4),
-        }
+        Self { margin: 0.5 }
     }
 
     /// Overrides the Eq. (4) safety margin.
@@ -40,13 +38,6 @@ impl Hibernus {
     pub fn with_margin(mut self, margin: f64) -> Self {
         assert!(margin >= 0.0, "margin must be ≥ 0");
         self.margin = margin;
-        self
-    }
-
-    /// Overrides the `V_R − V_H` headroom.
-    pub fn with_restore_headroom(mut self, headroom: Volts) -> Self {
-        assert!(headroom.is_positive(), "headroom must be > 0");
-        self.restore_headroom = headroom;
         self
     }
 
@@ -64,7 +55,7 @@ impl Hibernus {
             // along (matching the paper's description of an
             // under-provisioned Hibernus).
             .unwrap_or(v_max - Volts(0.05));
-        let v_r = (v_h + self.restore_headroom).min(v_max - Volts(0.01));
+        let v_r = (v_h + RESTORE_HEADROOM).min(v_max - Volts(0.01));
         (v_h, v_r)
     }
 }

@@ -11,7 +11,7 @@ use edc_mcu::{Mcu, PowerState, RunExit};
 use edc_power::{MonitorEvent, Rectifier, VoltageMonitor};
 use edc_sim::{SupplyNode, TimeSeries};
 use edc_telemetry::{Event, Phase, Record, Sink};
-use edc_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
+use edc_units::{advance, Amps, Farads, Joules, Seconds, Volts, Watts};
 
 use crate::{LowVoltageResponse, MarkerResponse, SnapshotObservation, Strategy};
 
@@ -244,6 +244,7 @@ impl<'a> RunnerBuilder<'a> {
             faulted: false,
             off_times: vec![Seconds(0.0); OFF_BATCH],
             off_samples: vec![SourceSample::OFF; OFF_BATCH],
+            skipped_ticks: 0,
             supply_power: Watts::ZERO,
             sink: self.sink,
         };
@@ -311,6 +312,19 @@ impl RailSource<'_> {
 /// the default 20 µs timestep.
 const OFF_BATCH: usize = 256;
 
+/// What every tick of one batch of Off ticks shares.
+#[derive(Clone, Copy)]
+struct OffBatch {
+    /// The unpowered machine's static draw.
+    i_static: Amps,
+    /// The boot threshold `V_H`.
+    v_high: Volts,
+    /// Whether the figure traces record each tick.
+    tracing: bool,
+    /// The batch stops once the time reaches it.
+    deadline: Seconds,
+}
+
 /// The lifecycle phase a power state maps to.
 fn phase_of(state: PowerState) -> Phase {
     match state {
@@ -344,6 +358,8 @@ pub struct TransientRunner<'a> {
     /// (scratch, [`OFF_BATCH`] long, kept across calls).
     off_times: Vec<Seconds>,
     off_samples: Vec<SourceSample>,
+    /// Off ticks run in closed form by [`TransientRunner::off_ticks`].
+    skipped_ticks: u64,
     /// The lifecycle phase last reported to the sink; transitions are
     /// emitted only on change.
     phase: Phase,
@@ -399,10 +415,13 @@ impl<'a> TransientRunner<'a> {
         self.sink.as_deref()
     }
 
-    /// Removes and returns the telemetry sink (e.g. to summarise it after
-    /// the run).
-    pub fn take_telemetry(&mut self) -> Option<Box<dyn Sink + 'a>> {
-        self.sink.take()
+    /// Off ticks this runner advanced in closed form rather than one by one
+    /// (a fixed point of the rail under a repeated source sample; see
+    /// `off_ticks`). They are counted in [`RunnerStats::ticks`] like any
+    /// other tick; this count is the only trace of the shortcut, and no
+    /// report or metric carries it.
+    pub fn skipped_ticks(&self) -> u64 {
+        self.skipped_ticks
     }
 
     /// Energy currently stored in the supply-node capacitance.
@@ -524,6 +543,17 @@ impl<'a> TransientRunner<'a> {
     /// first tick always runs. Each tick does exactly what a per-tick step
     /// would: charge the node, book the static draw, record the traces and
     /// the off time, compare against `V_H`.
+    ///
+    /// When tracing is off and the first tick of a batch left the rail
+    /// voltage bit-identical, with every sample of the batch bit-identical
+    /// to the first, every later tick of the batch would repeat it exactly:
+    /// it changes only sums with a constant addend (the time, the off time,
+    /// the static draw `V·I_static·dt`, the node's energy books). The rest
+    /// of the batch then runs in closed form with [`edc_units::advance`],
+    /// stopping at `deadline` as the tick loop does, and the node's
+    /// [`SupplyNode::repeat_fixed_step`] confirms the fixed point. The
+    /// result is bit for bit the tick loop's; every other batch runs that
+    /// loop.
     fn off_ticks(&mut self, max_off: usize, deadline: Seconds) {
         let dt = self.dt;
         let n = max_off.clamp(1, OFF_BATCH);
@@ -539,28 +569,33 @@ impl<'a> TransientRunner<'a> {
         }
         self.source.sample_batch(&times[..n], &mut samples[..n]);
 
-        let i_static = self.mcu.supply_current();
-        let v_high = self.monitor.high();
-        let tracing = self.vcc_trace.is_some() || self.freq_trace.is_some();
+        let batch = OffBatch {
+            i_static: self.mcu.supply_current(),
+            v_high: self.monitor.high(),
+            tracing: self.vcc_trace.is_some() || self.freq_trace.is_some(),
+            deadline,
+        };
+        let mut ticks = times[..n].iter().zip(&samples[..n]);
+        let v_first = self.node.voltage();
         let mut boot = None;
-        for (&t, &sample) in times[..n].iter().zip(&samples[..n]) {
-            self.stats.ticks += 1;
-            let v_before = self.node.voltage();
-            let i_src = self.source.current(sample, v_before);
-            self.node.step(i_src, i_static, dt);
-            self.stats.energy_consumed += self.node.voltage() * i_static * dt;
-            let v = self.node.voltage();
-            if tracing {
-                self.push_traces(t, v);
-            }
-            self.stats.off_time += dt;
-            if v >= v_high {
-                boot = Some(v_before * i_src);
-                break;
-            }
-            self.time += dt;
-            if self.time >= deadline {
-                break;
+        let mut more = ticks
+            .next()
+            .is_some_and(|(&t, &sample)| self.off_tick(batch, t, sample, &mut boot));
+        // Comparing `V` first spares the batch scan on charging rails; the
+        // node repeats the full fixed-point check before any skip.
+        if more
+            && n > 1
+            && !batch.tracing
+            && self.node.voltage().0.to_bits() == v_first.0.to_bits()
+            && SourceSample::is_repeated(&samples[..n])
+        {
+            more = !self.skip_fixed_point(batch, samples[0], n - 1);
+        }
+        if more {
+            for (&t, &sample) in ticks {
+                if !self.off_tick(batch, t, sample, &mut boot) {
+                    break;
+                }
             }
         }
         (self.off_times, self.off_samples) = (times, samples);
@@ -577,6 +612,61 @@ impl<'a> TransientRunner<'a> {
             self.boot_sequence();
             self.time += dt;
         }
+    }
+
+    /// One Off tick at time `t` (see [`TransientRunner::off_ticks`]).
+    /// Returns `false` when the batch must stop: the rail reached `v_high`
+    /// (the supply power at the crossing goes to `boot`) or the time
+    /// reached `deadline`.
+    #[inline(always)]
+    fn off_tick(
+        &mut self,
+        batch: OffBatch,
+        t: Seconds,
+        sample: SourceSample,
+        boot: &mut Option<Watts>,
+    ) -> bool {
+        let dt = self.dt;
+        self.stats.ticks += 1;
+        let v_before = self.node.voltage();
+        let i_src = self.source.current(sample, v_before);
+        self.node.step(i_src, batch.i_static, dt);
+        self.stats.energy_consumed += self.node.voltage() * batch.i_static * dt;
+        let v = self.node.voltage();
+        if batch.tracing {
+            self.push_traces(t, v);
+        }
+        self.stats.off_time += dt;
+        if v >= batch.v_high {
+            *boot = Some(v_before * i_src);
+            return false;
+        }
+        self.time += dt;
+        if self.time >= batch.deadline {
+            return false;
+        }
+        true
+    }
+
+    /// Runs up to `max` more Off ticks of a repeated `sample` in closed
+    /// form, stopping right after the tick that reaches the deadline, when
+    /// the node confirms the tick is a fixed point. Returns whether it did
+    /// (otherwise nothing changed).
+    fn skip_fixed_point(&mut self, batch: OffBatch, sample: SourceSample, max: usize) -> bool {
+        let dt = self.dt;
+        let (k, time, _) = advance(self.time.0, dt.0, max as u64, batch.deadline.0);
+        let i_src = self.source.current(sample, self.node.voltage());
+        if !self.node.repeat_fixed_step(i_src, batch.i_static, dt, k) {
+            return false;
+        }
+        let draw = self.node.voltage() * batch.i_static * dt;
+        let repeat = |sum: f64, e: f64| advance(sum, e, k, f64::INFINITY).1;
+        self.time = Seconds(time);
+        self.stats.ticks += k;
+        self.stats.off_time = Seconds(repeat(self.stats.off_time.0, dt.0));
+        self.stats.energy_consumed = Joules(repeat(self.stats.energy_consumed.0, draw.0));
+        self.skipped_ticks += k;
+        true
     }
 
     /// Appends one sample to each enabled figure trace.

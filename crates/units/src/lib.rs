@@ -488,6 +488,96 @@ impl Volts {
     }
 }
 
+// --- Exact closed forms of repeated sums ------------------------------------
+//
+// Simulations keep running sums that grow by one constant addend per
+// timestep: an energy bound per tick of a constant supply sample, the time
+// of a run of identical ticks, the books of a supply node at a fixed point.
+// `advance` performs `k` such adds in closed form, bit-identical to the
+// plain loop, so a caller may skip the loop without changing a result bit.
+
+/// Up to `k` sequential `s += e`, stopping right after the first sum
+/// `>= thr`: returns the adds made, the sum, and whether `thr` was
+/// reached. Bit-identical to the plain loop: each add runs plainly
+/// unless the previous one proved the step repeats exactly, in which case
+/// the rest of the binade is taken in one integer jump. A `thr` of NaN is
+/// never reached.
+///
+/// # Exactness
+///
+/// Inside one binade (the floats sharing `s`'s exponent, an even grid of
+/// one ulp) rounding treats every `s` alike. Write `e = q·ulp + r` with
+/// `0 ≤ r < ulp`: `fl(s + e)` is `s + q·ulp`, or one ulp more when
+/// `r > ulp/2`, whatever `s` is, and only an exact tie (`r = ulp/2`)
+/// depends on `s` through round-half-even. One plain add shows the step
+/// `δ = fl(s + e) - s` (exact inside a binade) and TwoSum's exact error
+/// `e - δ`, which rules out a tie. `k` adds then equal `s + k·δ` until the
+/// mantissa would leave the binade, and the first sum at or above a
+/// threshold is an integer division on the ulp grid. Zero, subnormal,
+/// non-finite and negative values, ties, and the add that crosses into
+/// the next binade all run as plain adds; an add that leaves `s`
+/// unchanged is a fixed point. (Goldberg, "What Every Computer Scientist
+/// Should Know About Floating-Point Arithmetic", 1991.)
+///
+/// # Examples
+///
+/// ```
+/// use edc_units::advance;
+///
+/// let (mut s, e) = (0.1, 3.3e-9);
+/// for _ in 0..1000 {
+///     s += e;
+/// }
+/// assert_eq!(advance(0.1, e, 1000, f64::INFINITY), (1000, s, false));
+/// ```
+#[inline]
+pub fn advance(mut s: f64, e: f64, k: u64, thr: f64) -> (u64, f64, bool) {
+    const MANTISSA: u64 = (1 << 52) - 1;
+    let mut adds = 0;
+    while adds < k {
+        let t = s + e;
+        adds += 1;
+        if t >= thr {
+            return (adds, t, true);
+        }
+        let (sb, tb) = (s.to_bits(), t.to_bits());
+        if tb == sb {
+            // A fixed point (`e == 0`, a step under half an ulp, NaN,
+            // infinity): every later add returns `t` again.
+            return (k, t, false);
+        }
+        let prev = s;
+        s = t;
+        // The step repeats exactly when `prev` is a positive normal, `t`
+        // stays in its binade, and the rounding was not a tie: then
+        // `t - prev` is exact, `e - (t - prev)` is TwoSum's exact error,
+        // and every later sum in the binade rounds the same way.
+        let exponent = sb >> 52;
+        if exponent == 0 || exponent >= 0x7ff || tb >> 52 != exponent || tb < sb {
+            continue;
+        }
+        let ulp = f64::from_bits(sb + 1) - prev;
+        if (e - (t - prev)).abs() == 0.5 * ulp {
+            continue;
+        }
+        // Further adds step the mantissa by `d` while it stays in the
+        // binade; the threshold, when it lies in the binade, sits on the
+        // same ulp grid.
+        let d = tb - sb;
+        let room = (MANTISSA - (tb & MANTISSA)) / d;
+        let n = room.min(k - adds);
+        if thr.to_bits() >> 52 == exponent {
+            let need = ((thr.to_bits() & MANTISSA) - (tb & MANTISSA)).div_ceil(d);
+            if need <= n {
+                return (adds + need, f64::from_bits(tb + need * d), true);
+            }
+        }
+        s = f64::from_bits(tb + n * d);
+        adds += n;
+    }
+    (adds, s, false)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -633,6 +723,137 @@ mod tests {
         fn prop_ratio_is_dimensionless(a in 1e-6f64..1e6, b in 1e-6f64..1e6) {
             let ratio = Watts(a) / Watts(b);
             prop_assert!((ratio * b - a).abs() <= 1e-9 * a.abs().max(1.0));
+        }
+    }
+
+    /// [`advance`]'s reference: the plain loop.
+    fn plain_advance(mut s: f64, e: f64, k: u64, thr: f64) -> (u64, f64, bool) {
+        for adds in 1..=k {
+            s += e;
+            if s >= thr {
+                return (adds, s, true);
+            }
+        }
+        (k, s, false)
+    }
+
+    fn advance_bits(r: (u64, f64, bool)) -> (u64, u64, bool) {
+        (r.0, r.1.to_bits(), r.2)
+    }
+
+    #[test]
+    fn advance_matches_the_plain_loop_on_edge_cases() {
+        let one_ulp = f64::EPSILON;
+        let below_two = 2.0 - one_ulp;
+        let min_normal = f64::MIN_POSITIVE;
+        let tiny = f64::from_bits(1);
+        let cases = [
+            // Ties: half an ulp of 1.0, and one and a half.
+            (1.0, one_ulp / 2.0),
+            (1.0 + one_ulp, one_ulp / 2.0),
+            (1.0, 1.5 * one_ulp),
+            // Steps under half an ulp are stationary; `e == 0` too.
+            (1.0, one_ulp / 4.0),
+            (1.0, 0.0),
+            (1.0, -0.0),
+            (-0.0, 0.0),
+            (-0.0, -0.0),
+            (0.0, 0.0),
+            (0.0, 1e-3),
+            (-0.0, 1e-3),
+            // Subnormals and the smallest normal binade.
+            (tiny, tiny),
+            (min_normal, tiny),
+            (min_normal - tiny, tiny),
+            (min_normal, 3.0 * tiny),
+            // Non-finite values and negative steps.
+            (f64::NAN, 1.0),
+            (1.0, f64::NAN),
+            (f64::INFINITY, 1.0),
+            (1.0, f64::INFINITY),
+            (f64::INFINITY, f64::NEG_INFINITY),
+            (1.0, -1e-3),
+            (-1.0, 1e-3),
+            (f64::MAX, f64::MAX),
+            // Binade crossings.
+            (below_two, one_ulp),
+            (below_two - 4.0 * one_ulp, 3.0 * one_ulp),
+            (0.1, 0.3),
+            (1e-12, 3.3e-9),
+        ];
+        for (s, e) in cases {
+            for k in [0, 1, 2, 3, 255, 256, 5000] {
+                for thr in [
+                    f64::NEG_INFINITY,
+                    -1.0,
+                    0.0,
+                    s,
+                    s + e,
+                    s + 7.0 * e,
+                    s + 200.0 * e,
+                    2.0,
+                    1.0 + 100.0 * one_ulp,
+                    f64::INFINITY,
+                    f64::NAN,
+                ] {
+                    assert_eq!(
+                        advance_bits(advance(s, e, k, thr)),
+                        advance_bits(plain_advance(s, e, k, thr)),
+                        "s={s:e} e={e:e} k={k} thr={thr:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+
+        /// A float from a random bit pattern, steered towards the values the
+        /// kernel treats specially: `mode` picks raw bits (any class and
+        /// sign), the same bits made positive, a multiple of half an ulp of
+        /// `base` (a tie at every odd count), or a multiple of 1e-12 below
+        /// 1e-6.
+        fn float_from(bits: u64, mode: u8, base: f64) -> f64 {
+            match mode % 4 {
+                0 => f64::from_bits(bits),
+                1 => f64::from_bits(bits & !(1 << 63)),
+                2 => {
+                    let ulp = f64::from_bits(base.abs().to_bits() + 1) - base.abs();
+                    (bits % 64) as f64 * ulp / 2.0
+                }
+                _ => (bits % 1_000_000) as f64 * 1e-12,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig { cases: 4000, ..ProptestConfig::default() })]
+
+            /// The closed-form kernel is bit-identical to the plain loop on
+            /// random starts, steps and thresholds of every float class.
+            #[test]
+            fn advance_matches_the_plain_loop(
+                bits in (proptest::num::u64::ANY, proptest::num::u64::ANY, proptest::num::u64::ANY),
+                modes in (0u8..4, 0u8..4, 0u8..6),
+                k in 0u64..3000,
+            ) {
+                let s = float_from(bits.0, modes.0, 1.0);
+                let e = float_from(bits.1, modes.1, s);
+                let thr = match modes.2 {
+                    0 => f64::INFINITY,
+                    1 => s - e,
+                    2 => s,
+                    // A threshold some way past the start, on or off the
+                    // sum's grid.
+                    3 => s + (bits.2 % 4000) as f64 * e,
+                    4 => s + (bits.2 % 4000) as f64 * e * 1.000_000_1,
+                    _ => float_from(bits.2, 0, s),
+                };
+                prop_assert_eq!(
+                    advance_bits(advance(s, e, k, thr)),
+                    advance_bits(plain_advance(s, e, k, thr))
+                );
+            }
         }
     }
 }

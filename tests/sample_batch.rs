@@ -21,8 +21,9 @@ const DAY: f64 = 86_400.0;
 
 /// Times a slice may straddle: hour and twilight edges of both PV day
 /// curves, midnight, the Fig. 1(a) gust window and its field-view shift,
-/// edges of the 10 Hz pulse, and samples of the registered trace.
-const ANCHORS: [f64; 16] = [
+/// edges of the 10 Hz pulse and of the 0.2-1 Hz ones (see [`PULSE_HZ`]),
+/// and samples of the registered trace.
+const ANCHORS: [f64; 23] = [
     0.0,
     1.0,
     8.0,
@@ -39,7 +40,19 @@ const ANCHORS: [f64; 16] = [
     2.0 * DAY + 6.0 * HOUR,
     3.0 * DAY,
     13.0 * HOUR + 0.5,
+    // 0.2 Hz: on for 2.5 s of every 5 s.
+    2.5,
+    5.0,
+    7.5,
+    // 0.3 Hz and 0.637 Hz: edges off the binary grid.
+    5.0 / 3.0,
+    10.0 / 3.0,
+    0.5 / 0.637,
+    3.0 / 0.637,
 ];
+
+/// Slow interrupted supplies whose on and off phases span many batches.
+const PULSE_HZ: [f64; 4] = [0.2, 0.3, 0.637, 1.0];
 
 /// Every source under test, freshly built (one per call, so the batch and
 /// the per-time side never share state).
@@ -68,6 +81,7 @@ fn kinds(catalog: &mut TraceCatalog) -> Vec<SourceKind> {
         .register("batch-trace", samples)
         .expect("valid trace");
     let mut kinds = SourceKind::ALL.to_vec();
+    kinds.extend(PULSE_HZ.map(|hz| SourceKind::Interrupted { hz }));
     for (decimate, looped) in [(1, false), (3, true)] {
         kinds.push(SourceKind::Trace {
             id,
@@ -79,6 +93,7 @@ fn kinds(catalog: &mut TraceCatalog) -> Vec<SourceKind> {
         FieldEnvelope::Turbine,
         FieldEnvelope::IndoorPv { seed: 3 },
         FieldEnvelope::Interrupted { hz: 10.0 },
+        FieldEnvelope::Interrupted { hz: 0.3 },
         FieldEnvelope::Trace {
             id,
             decimate: 2,
