@@ -356,9 +356,9 @@ impl SweepRun {
 /// # Errors
 ///
 /// Returns the first (by input order) [`BuildError`]. Validation is pure
-/// and cheap, so the whole grid (catalog resolution included) is checked
-/// before any simulation starts — a doomed sweep fails immediately
-/// instead of after minutes of wasted runs.
+/// and cheap, so the whole grid is checked — every field, deadline and
+/// catalog resolution included — before any simulation starts: a doomed
+/// sweep fails immediately instead of after minutes of wasted runs.
 pub fn run_specs_timed_in(
     specs: Vec<ExperimentSpec>,
     threads: usize,
@@ -380,7 +380,8 @@ pub const BATCH_SIZE_BOUNDS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 1
 /// # Errors
 ///
 /// Returns the first (by input order) [`BuildError`]; the whole grid is
-/// validated (catalog resolution included) before any simulation starts.
+/// validated (every field, deadline and catalog resolution included)
+/// before any simulation starts.
 pub fn run_specs_timed_metered(
     specs: Vec<ExperimentSpec>,
     threads: usize,

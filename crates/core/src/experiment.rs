@@ -137,7 +137,8 @@ pub struct ExperimentSpec {
     pub workload: WorkloadKind,
     /// Simulation timestep.
     pub timestep: Seconds,
-    /// Deadline used by [`ExperimentSpec::run`].
+    /// Run deadline: [`ExperimentSpec::run`] stops here, and
+    /// [`ExperimentSpec::validate`] checks it like every other field.
     pub deadline: Seconds,
     /// Optional board-leakage path across the supply rail.
     pub leakage: Option<Ohms>,
@@ -243,46 +244,36 @@ impl ExperimentSpec {
         )
     }
 
-    /// Checks every parameter of the spec — kind registries included —
-    /// without instantiating anything. `build`/`run` call this first, so a
+    /// Checks every parameter of the spec — kind registries and deadline
+    /// included — without instantiating anything: the first entry of
+    /// [`ExperimentSpec::violations`]. `build`/`run` call this first, so a
     /// bad spec is always an `Err`, never a downstream constructor panic.
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), BuildError> {
-        self.validate_source(None)
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// [`ExperimentSpec::validate`], plus resolution of trace-backed
     /// sources against the build catalog (see
-    /// [`SourceKind::validate_in`]).
+    /// [`SourceKind::validate_in`]): the first entry of
+    /// [`ExperimentSpec::violations_in`].
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn validate_in(&self, catalog: &TraceCatalog) -> Result<(), BuildError> {
-        self.validate_source(Some(catalog))
-    }
-
-    fn validate_source(&self, catalog: Option<&TraceCatalog>) -> Result<(), BuildError> {
-        // `validate` historically ignores the deadline (it only gates
-        // `run`), so the first-error path filters it back out of the
-        // collect-all list.
-        match self
-            .collect_violations(catalog)
+        self.violations_in(catalog)
             .into_iter()
-            .find(|e| !matches!(e, BuildError::InvalidDeadline(_)))
-        {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            .next()
+            .map_or(Ok(()), Err)
     }
 
-    /// Every violated constraint in the spec, in field order — the
-    /// collect-all companion to [`ExperimentSpec::validate`]. Unlike
-    /// `validate`, the deadline is checked too (last), so a lint pass over
-    /// a spec sees the full picture in one call.
+    /// Every violated constraint in the spec, in field order (deadline
+    /// last) — the collect-all companion to [`ExperimentSpec::validate`],
+    /// so a lint pass over a spec sees the full picture in one call.
     pub fn violations(&self) -> Vec<BuildError> {
         self.collect_violations(None)
     }
@@ -304,39 +295,20 @@ impl ExperimentSpec {
         if let Err(e) = self.workload.validate() {
             out.push(BuildError::InvalidWorkload(e));
         }
-        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
-            out.push(BuildError::InvalidTimestep(self.timestep.0));
-        }
-        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
-            out.push(BuildError::InvalidDecoupling(self.decoupling.0));
-        }
-        if let Topology::Buffered {
-            storage,
-            efficiency,
-        } = self.topology
-        {
-            if !(storage.0 >= 0.0 && storage.0.is_finite()) {
-                out.push(BuildError::InvalidStorage(storage.0));
-            }
-            if !(efficiency > 0.0 && efficiency <= 1.0) {
-                out.push(BuildError::InvalidEfficiency(efficiency));
-            }
-        }
-        if let Some(r) = self.leakage {
-            if !(r.0 > 0.0 && r.0.is_finite()) {
-                out.push(BuildError::InvalidLeakage(r.0));
-            }
-        }
-        if self.trace == Some(0) {
-            out.push(BuildError::InvalidTrace);
-        }
-        if let Err(e) = self.telemetry.validate() {
-            out.push(BuildError::InvalidTelemetry(e));
-        }
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            out.push(BuildError::InvalidDeadline(self.deadline.0));
-        }
+        out.extend(self.params().violations());
         out
+    }
+
+    fn params(&self) -> Params {
+        Params {
+            topology: self.topology,
+            decoupling: self.decoupling,
+            timestep: self.timestep,
+            deadline: Some(self.deadline),
+            leakage: self.leakage,
+            trace: self.trace,
+            telemetry: self.telemetry,
+        }
     }
 
     /// Instantiates every component from its registry and assembles the
@@ -368,7 +340,8 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns [`BuildError`] for any violated constraint (see
+    /// [`ExperimentSpec::validate`]).
     pub fn run(&self) -> Result<SystemReport, BuildError> {
         self.run_in(&TraceCatalog::new())
     }
@@ -378,11 +351,9 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns [`BuildError`] for any violated constraint (see
+    /// [`ExperimentSpec::validate_in`]).
     pub fn run_in(&self, catalog: &TraceCatalog) -> Result<SystemReport, BuildError> {
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(self.deadline.0));
-        }
         Ok(self.build_in(catalog)?.run(self.deadline))
     }
 
@@ -393,15 +364,13 @@ impl ExperimentSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    /// Returns [`BuildError`] for any violated constraint (see
+    /// [`ExperimentSpec::validate_in`]).
     pub fn run_metered_in(
         &self,
         catalog: &TraceCatalog,
         metrics: &edc_metrics::Registry,
     ) -> Result<SystemReport, BuildError> {
-        if !(self.deadline.0 > 0.0 && self.deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(self.deadline.0));
-        }
         let mut system = self.build_in(catalog)?;
         system.set_metrics(metrics.clone());
         Ok(system.run(self.deadline))
@@ -667,20 +636,72 @@ pub fn workload_from_json(json: &crate::json::Json) -> Result<WorkloadKind, &'st
     }
 }
 
+/// The parameters [`ExperimentSpec`] and [`Experiment`] share besides
+/// their components, checked in one place so both reject the same values.
+#[derive(Clone, Copy)]
+struct Params {
+    topology: Topology,
+    decoupling: Farads,
+    timestep: Seconds,
+    /// Checked when `Some`; [`Experiment::build`] sets `None` (nothing
+    /// runs) and [`Experiment::run`] its argument.
+    deadline: Option<Seconds>,
+    leakage: Option<Ohms>,
+    trace: Option<u64>,
+    telemetry: TelemetryKind,
+}
+
+impl Params {
+    /// Every violated constraint, in [`ExperimentSpec::violations`] order.
+    fn violations(&self) -> Vec<BuildError> {
+        let mut out = Vec::new();
+        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
+            out.push(BuildError::InvalidTimestep(self.timestep.0));
+        }
+        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
+            out.push(BuildError::InvalidDecoupling(self.decoupling.0));
+        }
+        if let Topology::Buffered {
+            storage,
+            efficiency,
+        } = self.topology
+        {
+            if !(storage.0 >= 0.0 && storage.0.is_finite()) {
+                out.push(BuildError::InvalidStorage(storage.0));
+            }
+            if !(efficiency > 0.0 && efficiency <= 1.0) {
+                out.push(BuildError::InvalidEfficiency(efficiency));
+            }
+        }
+        if let Some(r) = self.leakage {
+            if !(r.0 > 0.0 && r.0.is_finite()) {
+                out.push(BuildError::InvalidLeakage(r.0));
+            }
+        }
+        if self.trace == Some(0) {
+            out.push(BuildError::InvalidTrace);
+        }
+        if let Err(e) = self.telemetry.validate() {
+            out.push(BuildError::InvalidTelemetry(e));
+        }
+        if let Some(deadline) = self.deadline {
+            if !(deadline.0 > 0.0 && deadline.0.is_finite()) {
+                out.push(BuildError::InvalidDeadline(deadline.0));
+            }
+        }
+        out
+    }
+}
+
 /// The fallible wiring layer: `build`/`run` return [`BuildError`] instead
 /// of panicking, and kinds from the registries plug in next to custom
 /// boxed components.
 pub struct Experiment<'a> {
     source: Option<Box<dyn EnergySource + 'a>>,
     rectifier: Option<Rectifier>,
-    topology: Topology,
-    decoupling: Farads,
     strategy: Option<Box<dyn Strategy + 'a>>,
     workload: Option<Box<dyn Workload + 'a>>,
-    timestep: Seconds,
-    leakage: Option<Ohms>,
-    trace_decimation: Option<u64>,
-    telemetry_kind: TelemetryKind,
+    params: Params,
     custom_sink: Option<Box<dyn Sink + 'a>>,
     metrics: Option<edc_metrics::Registry>,
 }
@@ -692,14 +713,17 @@ impl<'a> Experiment<'a> {
         Self {
             source: None,
             rectifier: None,
-            topology: Topology::Direct,
-            decoupling: Farads::from_micro(10.0),
             strategy: None,
             workload: None,
-            timestep: Seconds(20e-6),
-            leakage: None,
-            trace_decimation: None,
-            telemetry_kind: TelemetryKind::Null,
+            params: Params {
+                topology: Topology::Direct,
+                decoupling: Farads::from_micro(10.0),
+                timestep: Seconds(20e-6),
+                deadline: None,
+                leakage: None,
+                trace: None,
+                telemetry: TelemetryKind::Null,
+            },
             custom_sink: None,
             metrics: None,
         }
@@ -722,24 +746,15 @@ impl<'a> Experiment<'a> {
     /// [`ExperimentSpec::validate_in`] first to get violations as values
     /// (as [`ExperimentSpec::build_in`] does).
     pub fn from_spec_in(spec: &ExperimentSpec, catalog: &TraceCatalog) -> Experiment<'static> {
-        let mut e = Experiment::new()
-            .source_kind_in(spec.source, catalog)
-            .topology(spec.topology)
-            .decoupling(spec.decoupling)
-            .strategy(spec.strategy.make())
-            .workload(spec.workload.make())
-            .timestep(spec.timestep)
-            .telemetry_kind(spec.telemetry);
-        if let Some(r) = spec.rectifier {
-            e = e.rectifier(r);
+        Experiment {
+            source: Some(spec.source.make_in(catalog)),
+            rectifier: spec.rectifier,
+            strategy: Some(spec.strategy.make()),
+            workload: Some(spec.workload.make()),
+            params: spec.params(),
+            custom_sink: None,
+            metrics: None,
         }
-        if let Some(r) = spec.leakage {
-            e = e.leakage(r);
-        }
-        if let Some(d) = spec.trace {
-            e = e.trace(d);
-        }
-        e
     }
 
     /// The energy source (required).
@@ -784,22 +799,11 @@ impl<'a> Experiment<'a> {
     }
 
     /// Shorthand for [`Experiment::source`] via the kind registry. Panics
-    /// for trace-backed kinds; use [`Experiment::source_kind_in`].
-    pub fn source_kind(self, kind: SourceKind) -> Self {
-        self.source_kind_in(kind, &TraceCatalog::new())
-    }
-
-    /// Shorthand for [`Experiment::source`] via the kind registry,
-    /// resolving trace-backed kinds through `catalog`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the kind's parameters are invalid or its trace handle
-    /// does not resolve; call [`SourceKind::validate_in`] first to get the
-    /// violation as a value.
-    pub fn source_kind_in(mut self, kind: SourceKind, catalog: &TraceCatalog) -> Self {
+    /// for invalid or trace-backed kinds; run those through
+    /// [`ExperimentSpec::build_in`].
+    pub fn source_kind(mut self, kind: SourceKind) -> Self {
         // Already boxed: stored as is rather than boxed a second time.
-        self.source = Some(kind.make_in(catalog));
+        self.source = Some(kind.make_in(&TraceCatalog::new()));
         self
     }
 
@@ -811,13 +815,13 @@ impl<'a> Experiment<'a> {
 
     /// Selects the energy-subsystem topology.
     pub fn topology(mut self, t: Topology) -> Self {
-        self.topology = t;
+        self.params.topology = t;
         self
     }
 
     /// Overrides the decoupling capacitance.
     pub fn decoupling(mut self, c: Farads) -> Self {
-        self.decoupling = c;
+        self.params.decoupling = c;
         self
     }
 
@@ -845,31 +849,25 @@ impl<'a> Experiment<'a> {
 
     /// Overrides the simulation timestep.
     pub fn timestep(mut self, dt: Seconds) -> Self {
-        self.timestep = dt;
+        self.params.timestep = dt;
         self
     }
 
     /// Adds a board-leakage path across the supply rail.
     pub fn leakage(mut self, r: Ohms) -> Self {
-        self.leakage = Some(r);
+        self.params.leakage = Some(r);
         self
     }
 
     /// Enables `V_cc`/frequency tracing with the given decimation.
     pub fn trace(mut self, decimation: u64) -> Self {
-        self.trace_decimation = Some(decimation);
+        self.params.trace = Some(decimation);
         self
     }
 
-    /// Selects the telemetry sink via the kind registry.
-    pub fn telemetry_kind(mut self, kind: TelemetryKind) -> Self {
-        self.telemetry_kind = kind;
-        self
-    }
-
-    /// Installs a custom telemetry sink (takes precedence over
-    /// [`Experiment::telemetry_kind`]). Custom sinks are opaque to
-    /// `SystemReport` unless they expose [`Sink::as_any`].
+    /// Installs a custom telemetry sink (takes precedence over the spec's
+    /// [`TelemetryKind`]). Custom sinks are opaque to `SystemReport` unless
+    /// they expose [`Sink::as_any`].
     pub fn telemetry(mut self, sink: Box<dyn Sink + 'a>) -> Self {
         self.custom_sink = Some(sink);
         self
@@ -891,45 +889,40 @@ impl<'a> Experiment<'a> {
     /// Returns [`BuildError`] when a required component is missing or a
     /// physical parameter is out of range.
     pub fn build(self) -> Result<System<'a>, BuildError> {
+        self.assemble(None)
+    }
+
+    /// Assembles, then runs to completion or `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
+    pub fn run(self, deadline: Seconds) -> Result<SystemReport, BuildError> {
+        Ok(self.assemble(Some(deadline))?.run(deadline))
+    }
+
+    fn assemble(self, deadline: Option<Seconds>) -> Result<System<'a>, BuildError> {
         let source = self.source.ok_or(BuildError::MissingSource)?;
         let strategy = self.strategy.ok_or(BuildError::MissingStrategy)?;
         let workload = self.workload.ok_or(BuildError::MissingWorkload)?;
-        if !(self.timestep.0 > 0.0 && self.timestep.0.is_finite()) {
-            return Err(BuildError::InvalidTimestep(self.timestep.0));
+        let params = Params {
+            deadline,
+            ..self.params
+        };
+        if let Some(e) = params.violations().into_iter().next() {
+            return Err(e);
         }
-        if !(self.decoupling.0 > 0.0 && self.decoupling.0.is_finite()) {
-            return Err(BuildError::InvalidDecoupling(self.decoupling.0));
-        }
-        if let Some(r) = self.leakage {
-            if !(r.0 > 0.0 && r.0.is_finite()) {
-                return Err(BuildError::InvalidLeakage(r.0));
-            }
-        }
-        if self.trace_decimation == Some(0) {
-            return Err(BuildError::InvalidTrace);
-        }
-        self.telemetry_kind
-            .validate()
-            .map_err(BuildError::InvalidTelemetry)?;
-        let (capacitance, efficiency) = match self.topology {
-            Topology::Direct => (self.decoupling, 1.0),
+        let (capacitance, efficiency) = match params.topology {
+            Topology::Direct => (params.decoupling, 1.0),
             Topology::Buffered {
                 storage,
                 efficiency,
-            } => {
-                if !(storage.0 >= 0.0 && storage.0.is_finite()) {
-                    return Err(BuildError::InvalidStorage(storage.0));
-                }
-                if !(efficiency > 0.0 && efficiency <= 1.0) {
-                    return Err(BuildError::InvalidEfficiency(efficiency));
-                }
-                (storage + self.decoupling, efficiency)
-            }
+            } => (storage + params.decoupling, efficiency),
         };
         let strategy_name = strategy.name().to_string();
         let mut builder = TransientRunner::builder()
             .capacitance(capacitance)
-            .timestep(self.timestep)
+            .timestep(params.timestep)
             .strategy(strategy)
             .program(workload.program())
             .source(source)
@@ -937,15 +930,15 @@ impl<'a> Experiment<'a> {
         if let Some(r) = self.rectifier {
             builder = builder.rectifier(r);
         }
-        if let Some(d) = self.trace_decimation {
+        if let Some(d) = params.trace {
             builder = builder.trace(d);
         }
-        if let Some(r) = self.leakage {
+        if let Some(r) = params.leakage {
             builder = builder.leakage(r);
         }
         let sink = self
             .custom_sink
-            .or_else(|| self.telemetry_kind.make().map(|s| s as Box<dyn Sink + 'a>));
+            .or_else(|| params.telemetry.make().map(|s| s as Box<dyn Sink + 'a>));
         if let Some(sink) = sink {
             builder = builder.telemetry(sink);
         }
@@ -955,18 +948,6 @@ impl<'a> Experiment<'a> {
             strategy_name,
             metrics: self.metrics,
         })
-    }
-
-    /// Assembles, then runs to completion or `deadline`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] if assembly fails or the deadline is invalid.
-    pub fn run(self, deadline: Seconds) -> Result<SystemReport, BuildError> {
-        if !(deadline.0 > 0.0 && deadline.0.is_finite()) {
-            return Err(BuildError::InvalidDeadline(deadline.0));
-        }
-        Ok(self.build()?.run(deadline))
     }
 }
 

@@ -353,12 +353,13 @@ pub enum Placement {
 }
 
 impl Placement {
-    /// The attenuation of node `i` in a fleet of `n`.
+    /// The attenuation of node `i` in a fleet of `n`: NaN (which no
+    /// validation accepts) for [`Placement::Explicit`] if `i` is outside
+    /// the supplied list.
     ///
     /// # Panics
     ///
-    /// Panics if `i >= n`, or for [`Placement::Explicit`] if `i` is outside
-    /// the supplied list.
+    /// Panics if `i >= n`.
     pub fn attenuation(&self, i: usize, n: usize) -> f64 {
         assert!(i < n, "node index out of range");
         match self {
@@ -370,7 +371,7 @@ impl Placement {
                     near + (far - near) * i as f64 / (n - 1) as f64
                 }
             }
-            Placement::Explicit(a) => a[i],
+            Placement::Explicit(a) => a.get(i).copied().unwrap_or(f64::NAN),
         }
     }
 
@@ -515,56 +516,14 @@ impl FleetSpec {
     }
 
     /// Checks every parameter — field, placement, stagger, duty period,
-    /// and the per-node design (with each node's derived field view).
+    /// and the per-node design (with each node's derived field view): the
+    /// first entry of [`FleetSpec::violations`].
     ///
     /// # Errors
     ///
     /// Returns the first violated constraint.
     pub fn validate(&self) -> Result<(), FleetError> {
-        if self.nodes == 0 {
-            return Err(FleetError::NoNodes);
-        }
-        if !(self.stagger.0.is_finite() && self.stagger.0 >= 0.0) {
-            return Err(FleetError::InvalidStagger(self.stagger.0));
-        }
-        if !(self.duty_period.0 > 0.0 && self.duty_period.0.is_finite()) {
-            return Err(FleetError::InvalidDutyPeriod(self.duty_period.0));
-        }
-        if let Placement::Explicit(a) = &self.placement {
-            if a.len() != self.nodes {
-                return Err(FleetError::PlacementCount {
-                    nodes: self.nodes,
-                    placements: a.len(),
-                });
-            }
-        }
-        self.field.validate()?;
-        for i in 0..self.nodes {
-            let a = self.attenuation(i);
-            if !(a.is_finite() && a > 0.0 && a <= 1.0) {
-                return Err(FleetError::InvalidAttenuation { node: i, value: a });
-            }
-        }
-        if !(self.design.deadline.0 > 0.0 && self.design.deadline.0.is_finite()) {
-            return Err(FleetError::Design(BuildError::InvalidDeadline(
-                self.design.deadline.0,
-            )));
-        }
-        match self.node_specs() {
-            // Envelope fields: the per-node specs carry the field views, so
-            // validating them covers placement-derived parameters too.
-            Some(specs) => {
-                for spec in &specs {
-                    spec.validate()?;
-                }
-            }
-            // Trace fields: sample data is checked by `field.validate()`
-            // above and per-node specs are re-validated (with the catalog)
-            // when the runner expands them, so validate the design shell
-            // here (everything but its replaced source).
-            None => self.design.validate()?,
-        }
-        Ok(())
+        self.violations().into_iter().next().map_or(Ok(()), Err)
     }
 
     /// Every violated constraint in the fleet spec — the collect-all
@@ -600,29 +559,20 @@ impl FleetSpec {
                 out.push(FleetError::InvalidAttenuation { node: i, value: a });
             }
         }
-        if !(self.design.deadline.0 > 0.0 && self.design.deadline.0.is_finite()) {
-            out.push(FleetError::Design(BuildError::InvalidDeadline(
-                self.design.deadline.0,
-            )));
-        }
-        // The deadline is already reported at fleet level above, so the
-        // per-spec lists drop their copy of it.
-        let not_deadline = |e: &BuildError| !matches!(e, BuildError::InvalidDeadline(_));
         match self.node_specs() {
             Some(specs) => {
                 for (i, spec) in specs.iter().enumerate() {
-                    for e in spec.violations().into_iter().filter(not_deadline) {
+                    for e in spec.violations() {
                         if i == 0 || matches!(e, BuildError::InvalidSource(_)) {
                             out.push(FleetError::Design(e));
                         }
                     }
                 }
             }
-            None => {
-                for e in self.design.violations().into_iter().filter(not_deadline) {
-                    out.push(FleetError::Design(e));
-                }
-            }
+            // Trace fields: the samples are checked by `field.validate()`
+            // above and per-node specs are re-validated (with the catalog)
+            // when the runner expands them, so check the design shell here.
+            None => out.extend(self.design.violations().into_iter().map(FleetError::Design)),
         }
         out
     }

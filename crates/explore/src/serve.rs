@@ -417,11 +417,7 @@ impl ServeSession {
     fn parse_evaluate(&self, request: &Json) -> Result<Pending, String> {
         let spec_json = request.get("spec").ok_or("evaluate missing 'spec'")?;
         let spec = ExperimentSpec::from_json(spec_json, &self.catalog)?;
-        spec.validate_in(&self.catalog)
-            .map_err(|e| format!("{e}"))?;
-        if !(spec.deadline.0 > 0.0 && spec.deadline.0.is_finite()) {
-            return Err(format!("invalid deadline: {}", spec.deadline.0));
-        }
+        spec.validate_in(&self.catalog).map_err(|e| e.to_string())?;
         let key = spec.to_json().to_string();
         Ok(Pending {
             id: None,

@@ -89,7 +89,6 @@ pub struct Fleet {
     spec: FleetSpec,
     threads: Option<usize>,
     catalog: TraceCatalog,
-    dedup: bool,
     metrics: Option<edc_metrics::Registry>,
 }
 
@@ -100,7 +99,6 @@ impl Fleet {
             spec,
             threads: None,
             catalog: TraceCatalog::new(),
-            dedup: true,
             metrics: None,
         }
     }
@@ -119,18 +117,6 @@ impl Fleet {
     /// entries registered elsewhere.
     pub fn catalog(mut self, catalog: TraceCatalog) -> Self {
         self.catalog = catalog;
-        self
-    }
-
-    /// Enables or disables placement-bucket deduplication (on by
-    /// default): nodes whose derived per-node specs are byte-identical
-    /// (same attenuation bucket, same phase) simulate **once** and share
-    /// the report. Runs are deterministic functions of their spec, so the
-    /// report is byte-identical either way — only the simulation cost
-    /// changes. Dedup hits are counted by the
-    /// `edc_fleet_bucket_dedup_hits` metric.
-    pub fn dedup(mut self, on: bool) -> Self {
-        self.dedup = on;
         self
     }
 
@@ -153,7 +139,9 @@ impl Fleet {
     /// [`SourceKind::FieldView`](edc_core::scenarios::SourceKind::FieldView)
     /// specs (recorded traces are first registered into the runner's
     /// catalog) and one [`run_specs_timed_metered`] batch executes the
-    /// distinct placement buckets (see [`Fleet::dedup`]).
+    /// distinct placement buckets: nodes with byte-identical specs
+    /// simulate **once** and share the report (counted by the
+    /// `edc_fleet_bucket_dedup_hits` metric).
     ///
     /// # Errors
     ///
@@ -190,23 +178,17 @@ impl Fleet {
         // Bucket dedup: nodes whose derived specs are byte-identical (the
         // canonical JSON is the bucket key, as in the evaluator's memo
         // cache) simulate once; the rest clone the bucket's report.
-        let (unique, assignment) = if self.dedup {
-            let mut bucket_of: HashMap<String, usize> = HashMap::new();
-            let mut unique = Vec::new();
-            let mut assignment = Vec::with_capacity(specs.len());
-            for spec in specs {
-                let key = spec.to_json().to_string();
-                let bucket = *bucket_of.entry(key).or_insert_with(|| {
-                    unique.push(spec);
-                    unique.len() - 1
-                });
-                assignment.push(bucket);
-            }
-            (unique, assignment)
-        } else {
-            let assignment = (0..specs.len()).collect();
-            (specs, assignment)
-        };
+        let mut bucket_of: HashMap<String, usize> = HashMap::new();
+        let mut unique = Vec::new();
+        let mut assignment = Vec::with_capacity(specs.len());
+        for spec in specs {
+            let key = spec.to_json().to_string();
+            let bucket = *bucket_of.entry(key).or_insert_with(|| {
+                unique.push(spec);
+                unique.len() - 1
+            });
+            assignment.push(bucket);
+        }
         registry
             .counter(
                 "edc_fleet_bucket_dedup_hits",
@@ -518,15 +500,19 @@ mod tests {
             text.contains("edc_sweep_cells_total 1\n"),
             "one bucket simulated: {text}"
         );
-        let plain = Fleet::new(spec)
-            .threads(2)
-            .dedup(false)
-            .run()
+        // Each node's report equals its spec run on its own.
+        let mut catalog = TraceCatalog::new();
+        let specs = spec.node_specs_in(&mut catalog).expect("expands");
+        let direct = run_specs_timed_metered(specs, 2, &catalog, &edc_metrics::Registry::new())
             .expect("runs");
+        let json = |r: &SystemReport| r.to_json().to_string();
         assert_eq!(
-            deduped.to_json().to_string(),
-            plain.to_json().to_string(),
-            "dedup never perturbs the deterministic report"
+            deduped.nodes.iter().map(json).collect::<Vec<_>>(),
+            direct
+                .rows
+                .iter()
+                .map(|row| json(&row.report))
+                .collect::<Vec<_>>(),
         );
     }
 

@@ -11,6 +11,9 @@
 //! reports completion timestamps — for Monjolo, the "ping" times whose
 //! frequency encodes the harvested power.
 
+use std::cmp::Ordering;
+
+use edc_power::sizing::SizingError;
 use edc_sim::SupplyNode;
 use edc_units::{Amps, Farads, Joules, Seconds, Volts, Watts};
 
@@ -71,10 +74,11 @@ enum Phase {
 ///     TaskSpec::monjolo_ping(),
 ///     Volts(2.0),
 ///     Volts(3.6),
-/// );
+/// )?;
 /// // 1 mA of harvest: pings arrive at a steady rate.
 /// runner.run(|_v, _t| Amps::from_milli(1.0), Seconds(5.0), Seconds(1e-4));
 /// assert!(runner.completions().len() > 10);
+/// # Ok::<(), edc_power::sizing::SizingError>(())
 /// ```
 #[derive(Debug)]
 pub struct EnergyBurstRunner {
@@ -92,22 +96,23 @@ pub struct EnergyBurstRunner {
 impl EnergyBurstRunner {
     /// Creates a burst runner for a task buffered on capacitance `c`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the capacitor cannot hold one task's energy between
-    /// `v_max` and `v_min` — the buffer is simply too small for the task,
-    /// which a designer must fix by resizing (the paper's WISPCam example
-    /// sizes 6 mF for exactly this reason).
-    pub fn new(c: Farads, task: TaskSpec, v_min: Volts, v_max: Volts) -> Self {
+    /// [`SizingError::Domain`] if the capacitor cannot hold one task's
+    /// energy between `v_max` and `v_min` — the buffer is simply too small
+    /// for the task, which a designer must fix by resizing (the paper's
+    /// WISPCam example sizes 6 mF for exactly this reason).
+    pub fn new(c: Farads, task: TaskSpec, v_min: Volts, v_max: Volts) -> Result<Self, SizingError> {
         let usable = c.energy_between(v_max, v_min);
-        assert!(
-            usable >= task.energy,
-            "buffer {c} holds {usable} between rails but the task needs {}",
-            task.energy
-        );
+        // Incomparable (a NaN anywhere) fails like a short buffer.
+        if usable.partial_cmp(&task.energy).is_none_or(Ordering::is_lt) {
+            return Err(SizingError::Domain(
+                "buffer cannot hold one task's energy between the rails",
+            ));
+        }
         // E = C(V_start² − V_min²)/2 with 10% margin.
         let v_start = Volts((2.0 * task.energy.0 * 1.1 / c.0 + v_min.squared()).sqrt());
-        Self {
+        Ok(Self {
             node: SupplyNode::new(c, Volts(0.0)).with_clamp(v_max),
             task,
             v_min,
@@ -116,7 +121,7 @@ impl EnergyBurstRunner {
             completions: Vec::new(),
             aborted_tasks: 0,
             time: Seconds(0.0),
-        }
+        })
     }
 
     /// The voltage threshold at which tasks fire.
@@ -218,7 +223,8 @@ mod tests {
                 TaskSpec::monjolo_ping(),
                 Volts(2.0),
                 Volts(3.6),
-            );
+            )
+            .unwrap();
             r.run(
                 move |v, _| {
                     if v.0 > 0.05 {
@@ -245,15 +251,13 @@ mod tests {
     #[test]
     fn undersized_buffer_is_rejected() {
         // 10 µF cannot store a 5.5 mJ photo between 3.6 and 2.0 V.
-        let result = std::panic::catch_unwind(|| {
-            EnergyBurstRunner::new(
-                Farads::from_micro(10.0),
-                TaskSpec::wispcam_photo(),
-                Volts(2.0),
-                Volts(3.6),
-            )
-        });
-        assert!(result.is_err());
+        let result = EnergyBurstRunner::new(
+            Farads::from_micro(10.0),
+            TaskSpec::wispcam_photo(),
+            Volts(2.0),
+            Volts(3.6),
+        );
+        assert!(matches!(result, Err(SizingError::Domain(_))));
     }
 
     #[test]
@@ -263,7 +267,8 @@ mod tests {
             TaskSpec::wispcam_photo(),
             Volts(2.0),
             Volts(3.6),
-        );
+        )
+        .unwrap();
         // 4 mW RF harvest, always on.
         r.run(
             |v, _| Amps(4e-3 / v.0.max(0.2)),
@@ -287,7 +292,8 @@ mod tests {
             TaskSpec::sense_sample(),
             Volts(2.0),
             Volts(3.6),
-        );
+        )
+        .unwrap();
         r.run(|_, _| Amps::ZERO, Seconds(5.0), Seconds(1e-4));
         assert!(r.completions().is_empty());
         assert_eq!(r.task_rate(), 0.0);

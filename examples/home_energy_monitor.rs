@@ -8,6 +8,7 @@
 //!
 //! Run: `cargo run --release --example home_energy_monitor`
 
+use energy_driven::power::sizing::SizingError;
 use energy_driven::transient::burst::{EnergyBurstRunner, TaskSpec};
 use energy_driven::units::{Amps, Farads, Seconds, Volts, Watts};
 
@@ -17,14 +18,14 @@ fn harvested_power(primary_amps: f64) -> Watts {
     Watts(0.4e-3 * primary_amps)
 }
 
-fn ping_rate_for(primary_amps: f64) -> f64 {
+fn ping_rate_for(primary_amps: f64) -> Result<f64, SizingError> {
     let p_h = harvested_power(primary_amps);
     let mut node = EnergyBurstRunner::new(
         Farads::from_micro(500.0),
         TaskSpec::monjolo_ping(),
         Volts(2.0),
         Volts(3.6),
-    );
+    )?;
     node.run(
         move |v, _t| {
             // Regulated front-end: constant power into the buffer.
@@ -33,16 +34,16 @@ fn ping_rate_for(primary_amps: f64) -> f64 {
         Seconds(60.0),
         Seconds(1e-4),
     );
-    node.task_rate()
+    Ok(node.task_rate())
 }
 
-fn main() {
+fn main() -> Result<(), SizingError> {
     println!("Monjolo: ping frequency encodes the primary current\n");
     println!("{:>14} {:>12} {:>12}", "primary (A)", "harvest", "pings/s");
     println!("{}", "-".repeat(42));
     let mut samples = Vec::new();
     for primary in [1.0, 2.0, 4.0, 8.0] {
-        let rate = ping_rate_for(primary);
+        let rate = ping_rate_for(primary)?;
         samples.push((primary, rate));
         println!(
             "{:>14.1} {:>12} {:>12.2}",
@@ -60,4 +61,5 @@ fn main() {
          (1.0 = perfectly linear)"
     );
     println!("the receiver inverts this mapping to meter the mains power.");
+    Ok(())
 }

@@ -8,10 +8,11 @@
 //! Run: `cargo run --release --example intermittent_camera`
 
 use energy_driven::harvest::{EnergySource, RfHarvester};
+use energy_driven::power::sizing::SizingError;
 use energy_driven::transient::burst::{EnergyBurstRunner, TaskSpec};
 use energy_driven::units::{Farads, Seconds, Volts};
 
-fn main() {
+fn main() -> Result<(), SizingError> {
     println!("WISPCam: RF-harvesting battery-free camera\n");
 
     for (label, distance) in [
@@ -30,7 +31,7 @@ fn main() {
             TaskSpec::wispcam_photo(),
             Volts(2.0),
             Volts(3.6),
-        );
+        )?;
         camera.run(|v, t| rf.current_into(v, t), Seconds(120.0), Seconds(1e-3));
         let photos = camera.completions().len();
         let interval = if photos >= 2 {
@@ -50,4 +51,5 @@ fn main() {
         "\nEach photo costs ~5.5 mJ; the 6 mF buffer is sized so expression (2)\n\
          violations between photos do not matter — the photo is already in NVM."
     );
+    Ok(())
 }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Pipes a hostile request script through edc_serve: a non-UTF-8 line, a
-# 2 MiB line and 200 000 nested brackets, each followed by a valid line,
-# with an evaluate batch pending before the first. Requires one response
+# 2 MiB line, 200 000 nested brackets and an evaluate with a negative
+# deadline, each followed by a valid line, with an evaluate batch pending
+# before the first. Requires one response
 # per non-blank line, in order: the batch first, one "ok":false error per
 # hostile line, and an answer to every valid line after it.
 #
@@ -20,6 +21,8 @@ evaluate=$(grep -m1 '"op":"evaluate"' "$(dirname "$0")/golden/serve_requests.txt
     printf '\n{"id":12,"op":"metrics"}\n'
     head -c 200000 /dev/zero | tr '\0' '['
     printf '\n{"id":13,"op":"metrics"}\n'
+    printf '%s\n' "$evaluate" | sed 's/"id":1,/"id":21,/; s/"deadline_s":1.0/"deadline_s":-1/'
+    printf '{"id":14,"op":"metrics"}\n'
 } >"$dir/requests"
 "$serve" --threads 1 <"$dir/requests" >"$dir/responses"
 
@@ -29,7 +32,7 @@ fail() {
 }
 requests=$(LC_ALL=C grep -a -c '[^[:space:]]' "$dir/requests")
 responses=$(wc -l <"$dir/responses")
-[ "$requests" -eq 7 ] || fail "expected 7 request lines, wrote $requests"
+[ "$requests" -eq 9 ] || fail "expected 9 request lines, wrote $requests"
 [ "$responses" -eq "$requests" ] || fail "$responses responses to $requests request lines"
 expect() {
     sed -n "$1p" "$dir/responses" | grep -q -- "$2" || fail "response $1 lacks $2"
@@ -41,4 +44,7 @@ expect 4 '"ok":false,"error":"request line longer than 1048576 bytes"'
 expect 5 '"id":12,"ok":true,"op":"metrics"'
 expect 6 'nesting too deep'
 expect 7 '"id":13,"ok":true,"op":"metrics"'
+[ "$(grep -c '"id":21,' "$dir/responses")" -eq 1 ] || fail "not one response to id 21"
+expect 8 '"id":21,"ok":false,"op":"evaluate","error":"deadline must be positive'
+expect 9 '"id":14,"ok":true,"op":"metrics"'
 echo "serve_hostile: OK, $responses responses to $requests request lines"
