@@ -2,7 +2,8 @@
 //! artifact.
 //!
 //! Runs the canonical strategy×workload grid twice over an intermittent
-//! supply — once with the default `NullSink` (the zero-overhead baseline)
+//! supply — once with the default `TelemetryKind::Null` (no sink, the
+//! zero-overhead baseline)
 //! and once with `StatsSink` analytics — then writes `BENCH_sweep.json`
 //! with wall-clock timing (total and per-cell) and the grid-level
 //! telemetry aggregate. CI runs this in release so timing regressions are

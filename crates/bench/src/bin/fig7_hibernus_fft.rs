@@ -12,8 +12,7 @@
 use edc_bench::{banner, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_core::telemetry::TelemetryReport;
-use edc_telemetry::{Event, TelemetryKind};
+use edc_telemetry::{Event, Telemetry, TelemetryKind};
 use edc_units::{Hertz, Seconds};
 use edc_workloads::WorkloadKind;
 
@@ -55,7 +54,7 @@ fn main() {
     let outcome = report.outcome;
     let stats = report.stats;
     let verified = report.verification.clone();
-    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+    let Some(Telemetry::Timeline(timeline)) = &report.telemetry else {
         unreachable!("the spec installs a timeline sink");
     };
     let records = timeline.records();

@@ -39,9 +39,9 @@ use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::{BuildError, ExperimentSpec};
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_core::telemetry::{stats_json, TelemetryReport};
+use edc_core::telemetry::stats_json;
 use edc_core::SystemReport;
-use edc_telemetry::StatsSink;
+use edc_telemetry::{StatsSink, Telemetry};
 use edc_workloads::WorkloadKind;
 
 use crate::TextTable;
@@ -232,7 +232,7 @@ impl SweepRun {
     pub fn aggregate_stats(&self) -> Option<StatsSink> {
         let mut merged: Option<StatsSink> = None;
         for row in &self.rows {
-            if let Some(TelemetryReport::Stats(cell)) = &row.report.telemetry {
+            if let Some(Telemetry::Stats(cell)) = &row.report.telemetry {
                 merged.get_or_insert_with(StatsSink::new).merge(cell);
             }
         }
@@ -614,7 +614,7 @@ mod tests {
             .rows
             .iter()
             .filter_map(|r| match &r.report.telemetry {
-                Some(edc_core::TelemetryReport::Stats(s)) => Some(s.counts().boots),
+                Some(Telemetry::Stats(s)) => Some(s.counts().boots),
                 _ => None,
             })
             .sum();

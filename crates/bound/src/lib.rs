@@ -733,7 +733,7 @@ mod tests {
     use super::*;
     use edc_core::scenarios::{SourceKind, StrategyKind};
     use edc_core::TelemetryKind;
-    use edc_core::{SystemReport, TelemetryReport};
+    use edc_core::{SystemReport, Telemetry};
 
     fn spec(source: SourceKind) -> ExperimentSpec {
         ExperimentSpec::new(source, StrategyKind::Hibernus, WorkloadKind::Crc16(64))
@@ -755,7 +755,7 @@ mod tests {
         };
         let brownouts = report.stats.brownouts as f64;
         let p99 = match &report.telemetry {
-            Some(TelemetryReport::Stats(stats)) => stats.outage_s().summary().p99,
+            Some(Telemetry::Stats(stats)) => stats.outage_s().summary().p99,
             _ => f64::INFINITY,
         };
         [completion, energy, brownouts, p99]

@@ -39,7 +39,7 @@ use std::fmt;
 
 use edc_harvest::EnergySource;
 use edc_power::Rectifier;
-use edc_telemetry::{Sink, TelemetryKind};
+use edc_telemetry::TelemetryKind;
 use edc_transient::{RunOutcome, Strategy, TransientRunner};
 use edc_units::{Farads, Ohms, Seconds, Volts};
 use edc_workloads::{VerifyError, Workload, WorkloadKind};
@@ -47,7 +47,6 @@ use edc_workloads::{VerifyError, Workload, WorkloadKind};
 use crate::catalog::TraceCatalog;
 use crate::scenarios::{SourceKind, StrategyKind};
 use crate::system::{SystemReport, Topology};
-use crate::telemetry::TelemetryReport;
 
 /// Why an experiment could not be assembled.
 #[derive(Debug, Clone, PartialEq)]
@@ -695,14 +694,14 @@ impl Params {
 
 /// The fallible wiring layer: `build`/`run` return [`BuildError`] instead
 /// of panicking, and kinds from the registries plug in next to custom
-/// boxed components.
+/// boxed sources, strategies and workloads. Telemetry is always selected
+/// by [`TelemetryKind`].
 pub struct Experiment<'a> {
     source: Option<Box<dyn EnergySource + 'a>>,
     rectifier: Option<Rectifier>,
     strategy: Option<Box<dyn Strategy + 'a>>,
     workload: Option<Box<dyn Workload + 'a>>,
     params: Params,
-    custom_sink: Option<Box<dyn Sink + 'a>>,
     metrics: Option<edc_metrics::Registry>,
 }
 
@@ -724,7 +723,6 @@ impl<'a> Experiment<'a> {
                 trace: None,
                 telemetry: TelemetryKind::Null,
             },
-            custom_sink: None,
             metrics: None,
         }
     }
@@ -752,7 +750,6 @@ impl<'a> Experiment<'a> {
             strategy: Some(spec.strategy.make()),
             workload: Some(spec.workload.make()),
             params: spec.params(),
-            custom_sink: None,
             metrics: None,
         }
     }
@@ -865,11 +862,10 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Installs a custom telemetry sink (takes precedence over the spec's
-    /// [`TelemetryKind`]). Custom sinks are opaque to `SystemReport` unless
-    /// they expose [`Sink::as_any`].
-    pub fn telemetry(mut self, sink: Box<dyn Sink + 'a>) -> Self {
-        self.custom_sink = Some(sink);
+    /// Selects the telemetry sink for the run; its contents come back as
+    /// [`SystemReport::telemetry`].
+    pub fn telemetry(mut self, kind: TelemetryKind) -> Self {
+        self.params.telemetry = kind;
         self
     }
 
@@ -936,14 +932,8 @@ impl<'a> Experiment<'a> {
         if let Some(r) = params.leakage {
             builder = builder.leakage(r);
         }
-        let sink = self
-            .custom_sink
-            .or_else(|| params.telemetry.make().map(|s| s as Box<dyn Sink + 'a>));
-        if let Some(sink) = sink {
-            builder = builder.telemetry(sink);
-        }
         Ok(System {
-            runner: builder.build(),
+            runner: builder.telemetry(params.telemetry).build(),
             workload,
             strategy_name,
             metrics: self.metrics,
@@ -1113,7 +1103,7 @@ impl<'a> System<'a> {
             },
             strategy: self.strategy_name.clone(),
             workload: self.workload.name().to_string(),
-            telemetry: self.runner.telemetry().and_then(TelemetryReport::from_sink),
+            telemetry: self.runner.telemetry().cloned(),
         }
     }
 }

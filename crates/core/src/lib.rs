@@ -33,10 +33,9 @@ pub mod taxonomy;
 pub mod telemetry;
 
 pub use catalog::{TraceCatalog, TraceError, TraceId};
-pub use edc_telemetry::TelemetryKind;
+pub use edc_telemetry::{Telemetry, TelemetryKind};
 pub use experiment::{BuildError, Experiment, ExperimentSpec, System};
 pub use fleet::{FieldSpec, FleetError, FleetSpec, Placement};
 pub use scenarios::{FieldEnvelope, SourceKind, StrategyKind};
 pub use system::{SystemReport, Topology};
 pub use taxonomy::{classify, Adaptation, Classification, SupplyKind, SystemProfile};
-pub use telemetry::TelemetryReport;

@@ -15,12 +15,13 @@
 //! [`Experiment`](crate::experiment::Experiment) builder for custom
 //! components.
 
+use edc_telemetry::Telemetry;
 use edc_transient::{RunOutcome, RunnerStats};
 use edc_units::Farads;
 use edc_workloads::VerifyError;
 
 use crate::json::Json;
-use crate::telemetry::TelemetryReport;
+use crate::telemetry::telemetry_json;
 
 /// Energy-subsystem topology (Fig. 3 vs. Fig. 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,10 +52,9 @@ pub struct SystemReport {
     pub strategy: String,
     /// The workload's display name.
     pub workload: String,
-    /// What the run's telemetry sink captured, when one was installed and
-    /// readable (`None` for the default [`TelemetryKind::Null`](
-    /// edc_telemetry::TelemetryKind::Null)).
-    pub telemetry: Option<TelemetryReport>,
+    /// What the run's telemetry sink captured (`None` for the default
+    /// [`TelemetryKind::Null`](edc_telemetry::TelemetryKind::Null)).
+    pub telemetry: Option<Telemetry>,
 }
 
 impl SystemReport {
@@ -110,7 +110,7 @@ impl SystemReport {
         // Appended only when a sink captured something, so default runs
         // serialise byte-identically to the pre-telemetry format.
         if let Some(telemetry) = &self.telemetry {
-            pairs.push(("telemetry", telemetry.to_json()));
+            pairs.push(("telemetry", telemetry_json(telemetry)));
         }
         Json::obj(pairs)
     }

@@ -1,87 +1,29 @@
-//! Report-side view of a run's telemetry.
+//! JSON for a run's [`Telemetry`].
 //!
-//! The runner owns its [`Sink`] for the duration of a run; this module
-//! recovers the sink's contents afterwards as a [`TelemetryReport`] — a
-//! plain value that `SystemReport` can carry, sweeps can aggregate, and
-//! [`crate::json`] can serialise with deterministic field order.
+//! The runner feeds its [`Telemetry`] during a run and `SystemReport`
+//! carries a clone of it afterwards; this module serialises it with
+//! deterministic field order through [`crate::json`].
 
 use edc_telemetry::{
-    Event, GaugeSample, Histogram, PhaseChange, Record, RingBuffer, Sink, StatsSink, TelemetryKind,
-    TimelineSink,
+    Event, GaugeSample, Histogram, PhaseChange, Record, StatsSink, Telemetry, TimelineSink,
 };
 
 use crate::json::Json;
 
-/// What a run's telemetry sink captured, as plain data.
-#[derive(Debug, Clone)]
-pub enum TelemetryReport {
-    /// Contents of a [`RingBuffer`] sink.
-    Ring {
-        /// The ring's capacity.
-        capacity: usize,
-        /// Records evicted because the ring was full.
-        dropped: u64,
-        /// Retained records, oldest first.
-        records: Vec<Record>,
-    },
-    /// A finished [`StatsSink`] (mergeable across sweep cells). Boxed so
-    /// the variant stays pointer-sized next to `Ring`.
-    Stats(Box<StatsSink>),
-    /// A finished [`TimelineSink`]: the run's complete record, phase, and
-    /// gauge streams, exportable as a Perfetto timeline by `edc-obs`.
-    Timeline(Box<TimelineSink>),
-}
-
-impl TelemetryReport {
-    /// Recovers a report from a runner's sink. Returns `None` for sinks
-    /// with no readable state (`NullSink`, borrowed adapters, custom
-    /// sinks the report layer does not know).
-    pub fn from_sink(sink: &dyn Sink) -> Option<TelemetryReport> {
-        let any = sink.as_any()?;
-        if let Some(ring) = any.downcast_ref::<RingBuffer>() {
-            return Some(TelemetryReport::Ring {
-                capacity: ring.capacity(),
-                dropped: ring.dropped(),
-                records: ring.records(),
-            });
-        }
-        if let Some(stats) = any.downcast_ref::<StatsSink>() {
-            return Some(TelemetryReport::Stats(Box::new(stats.clone())));
-        }
-        any.downcast_ref::<TimelineSink>()
-            .map(|tl| TelemetryReport::Timeline(Box::new(tl.clone())))
-    }
-
-    /// The kind of sink this report came from.
-    pub fn kind(&self) -> TelemetryKind {
-        match self {
-            TelemetryReport::Ring { capacity, .. } => TelemetryKind::Ring {
-                capacity: *capacity,
-            },
-            TelemetryReport::Stats(_) => TelemetryKind::Stats,
-            TelemetryReport::Timeline(_) => TelemetryKind::Timeline,
-        }
-    }
-
-    /// The report as a JSON value with deterministic field order.
-    pub fn to_json(&self) -> Json {
-        match self {
-            TelemetryReport::Ring {
-                capacity,
-                dropped,
-                records,
-            } => Json::obj(vec![
-                ("kind", Json::Str("ring".into())),
-                ("capacity", Json::Uint(*capacity as u64)),
-                ("dropped", Json::Uint(*dropped)),
-                (
-                    "events",
-                    Json::Arr(records.iter().map(record_json).collect()),
-                ),
-            ]),
-            TelemetryReport::Stats(stats) => stats_json(stats),
-            TelemetryReport::Timeline(tl) => timeline_json(tl),
-        }
+/// A run's telemetry as a JSON value with deterministic field order.
+pub fn telemetry_json(telemetry: &Telemetry) -> Json {
+    match telemetry {
+        Telemetry::Ring(ring) => Json::obj(vec![
+            ("kind", Json::Str("ring".into())),
+            ("capacity", Json::Uint(ring.capacity() as u64)),
+            ("dropped", Json::Uint(ring.dropped())),
+            (
+                "events",
+                Json::Arr(ring.records().iter().map(record_json).collect()),
+            ),
+        ]),
+        Telemetry::Stats(stats) => stats_json(stats),
+        Telemetry::Timeline(tl) => timeline_json(tl),
     }
 }
 
@@ -140,7 +82,7 @@ fn record_json(r: &Record) -> Json {
 /// fixed summary leaves between p999 and max. Buckets are compact (only
 /// populated bounds appear; see [`Histogram::le_buckets`]) and close with
 /// a `+Inf` entry whose `le` serialises as the string `"+Inf"`.
-pub fn histogram_json(h: &Histogram) -> Json {
+fn histogram_json(h: &Histogram) -> Json {
     let s = h.summary();
     Json::obj(vec![
         ("count", Json::Uint(s.count)),
@@ -216,13 +158,8 @@ pub fn stats_json(stats: &StatsSink) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edc_telemetry::NullSink;
-    use edc_units::{Joules, Seconds};
-
-    #[test]
-    fn null_sink_yields_no_report() {
-        assert!(TelemetryReport::from_sink(&NullSink).is_none());
-    }
+    use edc_telemetry::{Phase, RingBuffer};
+    use edc_units::{Joules, Seconds, Watts};
 
     #[test]
     fn ring_report_round_trips_through_json() {
@@ -235,11 +172,10 @@ mod tests {
                 cost: Joules(4e-6),
             },
         });
-        let report = TelemetryReport::from_sink(&ring).expect("ring is readable");
-        assert_eq!(report.kind(), TelemetryKind::Ring { capacity: 4 });
-        let json = report.to_json().to_string();
+        let json = telemetry_json(&Telemetry::Ring(ring)).to_string();
         let parsed = Json::parse(&json).expect("valid JSON");
         assert_eq!(parsed.get("kind"), Some(&Json::Str("ring".into())));
+        assert_eq!(parsed.get("capacity"), Some(&Json::Uint(4)));
         assert!(json.contains("\"event\":\"snapshot-torn\""));
         assert!(json.contains("\"cost_j\":0.000004"));
     }
@@ -260,8 +196,7 @@ mod tests {
                 event,
             });
         }
-        let report = TelemetryReport::from_sink(&stats).expect("stats is readable");
-        let json = report.to_json().to_string();
+        let json = telemetry_json(&Telemetry::Stats(Box::new(stats))).to_string();
         for key in [
             "counts",
             "outage_s",
@@ -285,8 +220,6 @@ mod tests {
 
     #[test]
     fn timeline_report_serialises_all_three_streams() {
-        use edc_telemetry::Phase;
-        use edc_units::Watts;
         let mut tl = TimelineSink::new();
         tl.phase(Seconds(0.0), Phase::Off);
         tl.gauge(Seconds(0.0), Joules::ZERO, Watts::ZERO);
@@ -296,9 +229,7 @@ mod tests {
             event: Event::Boot,
         });
         tl.phase(Seconds(0.1), Phase::Active);
-        let report = TelemetryReport::from_sink(&tl).expect("timeline is readable");
-        assert_eq!(report.kind(), TelemetryKind::Timeline);
-        let json = report.to_json().to_string();
+        let json = telemetry_json(&Telemetry::Timeline(Box::new(tl))).to_string();
         for key in [
             "\"kind\":\"timeline\"",
             "\"events\"",

@@ -1,6 +1,7 @@
 //! Observability overhead benchmark: what the full-retention
-//! `TimelineSink` costs relative to the default `NullSink` fast path, on
-//! the same 56-design sizing sweep `bench_explore` searches.
+//! `TimelineSink` costs relative to the default `TelemetryKind::Null`
+//! fast path (no sink built at all), on the same 56-design sizing sweep
+//! `bench_explore` searches.
 //!
 //! Each variant runs the whole grid through the sweep engine; the
 //! timeline variant additionally retains every lifecycle event, phase
@@ -24,7 +25,8 @@ use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
-use edc_core::telemetry::{timeline_json, TelemetryReport};
+use edc_core::telemetry::timeline_json;
+use edc_core::Telemetry;
 use edc_core::TelemetryKind;
 use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::SpecSpace;
@@ -88,7 +90,7 @@ fn stats_of(row: &SweepRow) -> String {
 /// Deterministic timeline-capture JSON for a row, when present.
 fn capture_of(row: &SweepRow) -> Option<String> {
     match &row.report.telemetry {
-        Some(TelemetryReport::Timeline(tl)) => Some(timeline_json(tl).to_string()),
+        Some(Telemetry::Timeline(tl)) => Some(timeline_json(tl).to_string()),
         _ => None,
     }
 }
@@ -120,7 +122,7 @@ fn main() {
     let mut phases = 0u64;
     let mut gauges = 0u64;
     for row in &timeline_rows {
-        if let Some(TelemetryReport::Timeline(tl)) = &row.report.telemetry {
+        if let Some(Telemetry::Timeline(tl)) = &row.report.telemetry {
             events += tl.records().len() as u64;
             phases += tl.phases().len() as u64;
             gauges += tl.gauges().len() as u64;
@@ -128,7 +130,7 @@ fn main() {
     }
 
     let overhead = timeline_s / null_s;
-    banner("TimelineSink overhead vs NullSink (56-design sizing sweep)");
+    banner("TimelineSink overhead vs Null telemetry (56-design sizing sweep)");
     let mut t = TextTable::new(&["variant", "wall (s)", "captured"]);
     t.row(&["null".to_string(), format!("{null_s:.3}"), "-".to_string()]);
     t.row(&[

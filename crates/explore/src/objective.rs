@@ -18,8 +18,8 @@
 use edc_bound::{Bounder, ScoreBracket};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
-use edc_core::telemetry::TelemetryReport;
 use edc_core::SystemReport;
+use edc_core::Telemetry;
 
 /// Reads a JSON number (the parser yields `Uint` for whole numbers).
 fn json_num(value: &Json) -> Option<f64> {
@@ -40,7 +40,7 @@ pub trait Objective {
     /// `NaN`) for infeasible designs.
     fn score(&self, spec: &ExperimentSpec, report: &SystemReport) -> f64;
 
-    /// `true` when the objective reads [`TelemetryReport::Stats`] and the
+    /// `true` when the objective reads [`Telemetry::Stats`] and the
     /// evaluator must therefore force stats telemetry onto every candidate
     /// spec.
     fn requires_stats(&self) -> bool {
@@ -244,7 +244,7 @@ impl Objective for P99Outage {
 
     fn score(&self, _spec: &ExperimentSpec, report: &SystemReport) -> f64 {
         match &report.telemetry {
-            Some(TelemetryReport::Stats(stats)) => stats.outage_s().summary().p99,
+            Some(Telemetry::Stats(stats)) => stats.outage_s().summary().p99,
             _ => f64::INFINITY,
         }
     }

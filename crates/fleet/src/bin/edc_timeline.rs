@@ -28,7 +28,7 @@ use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::fleet::FleetSpec;
 use edc_core::json::Json;
-use edc_core::telemetry::TelemetryReport;
+use edc_core::Telemetry;
 use edc_core::TelemetryKind;
 use edc_fleet::Fleet;
 use edc_obs::PerfettoTrace;
@@ -201,7 +201,7 @@ fn render(
             .run()
             .map_err(|e| format!("{path}: {e}"))?;
         for (i, node) in report.nodes.iter().enumerate() {
-            if let Some(TelemetryReport::Timeline(tl)) = &node.telemetry {
+            if let Some(Telemetry::Timeline(tl)) = &node.telemetry {
                 let end = node.stats.completed_at.unwrap_or(deadline);
                 trace.add_track(&format!("node{i}"), tl, end);
             }
@@ -213,7 +213,7 @@ fn render(
             .map_err(|e| format!("{path}: unparseable experiment spec: {e}"))?
             .telemetry(TelemetryKind::Timeline);
         let report = spec.run_in(catalog).map_err(|e| format!("{path}: {e}"))?;
-        if let Some(TelemetryReport::Timeline(tl)) = &report.telemetry {
+        if let Some(Telemetry::Timeline(tl)) = &report.telemetry {
             let end = report.stats.completed_at.unwrap_or(spec.deadline);
             trace.add_track(&spec.label(), tl, end);
         }

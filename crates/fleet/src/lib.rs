@@ -76,9 +76,9 @@ use edc_bench::sweep::{run_specs_timed_metered, BATCH_SIZE_BOUNDS};
 use edc_core::catalog::TraceCatalog;
 use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::json::Json;
-use edc_core::telemetry::{stats_json, TelemetryReport};
+use edc_core::telemetry::stats_json;
 use edc_core::SystemReport;
-use edc_telemetry::StatsSink;
+use edc_telemetry::{StatsSink, Telemetry};
 
 pub use edc_core::fleet::{FieldSpec, Placement};
 pub use edc_core::scenarios::FieldEnvelope;
@@ -346,7 +346,7 @@ impl FleetReport {
     pub fn aggregate_stats(&self) -> Option<StatsSink> {
         let mut merged: Option<StatsSink> = None;
         for report in &self.nodes {
-            if let Some(TelemetryReport::Stats(node)) = &report.telemetry {
+            if let Some(Telemetry::Stats(node)) = &report.telemetry {
                 merged.get_or_insert_with(StatsSink::new).merge(node);
             }
         }
@@ -468,7 +468,7 @@ mod tests {
             .nodes
             .iter()
             .filter_map(|r| match &r.telemetry {
-                Some(TelemetryReport::Stats(s)) => Some(s.counts().boots),
+                Some(Telemetry::Stats(s)) => Some(s.counts().boots),
                 _ => None,
             })
             .sum();

@@ -12,7 +12,7 @@
 //!
 //! ```
 //! use edc_obs::PerfettoTrace;
-//! use edc_telemetry::{Event, Record, Sink, TimelineSink};
+//! use edc_telemetry::{Event, Record, TimelineSink};
 //! use edc_units::{Joules, Seconds};
 //!
 //! let mut tl = TimelineSink::new();

@@ -32,7 +32,7 @@ fn us(t: Seconds) -> Json {
 ///
 /// ```
 /// use edc_obs::PerfettoTrace;
-/// use edc_telemetry::{Phase, Sink, TimelineSink};
+/// use edc_telemetry::{Phase, TimelineSink};
 /// use edc_units::Seconds;
 ///
 /// let mut tl = TimelineSink::new();
@@ -117,7 +117,7 @@ impl PerfettoTrace {
     ///
     /// ```
     /// use edc_obs::PerfettoTrace;
-    /// use edc_telemetry::{Event, Record, Sink, TimelineSink};
+    /// use edc_telemetry::{Event, Record, TimelineSink};
     /// use edc_units::{Joules, Seconds};
     ///
     /// let mut tl = TimelineSink::new();
@@ -224,7 +224,7 @@ impl PerfettoTrace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edc_telemetry::{Phase, Record, Sink};
+    use edc_telemetry::{Phase, Record};
     use edc_units::{Joules, Watts};
 
     fn scripted_timeline() -> TimelineSink {

@@ -123,23 +123,6 @@ impl Histogram {
         self.max = self.max.max(x);
     }
 
-    /// Number of recorded observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// `true` when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Sum of observations, accumulated in order-invariant fixed-point
-    /// arithmetic (quantised at 2⁻⁶⁰): merging histograms in any grouping
-    /// order yields the bit-identical total.
-    pub fn sum(&self) -> f64 {
-        self.sum.value()
-    }
-
     /// Exact minimum, or `None` when empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -150,8 +133,10 @@ impl Histogram {
         (self.count > 0).then_some(self.max)
     }
 
-    /// Arithmetic mean over the order-invariant [`Histogram::sum`], or
-    /// `None` when empty.
+    /// Arithmetic mean over the sum of observations, or `None` when empty.
+    /// The sum is accumulated in order-invariant fixed-point arithmetic
+    /// (quantised at 2⁻⁶⁰), so merging histograms in any grouping order
+    /// yields the bit-identical mean.
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then_some(self.sum.value() / self.count as f64)
     }
@@ -285,7 +270,7 @@ mod tests {
         for x in [1.0, 2.0, 3.0, 4.0] {
             h.add(x);
         }
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.summary().count, 4);
         assert_eq!(h.min(), Some(1.0));
         assert_eq!(h.max(), Some(4.0));
         assert_eq!(h.mean(), Some(2.5));
@@ -316,7 +301,7 @@ mod tests {
         h.add(1e-20); // below the first bin: clamped, min stays exact
         h.add(1e9); // above the last bin: clamped, max stays exact
         h.add(f64::NAN); // ignored
-        assert_eq!(h.count(), 4);
+        assert_eq!(h.summary().count, 4);
         assert_eq!(h.min(), Some(-1.0));
         assert_eq!(h.max(), Some(1e9));
         assert_eq!(h.quantile(0.25), Some(0.0), "zero bucket answers low q");

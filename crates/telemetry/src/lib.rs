@@ -8,11 +8,9 @@
 //! emitted by the transient runner at exactly the points where it already
 //! mutates its stats.
 //!
-//! Four sinks ship with the crate:
+//! Three sinks ship with the crate, closed under one [`Telemetry`] enum
+//! that [`TelemetryKind::make`] builds:
 //!
-//! - [`NullSink`] — the default. When no sink is installed the runner's
-//!   emission point is a single `Option` branch and `NullSink::record`
-//!   itself is a statically-inlined no-op, so default runs pay nothing.
 //! - [`RingBuffer`] — a bounded ring of the most recent records, for tests
 //!   and debugging (assert the exact event sequence of a scripted run).
 //! - [`StatsSink`] — O(1) streaming analytics: event counts, deterministic
@@ -23,13 +21,17 @@
 //!   change and gauge sample in emission order, so a run can be replayed
 //!   on a time axis (the Fig. 7 event table, Perfetto export in `edc-obs`).
 //!
+//! [`TelemetryKind::Null`], the default, builds no sink at all: the
+//! runner's emission point is then a single `Option::None` branch, so
+//! default runs pay nothing.
+//!
 //! Everything is deterministic: identical runs produce identical streams
 //! and byte-identical summaries (see `hist` for how quantiles stay pure).
 //!
 //! # Examples
 //!
 //! ```
-//! use edc_telemetry::{Event, Record, RingBuffer, Sink};
+//! use edc_telemetry::{Event, Record, RingBuffer};
 //! use edc_units::{Joules, Seconds};
 //!
 //! let mut ring = RingBuffer::with_capacity(8);
@@ -171,88 +173,74 @@ pub struct Record {
     pub event: Event,
 }
 
-/// A consumer of the event stream.
+/// A run's telemetry: the sink the transient runner feeds during a run
+/// and, once it ends, the plain value a report carries.
 ///
-/// Implementations must be deterministic: the summary they expose may
-/// depend only on the sequence of records received.
-pub trait Sink {
-    /// Consumes one record.
-    fn record(&mut self, rec: Record);
+/// Built by [`TelemetryKind::make`]. Records go to every variant; phase
+/// changes and gauge samples are retained only by a timeline.
+///
+/// # Examples
+///
+/// ```
+/// use edc_telemetry::{Event, Record, Telemetry, TelemetryKind};
+/// use edc_units::{Joules, Seconds};
+///
+/// let mut sink = TelemetryKind::Ring { capacity: 8 }.make().expect("a ring");
+/// sink.record(Record {
+///     t: Seconds(0.25),
+///     energy: Joules(1e-6),
+///     event: Event::Boot,
+/// });
+/// let Telemetry::Ring(ring) = &sink else { unreachable!() };
+/// assert_eq!(ring.records()[0].event, Event::Boot);
+/// ```
+#[derive(Debug, Clone)]
+pub enum Telemetry {
+    /// A [`RingBuffer`] of the most recent records.
+    Ring(RingBuffer),
+    /// A [`StatsSink`] (mergeable across sweep cells). Boxed so the
+    /// variant stays small next to `Ring`.
+    Stats(Box<StatsSink>),
+    /// A [`TimelineSink`]: the run's complete record, phase, and gauge
+    /// streams, exportable as a Perfetto timeline by `edc-obs`.
+    Timeline(Box<TimelineSink>),
+}
 
-    /// Consumes a lifecycle-phase transition. The default is a no-op so
-    /// existing sinks (and the pinned `Record` streams they observe) are
-    /// unaffected; timeline sinks override it to build duration spans.
-    fn phase(&mut self, t: Seconds, phase: Phase) {
-        let _ = (t, phase);
+impl Telemetry {
+    /// Consumes one record.
+    pub fn record(&mut self, rec: Record) {
+        match self {
+            Telemetry::Ring(ring) => ring.record(rec),
+            Telemetry::Stats(stats) => stats.record(rec),
+            Telemetry::Timeline(tl) => tl.record(rec),
+        }
+    }
+
+    /// Consumes a lifecycle-phase transition (kept by a timeline only).
+    pub fn phase(&mut self, t: Seconds, phase: Phase) {
+        match self {
+            Telemetry::Timeline(tl) => tl.phase(t, phase),
+            Telemetry::Ring(_) | Telemetry::Stats(_) => {}
+        }
     }
 
     /// Consumes a gauge sample: the energy stored in the node's reservoir
-    /// and the instantaneous supply power, both at time `t`. Emitted at
-    /// lifecycle events and phase transitions (not every tick), so the
-    /// stream stays bounded by the event count. No-op by default.
-    fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
-        let _ = (t, stored, supply);
+    /// and the instantaneous supply power, both at time `t` (kept by a
+    /// timeline only). Emitted at lifecycle events and phase transitions,
+    /// not every tick, so the stream stays bounded by the event count.
+    pub fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
+        match self {
+            Telemetry::Timeline(tl) => tl.gauge(t, stored, supply),
+            Telemetry::Ring(_) | Telemetry::Stats(_) => {}
+        }
     }
-
-    /// Downcast hook used by report emitters to recover a concrete sink
-    /// after a run. Sinks that carry no readable state (e.g. [`NullSink`],
-    /// borrowed adapters) return `None`.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-}
-
-/// Forwarding impl so tests can lend a sink to a runner and keep the
-/// original binding for inspection afterwards. `as_any` deliberately stays
-/// `None`: the lender already owns the sink, so report emitters must not
-/// duplicate its contents.
-impl<S: Sink + ?Sized> Sink for &mut S {
-    fn record(&mut self, rec: Record) {
-        (**self).record(rec);
-    }
-
-    fn phase(&mut self, t: Seconds, phase: Phase) {
-        (**self).phase(t, phase);
-    }
-
-    fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
-        (**self).gauge(t, stored, supply);
-    }
-}
-
-impl<S: Sink + ?Sized> Sink for Box<S> {
-    fn record(&mut self, rec: Record) {
-        (**self).record(rec);
-    }
-
-    fn phase(&mut self, t: Seconds, phase: Phase) {
-        (**self).phase(t, phase);
-    }
-
-    fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
-        (**self).gauge(t, stored, supply);
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        (**self).as_any()
-    }
-}
-
-/// The default sink: discards everything.
-///
-/// `record` is a statically-inlined empty body, so even when a `NullSink`
-/// is explicitly installed the per-event cost is one virtual call to a
-/// no-op; when no sink is installed at all (the default), emission is a
-/// single `Option::None` branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullSink;
-
-impl Sink for NullSink {
-    #[inline(always)]
-    fn record(&mut self, _rec: Record) {}
 }
 
 /// A bounded ring of the most recent records.
+///
+/// Storage grows as records arrive, up to `capacity`, so memory is bounded
+/// by the records a run actually emits rather than by the capacity asked
+/// for.
 #[derive(Debug, Clone)]
 pub struct RingBuffer {
     capacity: usize,
@@ -272,7 +260,7 @@ impl RingBuffer {
         assert!(capacity > 0, "ring capacity must be ≥ 1");
         Self {
             capacity,
-            buf: Vec::with_capacity(capacity),
+            buf: Vec::new(),
             head: 0,
             dropped: 0,
         }
@@ -281,16 +269,6 @@ impl RingBuffer {
     /// Maximum number of retained records.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when no records are retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// Records evicted because the ring was full.
@@ -306,15 +284,8 @@ impl RingBuffer {
         out
     }
 
-    /// Retained events, oldest first (drops the stamps — handy for
-    /// sequence assertions).
-    pub fn events(&self) -> Vec<Event> {
-        self.records().iter().map(|r| r.event).collect()
-    }
-}
-
-impl Sink for RingBuffer {
-    fn record(&mut self, rec: Record) {
+    /// Appends one record, evicting the oldest once `capacity` are held.
+    pub fn record(&mut self, rec: Record) {
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
         } else {
@@ -322,10 +293,6 @@ impl Sink for RingBuffer {
             self.head = (self.head + 1) % self.capacity;
             self.dropped += 1;
         }
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -351,16 +318,6 @@ pub enum TelemetryKind {
 }
 
 impl TelemetryKind {
-    /// Display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TelemetryKind::Null => "null",
-            TelemetryKind::Ring { .. } => "ring",
-            TelemetryKind::Stats => "stats",
-            TelemetryKind::Timeline => "timeline",
-        }
-    }
-
     /// Checks the kind's parameters, so fallible assembly layers can
     /// reject a bad kind instead of hitting a constructor assert.
     ///
@@ -381,12 +338,14 @@ impl TelemetryKind {
     ///
     /// Panics when the parameters violate the constructor domain; call
     /// [`TelemetryKind::validate`] first to get the violation as a value.
-    pub fn make(self) -> Option<Box<dyn Sink>> {
+    pub fn make(self) -> Option<Telemetry> {
         match self {
             TelemetryKind::Null => None,
-            TelemetryKind::Ring { capacity } => Some(Box::new(RingBuffer::with_capacity(capacity))),
-            TelemetryKind::Stats => Some(Box::new(StatsSink::new())),
-            TelemetryKind::Timeline => Some(Box::new(TimelineSink::new())),
+            TelemetryKind::Ring { capacity } => {
+                Some(Telemetry::Ring(RingBuffer::with_capacity(capacity)))
+            }
+            TelemetryKind::Stats => Some(Telemetry::Stats(Box::new(StatsSink::new()))),
+            TelemetryKind::Timeline => Some(Telemetry::Timeline(Box::new(TimelineSink::new()))),
         }
     }
 }
@@ -426,43 +385,40 @@ mod tests {
         for i in 0..5 {
             ring.record(rec(i as f64, Event::Boot));
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 2);
         let ts: Vec<f64> = ring.records().iter().map(|r| r.t.0).collect();
         assert_eq!(ts, vec![2.0, 3.0, 4.0], "oldest first");
     }
 
     #[test]
-    fn null_sink_discards() {
-        let mut s = NullSink;
-        s.record(rec(0.0, Event::Brownout));
-        assert!(s.as_any().is_none());
-    }
-
-    #[test]
-    fn borrowed_sink_forwards_records_but_not_downcasts() {
-        let mut ring = RingBuffer::with_capacity(2);
-        {
-            let mut lent: Box<dyn Sink + '_> = Box::new(&mut ring);
-            lent.record(rec(1.0, Event::TaskComplete));
-            assert!(
-                lent.as_any().is_none(),
-                "borrowed adapters are opaque to report emitters"
-            );
+    fn a_usize_max_ring_grows_with_its_records() {
+        let mut ring = RingBuffer::with_capacity(usize::MAX);
+        for i in 0..5 {
+            ring.record(rec(i as f64, Event::Boot));
         }
-        assert_eq!(ring.events(), vec![Event::TaskComplete]);
+        assert_eq!(ring.capacity(), usize::MAX);
+        assert_eq!(ring.dropped(), 0);
+        let ts: Vec<f64> = ring.records().iter().map(|r| r.t.0).collect();
+        assert_eq!(ts, vec![0.0, 1.0, 2.0, 3.0, 4.0], "oldest first");
     }
 
     #[test]
     fn kind_registry_validates_and_makes() {
         assert!(TelemetryKind::Null.make().is_none());
-        assert!(TelemetryKind::Stats.make().is_some());
-        assert!(TelemetryKind::Ring { capacity: 4 }.make().is_some());
+        assert!(matches!(
+            TelemetryKind::Stats.make(),
+            Some(Telemetry::Stats(_))
+        ));
+        assert!(matches!(
+            TelemetryKind::Ring { capacity: 4 }.make(),
+            Some(Telemetry::Ring(ring)) if ring.capacity() == 4
+        ));
         assert!(TelemetryKind::Ring { capacity: 0 }.validate().is_err());
         assert_eq!(TelemetryKind::default(), TelemetryKind::Null);
-        assert_eq!(TelemetryKind::Stats.name(), "stats");
-        assert_eq!(TelemetryKind::Timeline.name(), "timeline");
         assert!(TelemetryKind::Timeline.validate().is_ok());
-        assert!(TelemetryKind::Timeline.make().is_some());
+        assert!(matches!(
+            TelemetryKind::Timeline.make(),
+            Some(Telemetry::Timeline(_))
+        ));
     }
 }

@@ -12,7 +12,7 @@
 use edc_units::{Joules, Seconds};
 
 use crate::hist::{FixedSum, Histogram};
-use crate::{Event, Record, Sink};
+use crate::{Event, Record};
 
 /// Event counts accumulated by a [`StatsSink`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -76,14 +76,6 @@ impl EnergyBreakdown {
     /// Total attributed energy.
     pub fn total_j(&self) -> f64 {
         self.run_j + self.snapshot_j + self.restore_j + self.idle_j
-    }
-
-    /// Folds another breakdown into this one.
-    pub fn merge(&mut self, other: &EnergyBreakdown) {
-        self.run_j += other.run_j;
-        self.snapshot_j += other.snapshot_j;
-        self.restore_j += other.restore_j;
-        self.idle_j += other.idle_j;
     }
 }
 
@@ -189,10 +181,9 @@ impl StatsSink {
             (a, b) => a.or(b),
         };
     }
-}
 
-impl Sink for StatsSink {
-    fn record(&mut self, rec: Record) {
+    /// Consumes one record.
+    pub fn record(&mut self, rec: Record) {
         self.counts.records += 1;
         // Charge the cumulative-energy delta to the phase in force *before*
         // this event's transition takes effect.
@@ -256,10 +247,6 @@ impl Sink for StatsSink {
             }
         }
     }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
 }
 
 #[cfg(test)]
@@ -311,12 +298,12 @@ mod tests {
         assert_eq!(c.restores, 1);
         assert_eq!(c.completions, 1);
         // Two outages: 0.11→0.21 and 0.30→0.50.
-        assert_eq!(s.outage_s().count(), 2);
+        assert_eq!(s.outage_s().summary().count, 2);
         assert!((s.outage_s().min().unwrap() - 0.10).abs() < 1e-12);
         assert!((s.outage_s().max().unwrap() - 0.20).abs() < 1e-12);
         // One interval between the two power losses: 0.30 − 0.11.
-        assert_eq!(s.between_brownouts_s().count(), 1);
-        assert!((s.between_brownouts_s().sum() - 0.19).abs() < 1e-12);
+        assert_eq!(s.between_brownouts_s().summary().count, 1);
+        assert!((s.between_brownouts_s().mean().unwrap() - 0.19).abs() < 1e-12);
         assert_eq!(s.completed_at(), Some(Seconds(0.55)));
         // Energy attribution covers the whole cumulative stamp.
         let b = s.energy_breakdown();
@@ -336,7 +323,10 @@ mod tests {
         merged.merge(&cell);
         merged.merge(&cell);
         assert_eq!(merged.counts().boots, 2 * cell.counts().boots);
-        assert_eq!(merged.outage_s().count(), 2 * cell.outage_s().count());
+        assert_eq!(
+            merged.outage_s().summary().count,
+            2 * cell.outage_s().summary().count
+        );
         assert_eq!(
             merged.completed_at(),
             cell.completed_at(),

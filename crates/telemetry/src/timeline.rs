@@ -9,7 +9,7 @@
 
 use edc_units::{Joules, Seconds, Watts};
 
-use crate::{Phase, Record, Sink};
+use crate::{Phase, Record};
 
 /// One lifecycle-phase transition: from `t` onward the node is in `phase`
 /// (until the next change).
@@ -69,7 +69,7 @@ pub struct GaugeSample {
 /// # Examples
 ///
 /// ```
-/// use edc_telemetry::{Event, Phase, Record, Sink, TimelineSink};
+/// use edc_telemetry::{Event, Phase, Record, TimelineSink};
 /// use edc_units::{Joules, Seconds, Watts};
 ///
 /// let mut tl = TimelineSink::new();
@@ -121,7 +121,7 @@ impl TimelineSink {
     /// # Examples
     ///
     /// ```
-    /// use edc_telemetry::{Event, Record, Sink, TimelineSink};
+    /// use edc_telemetry::{Event, Record, TimelineSink};
     /// use edc_units::{Joules, Seconds};
     ///
     /// let mut tl = TimelineSink::new();
@@ -141,7 +141,7 @@ impl TimelineSink {
     /// # Examples
     ///
     /// ```
-    /// use edc_telemetry::{Phase, Sink, TimelineSink};
+    /// use edc_telemetry::{Phase, TimelineSink};
     /// use edc_units::Seconds;
     ///
     /// let mut tl = TimelineSink::new();
@@ -157,7 +157,7 @@ impl TimelineSink {
     /// # Examples
     ///
     /// ```
-    /// use edc_telemetry::{Sink, TimelineSink};
+    /// use edc_telemetry::TimelineSink;
     /// use edc_units::{Joules, Seconds, Watts};
     ///
     /// let mut tl = TimelineSink::new();
@@ -167,23 +167,22 @@ impl TimelineSink {
     pub fn gauges(&self) -> &[GaugeSample] {
         &self.gauges
     }
-}
 
-impl Sink for TimelineSink {
-    fn record(&mut self, rec: Record) {
+    /// Retains one record.
+    pub fn record(&mut self, rec: Record) {
         self.records.push(rec);
     }
 
-    fn phase(&mut self, t: Seconds, phase: Phase) {
+    /// Retains a lifecycle-phase transition: from `t` onward the node is
+    /// in `phase`.
+    pub fn phase(&mut self, t: Seconds, phase: Phase) {
         self.phases.push(PhaseChange { t, phase });
     }
 
-    fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
+    /// Retains a gauge sample: the energy stored in the node's reservoir
+    /// and the instantaneous supply power, both at time `t`.
+    pub fn gauge(&mut self, t: Seconds, stored: Joules, supply: Watts) {
         self.gauges.push(GaugeSample { t, stored, supply });
-    }
-
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
     }
 }
 
@@ -217,29 +216,5 @@ mod tests {
         );
         let ts: Vec<f64> = tl.records().iter().map(|r| r.t.0).collect();
         assert!(ts.windows(2).all(|w| w[0] <= w[1]), "emission order kept");
-    }
-
-    #[test]
-    fn timeline_downcasts_through_a_box() {
-        let mut sink: Box<dyn Sink> = Box::new(TimelineSink::new());
-        sink.phase(Seconds(0.0), Phase::Active);
-        sink.gauge(Seconds(0.0), Joules::ZERO, Watts::ZERO);
-        let any = sink.as_any().expect("timeline exposes state");
-        let tl = any.downcast_ref::<TimelineSink>().expect("downcast");
-        assert_eq!(tl.phases().len(), 1);
-        assert_eq!(tl.gauges().len(), 1);
-        assert!(!tl.is_empty());
-    }
-
-    #[test]
-    fn borrowed_timeline_forwards_phase_and_gauge() {
-        let mut tl = TimelineSink::new();
-        {
-            let mut lent: Box<dyn Sink + '_> = Box::new(&mut tl);
-            lent.phase(Seconds(0.5), Phase::Sleep);
-            lent.gauge(Seconds(0.5), Joules(1e-6), Watts(2e-3));
-        }
-        assert_eq!(tl.phases()[0].phase, Phase::Sleep);
-        assert_eq!(tl.gauges()[0].stored, Joules(1e-6));
     }
 }

@@ -10,7 +10,7 @@ use edc_harvest::{EnergySource, SourceSample};
 use edc_mcu::{Mcu, PowerState, RunExit};
 use edc_power::{MonitorEvent, Rectifier, VoltageMonitor};
 use edc_sim::{SupplyNode, TimeSeries};
-use edc_telemetry::{Event, Phase, Record, Sink};
+use edc_telemetry::{Event, Phase, Record, Telemetry, TelemetryKind};
 use edc_units::{advance, Amps, Farads, Joules, Seconds, Volts, Watts};
 
 use crate::{LowVoltageResponse, MarkerResponse, SnapshotObservation, Strategy};
@@ -88,7 +88,7 @@ pub struct RunnerBuilder<'a> {
     source: Option<Box<dyn EnergySource + 'a>>,
     rectifier: Option<Rectifier>,
     efficiency: f64,
-    sink: Option<Box<dyn Sink + 'a>>,
+    telemetry: TelemetryKind,
 }
 
 impl<'a> RunnerBuilder<'a> {
@@ -105,7 +105,7 @@ impl<'a> RunnerBuilder<'a> {
             source: None,
             rectifier: None,
             efficiency: 1.0,
-            sink: None,
+            telemetry: TelemetryKind::Null,
         }
     }
 
@@ -179,11 +179,12 @@ impl<'a> RunnerBuilder<'a> {
         self
     }
 
-    /// Installs a telemetry sink receiving a typed [`Record`] at every
-    /// lifecycle event. Without one (the default) emission is a single
-    /// `Option::None` branch — zero overhead.
-    pub fn telemetry(mut self, sink: Box<dyn Sink + 'a>) -> Self {
-        self.sink = Some(sink);
+    /// Selects the telemetry sink receiving a typed [`Record`] at every
+    /// lifecycle event; read it back through [`TransientRunner::telemetry`].
+    /// With [`TelemetryKind::Null`] (the default) no sink is built and
+    /// emission is a single `Option::None` branch — zero overhead.
+    pub fn telemetry(mut self, kind: TelemetryKind) -> Self {
+        self.telemetry = kind;
         self
     }
 
@@ -191,8 +192,9 @@ impl<'a> RunnerBuilder<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if strategy, program or source is missing, or the efficiency
-    /// lies outside `(0, 1]`.
+    /// Panics if strategy, program or source is missing, the efficiency
+    /// lies outside `(0, 1]`, or the telemetry kind fails
+    /// [`TelemetryKind::validate`].
     pub fn build(self) -> TransientRunner<'a> {
         let mut strategy = self.strategy.expect("strategy is required");
         let program = self.program.expect("program is required");
@@ -246,7 +248,7 @@ impl<'a> RunnerBuilder<'a> {
             off_samples: vec![SourceSample::OFF; OFF_BATCH],
             skipped_ticks: 0,
             supply_power: Watts::ZERO,
-            sink: self.sink,
+            sink: self.telemetry.make(),
         };
         // Open the initial phase span (and a t = 0 gauge) so timelines
         // start at the origin rather than at the first transition.
@@ -366,7 +368,7 @@ pub struct TransientRunner<'a> {
     /// Supply power at the last step, sampled only while a sink is
     /// installed (gauge emission reads it at event time).
     supply_power: Watts,
-    sink: Option<Box<dyn Sink + 'a>>,
+    sink: Option<Telemetry>,
 }
 
 impl<'a> TransientRunner<'a> {
@@ -410,9 +412,9 @@ impl<'a> TransientRunner<'a> {
         (self.monitor.low(), self.monitor.high())
     }
 
-    /// The installed telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&dyn Sink> {
-        self.sink.as_deref()
+    /// The telemetry sink, unless the kind was [`TelemetryKind::Null`].
+    pub fn telemetry(&self) -> Option<&Telemetry> {
+        self.sink.as_ref()
     }
 
     /// Off ticks this runner advanced in closed form rather than one by one
@@ -949,20 +951,19 @@ mod tests {
 
     #[test]
     fn telemetry_sink_receives_lifecycle_events() {
-        use edc_telemetry::RingBuffer;
         let wl = BusyLoop::new(500);
-        let mut ring = RingBuffer::with_capacity(64);
         let mut runner = TransientRunner::builder()
             .strategy(Box::new(Restart::new()))
             .program(wl.program())
             .source(dc_source(3.3, 10.0))
-            .telemetry(Box::new(&mut ring))
+            .telemetry(TelemetryKind::Ring { capacity: 64 })
             .build();
-        assert!(runner.telemetry().is_some());
         let out = runner.run_until_complete(Seconds(1.0));
         assert_eq!(out, RunOutcome::Completed);
-        drop(runner);
-        let events = ring.events();
+        let Some(Telemetry::Ring(ring)) = runner.telemetry() else {
+            panic!("a ring kind builds a ring");
+        };
+        let events: Vec<Event> = ring.records().iter().map(|r| r.event).collect();
         assert_eq!(events[0], Event::SupplyCrossing { rising: true });
         assert_eq!(events[1], Event::Boot);
         assert_eq!(*events.last().unwrap(), Event::TaskComplete);
@@ -974,18 +975,18 @@ mod tests {
 
     #[test]
     fn timeline_sink_sees_phases_and_gauges() {
-        use edc_telemetry::TimelineSink;
         let wl = BusyLoop::new(500);
-        let mut tl = TimelineSink::new();
         let mut runner = TransientRunner::builder()
             .strategy(Box::new(Restart::new()))
             .program(wl.program())
             .source(dc_source(3.3, 10.0))
-            .telemetry(Box::new(&mut tl))
+            .telemetry(TelemetryKind::Timeline)
             .build();
         let out = runner.run_until_complete(Seconds(1.0));
         assert_eq!(out, RunOutcome::Completed);
-        drop(runner);
+        let Some(Telemetry::Timeline(tl)) = runner.telemetry() else {
+            panic!("a timeline kind builds a timeline");
+        };
         let phases: Vec<Phase> = tl.phases().iter().map(|p| p.phase).collect();
         assert_eq!(
             phases,

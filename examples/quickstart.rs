@@ -10,7 +10,7 @@
 
 use energy_driven::core::experiment::{BuildError, ExperimentSpec};
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
-use energy_driven::core::{TelemetryKind, TelemetryReport};
+use energy_driven::core::{Telemetry, TelemetryKind};
 use energy_driven::obs::PerfettoTrace;
 use energy_driven::units::{Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
@@ -47,7 +47,7 @@ fn main() -> Result<(), BuildError> {
         Ok(()) => println!("FFT spectrum verified bit-exactly against the golden model ✓"),
         Err(e) => println!("verification FAILED: {e}"),
     }
-    if let Some(TelemetryReport::Stats(stats)) = &report.telemetry {
+    if let Some(Telemetry::Stats(stats)) = &report.telemetry {
         let outage = stats.outage_s().summary();
         println!(
             "outages:   {} (median {:.1} ms, p99 {:.1} ms); snapshot energy Σ {:.2} µJ",
@@ -63,7 +63,7 @@ fn main() -> Result<(), BuildError> {
     // Perfetto/Chrome trace you can open in ui.perfetto.dev. Timestamps are
     // simulation time, so the file is byte-identical across runs.
     let timeline_report = spec.telemetry(TelemetryKind::Timeline).run()?;
-    if let Some(TelemetryReport::Timeline(tl)) = &timeline_report.telemetry {
+    if let Some(Telemetry::Timeline(tl)) = &timeline_report.telemetry {
         let mut trace = PerfettoTrace::new();
         let end = timeline_report.stats.completed_at.unwrap_or(spec.deadline);
         trace.add_track("quickstart", tl, end);

@@ -7,8 +7,7 @@
 
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
-use energy_driven::core::telemetry::TelemetryReport;
-use energy_driven::telemetry::{Event, Phase, TelemetryKind};
+use energy_driven::telemetry::{Event, Phase, Telemetry, TelemetryKind};
 use energy_driven::transient::RunOutcome;
 use energy_driven::units::{Ohms, Seconds};
 use energy_driven::workloads::WorkloadKind;
@@ -35,7 +34,7 @@ fn fft_completes_in_third_supply_cycle_with_one_snapshot_per_dip() {
         (report.stats.completed_at.expect("completed").0 * supply_hz).floor() as u64 + 1;
     assert_eq!(completed_cycle, 3, "paper: FFT completes in the 3rd cycle");
 
-    let Some(TelemetryReport::Timeline(timeline)) = &report.telemetry else {
+    let Some(Telemetry::Timeline(timeline)) = &report.telemetry else {
         panic!("the spec asked for a timeline");
     };
     let records = timeline.records();

@@ -8,11 +8,11 @@ use std::sync::OnceLock;
 use edc_bench::sweep::Sweep;
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
-use energy_driven::core::telemetry::{stats_json, TelemetryReport};
+use energy_driven::core::telemetry::stats_json;
 use energy_driven::core::TelemetryKind;
 use energy_driven::harvest::{DcSupply, Gated};
 use energy_driven::obs::PerfettoTrace;
-use energy_driven::telemetry::{StatsSink, TimelineSink};
+use energy_driven::telemetry::{StatsSink, Telemetry, TimelineSink};
 use energy_driven::transient::{Hibernus, RunOutcome, TransientRunner};
 use energy_driven::units::{Ohms, Seconds, Volts};
 use energy_driven::workloads::{BusyLoop, Workload, WorkloadKind};
@@ -25,7 +25,6 @@ use proptest::prelude::*;
 /// available for export.
 fn scripted_outage_timeline() -> (RunOutcome, TimelineSink) {
     let wl = BusyLoop::new(20_000);
-    let mut tl = TimelineSink::new();
     let mut runner = TransientRunner::builder()
         .strategy(Box::new(Hibernus::new()))
         .program(wl.program())
@@ -37,11 +36,13 @@ fn scripted_outage_timeline() -> (RunOutcome, TimelineSink) {
                 (Seconds(0.055), Seconds(f64::INFINITY)),
             ],
         )))
-        .telemetry(Box::new(&mut tl))
+        .telemetry(TelemetryKind::Timeline)
         .build();
     let outcome = runner.run_until_complete(Seconds(2.0));
-    drop(runner);
-    (outcome, tl)
+    let Some(Telemetry::Timeline(tl)) = runner.telemetry() else {
+        panic!("a timeline kind builds a timeline");
+    };
+    (outcome, (**tl).clone())
 }
 
 /// The Perfetto export of the canonical 9-event sequence is pinned to a
@@ -114,7 +115,7 @@ fn sweep_cells() -> &'static Vec<StatsSink> {
             .rows
             .into_iter()
             .map(|row| match row.report.telemetry {
-                Some(TelemetryReport::Stats(s)) => *s,
+                Some(Telemetry::Stats(s)) => *s,
                 other => panic!("stats telemetry expected, got {other:?}"),
             })
             .collect()

@@ -1,7 +1,8 @@
 //! Integration and property tests for the `edc-telemetry` subsystem:
 //! exact event sequences through a scripted outage, byte-identical
 //! telemetry across repeated runs, serial-vs-parallel sweep equivalence,
-//! and the `NullSink` byte-compatibility guarantee.
+//! the `TelemetryKind::Null` byte-compatibility guarantee, and that no
+//! telemetry kind changes the run it observes.
 
 use edc_bench::sweep::Sweep;
 use energy_driven::core::experiment::ExperimentSpec;
@@ -9,7 +10,7 @@ use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::core::TelemetryKind;
 use energy_driven::harvest::{DcSupply, Gated};
-use energy_driven::telemetry::{Event, RingBuffer};
+use energy_driven::telemetry::{Event, Telemetry};
 use energy_driven::transient::{Hibernus, RunOutcome, TransientRunner};
 use energy_driven::units::{Ohms, Seconds, Volts};
 use energy_driven::workloads::{BusyLoop, Workload, WorkloadKind};
@@ -22,7 +23,6 @@ use proptest::prelude::*;
 /// complete.
 fn scripted_outage_events(capacity: usize) -> (RunOutcome, Vec<Event>, u64) {
     let wl = BusyLoop::new(20_000);
-    let mut ring = RingBuffer::with_capacity(capacity);
     let mut runner = TransientRunner::builder()
         .strategy(Box::new(Hibernus::new()))
         .program(wl.program())
@@ -34,11 +34,14 @@ fn scripted_outage_events(capacity: usize) -> (RunOutcome, Vec<Event>, u64) {
                 (Seconds(0.055), Seconds(f64::INFINITY)),
             ],
         )))
-        .telemetry(Box::new(&mut ring))
+        .telemetry(TelemetryKind::Ring { capacity })
         .build();
     let outcome = runner.run_until_complete(Seconds(2.0));
-    drop(runner);
-    (outcome, ring.events(), ring.dropped())
+    let Some(Telemetry::Ring(ring)) = runner.telemetry() else {
+        panic!("a ring kind builds a ring");
+    };
+    let events = ring.records().iter().map(|r| r.event).collect();
+    (outcome, events, ring.dropped())
 }
 
 #[test]
@@ -82,7 +85,7 @@ fn ring_buffer_overflow_keeps_the_most_recent_events() {
 }
 
 #[test]
-fn null_sink_keeps_report_and_spec_json_in_the_pre_telemetry_format() {
+fn null_telemetry_keeps_report_and_spec_json_in_the_pre_telemetry_format() {
     let spec = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: 50.0 },
         StrategyKind::Hibernus,
@@ -170,6 +173,35 @@ proptest! {
         let b = spec.run().expect("spec assembles").to_json().to_string();
         prop_assert!(a.contains("\"telemetry\""), "stats section present");
         prop_assert_eq!(a, b);
+    }
+
+    /// Telemetry only observes: under every kind the report, with its
+    /// telemetry section removed, serialises byte-identically to the
+    /// `Null` run of the same spec.
+    #[test]
+    fn prop_no_telemetry_kind_changes_the_run(
+        n in 64u16..512,
+        hz in 20.0f64..120.0,
+        strategy_idx in 0usize..StrategyKind::ALL.len(),
+    ) {
+        let spec = ExperimentSpec::new(
+            SourceKind::RectifiedSine { hz },
+            StrategyKind::ALL[strategy_idx],
+            WorkloadKind::Crc16(n),
+        )
+        .deadline(Seconds(1.0));
+        let null = spec.run().expect("spec assembles");
+        prop_assert!(null.telemetry.is_none());
+        let null = null.to_json().to_string();
+        for kind in [
+            TelemetryKind::Ring { capacity: 4 },
+            TelemetryKind::Stats,
+            TelemetryKind::Timeline,
+        ] {
+            let mut report = spec.telemetry(kind).run().expect("spec assembles");
+            prop_assert!(report.telemetry.take().is_some(), "{:?} builds a sink", kind);
+            prop_assert_eq!(report.to_json().to_string(), null);
+        }
     }
 
     /// Ring sinks see the same *event sequence* (stamps included) on every
