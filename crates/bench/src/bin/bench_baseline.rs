@@ -1,10 +1,11 @@
 //! Timing + telemetry baseline: the workspace's first real `BENCH`
 //! artifact.
 //!
-//! Runs the canonical strategy×workload grid twice over an intermittent
-//! supply — once with the default `TelemetryKind::Null` (no sink, the
-//! zero-overhead baseline)
-//! and once with `StatsSink` analytics — then writes `BENCH_sweep.json`
+//! Builds the canonical strategy×workload spec list over an intermittent
+//! supply and runs it twice through the sweep engine's
+//! `run_specs_timed_in` — once with the default `TelemetryKind::Null` (no
+//! sink, the zero-overhead baseline) and once with `StatsSink`
+//! analytics — then writes `BENCH_sweep.json`
 //! with wall-clock timing (total and per-cell) and the grid-level
 //! telemetry aggregate. CI runs this in release so timing regressions are
 //! visible in the logs; the telemetry section is deterministic and can be
@@ -15,15 +16,17 @@
 //! `BENCH_sweep.json` in the working directory).
 
 use edc_bench::banner;
-use edc_bench::sweep::{render_text, Sweep, SweepRun};
-use edc_core::experiment::ExperimentSpec;
+use edc_bench::sweep::{render_text, run_specs_timed_in, SweepRun};
+use edc_core::catalog::TraceCatalog;
+use edc_core::experiment::{BuildError, ExperimentSpec};
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::TelemetryKind;
 use edc_units::Seconds;
 use edc_workloads::WorkloadKind;
 
-fn grid(telemetry: TelemetryKind) -> Sweep {
+/// Runs the grid under `telemetry`, workload-major then strategy.
+fn run_grid(telemetry: TelemetryKind) -> Result<SweepRun, BuildError> {
     let base = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: 50.0 },
         StrategyKind::Hibernus,
@@ -34,9 +37,12 @@ fn grid(telemetry: TelemetryKind) -> Sweep {
     // The table_strategies grid: both workloads span several supply
     // windows, so the telemetry aggregate actually sees outages, torn
     // frames and restores.
-    Sweep::over(base)
-        .strategies(&StrategyKind::ALL)
-        .workloads(&[WorkloadKind::Fourier(64), WorkloadKind::Crc16(1024)])
+    let specs = [WorkloadKind::Fourier(64), WorkloadKind::Crc16(1024)]
+        .iter()
+        .flat_map(|&w| StrategyKind::ALL.map(|s| base.workload(w).strategy(s)))
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    run_specs_timed_in(specs, threads, &TraceCatalog::new())
 }
 
 fn timing_line(label: &str, run: &SweepRun) -> String {
@@ -51,11 +57,11 @@ fn timing_line(label: &str, run: &SweepRun) -> String {
 fn main() {
     let path = edc_bench::artifact_path("BENCH_sweep.json");
 
-    let null_run = grid(TelemetryKind::Null).run().unwrap_or_else(|e| {
+    let null_run = run_grid(TelemetryKind::Null).unwrap_or_else(|e| {
         eprintln!("baseline sweep failed to assemble: {e}");
         std::process::exit(1);
     });
-    let stats_run = grid(TelemetryKind::Stats).run().unwrap_or_else(|e| {
+    let stats_run = run_grid(TelemetryKind::Stats).unwrap_or_else(|e| {
         eprintln!("telemetry sweep failed to assemble: {e}");
         std::process::exit(1);
     });

@@ -10,7 +10,8 @@
 //! JSON: `cargo run --release -p edc-bench --bin table_strategies -- --json`
 
 use edc_bench::banner;
-use edc_bench::sweep::{render_json, render_text, Sweep};
+use edc_bench::sweep::{render_json, render_text, run_specs_timed_in};
+use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_units::Seconds;
@@ -23,14 +24,18 @@ fn main() {
         WorkloadKind::Fourier(64),
     )
     .deadline(Seconds(20.0));
-    let sweep = Sweep::over(base)
-        .strategies(&StrategyKind::ALL)
-        .workloads(&[
-            WorkloadKind::Fourier(64), // ~196 k cycles: spans several windows
-            WorkloadKind::Crc16(1024), // ~184 k cycles
-            WorkloadKind::MatMul,      // ~16 k cycles: fits one window
-        ]);
-    let rows = match sweep.run() {
+    let workloads = [
+        WorkloadKind::Fourier(64), // ~196 k cycles: spans several windows
+        WorkloadKind::Crc16(1024), // ~184 k cycles
+        WorkloadKind::MatMul,      // ~16 k cycles: fits one window
+    ];
+    // Workload-major, then strategy: one table block per workload.
+    let specs = workloads
+        .iter()
+        .flat_map(|&w| StrategyKind::ALL.map(|s| base.workload(w).strategy(s)))
+        .collect();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let rows = match run_specs_timed_in(specs, threads, &TraceCatalog::new()) {
         Ok(run) => run.rows,
         Err(e) => {
             eprintln!("sweep failed to assemble: {e}");

@@ -12,7 +12,7 @@ pub mod diff;
 pub mod sweep;
 
 pub use diff::{diff_artifacts, DiffReport, Policy, Rule};
-pub use sweep::{par_map, render_json, render_text, Sweep, SweepRow, SweepRun, SweepTiming};
+pub use sweep::{par_map, render_json, render_text, SweepRow, SweepRun, SweepTiming};
 
 use std::fmt::Display;
 

@@ -1,16 +1,19 @@
-//! The sweep engine: cartesian grids of [`ExperimentSpec`]s fanned out
-//! across threads, with deterministic, ordered results.
+//! The sweep engine: lists of [`ExperimentSpec`]s fanned out across
+//! threads, with deterministic, ordered results.
 //!
-//! A sweep is defined by a base spec plus the axes to vary (sources,
-//! strategies, workloads). Row order is fixed by the grid — source-major,
-//! then workload, then strategy — and is **independent of scheduling**:
-//! workers pull rows by index, so repeated runs of the same grid produce
-//! byte-identical [`render_json`] output no matter how many threads raced.
+//! A sweep is an explicit spec list; callers build it in whatever order
+//! their table wants (the figure binaries nest source, then workload,
+//! then strategy), and grids with more axes come from
+//! `edc_explore::SpecSpace::all_specs`. Rows come back in input order,
+//! **independent of scheduling**: workers pull rows by index, so repeated
+//! runs of the same list produce byte-identical [`render_json`] output no
+//! matter how many threads raced.
 //!
 //! # Examples
 //!
 //! ```
-//! use edc_bench::sweep::Sweep;
+//! use edc_bench::sweep::run_specs_timed_in;
+//! use edc_core::catalog::TraceCatalog;
 //! use edc_core::experiment::ExperimentSpec;
 //! use edc_core::scenarios::{SourceKind, StrategyKind};
 //! use edc_units::Seconds;
@@ -22,10 +25,10 @@
 //!     WorkloadKind::Crc16(64),
 //! )
 //! .deadline(Seconds(3.0));
-//! let rows = Sweep::over(base)
-//!     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-//!     .run()?
-//!     .rows;
+//! let specs = [StrategyKind::Restart, StrategyKind::Hibernus]
+//!     .map(|strategy| base.strategy(strategy))
+//!     .to_vec();
+//! let rows = run_specs_timed_in(specs, 2, &TraceCatalog::new())?.rows;
 //! assert_eq!(rows.len(), 2);
 //! assert_eq!(rows[1].report.strategy, "hibernus");
 //! # Ok::<(), edc_core::experiment::BuildError>(())
@@ -38,11 +41,9 @@ use std::time::Instant;
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::{BuildError, ExperimentSpec};
 use edc_core::json::Json;
-use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::telemetry::stats_json;
 use edc_core::SystemReport;
 use edc_telemetry::{StatsSink, Telemetry};
-use edc_workloads::WorkloadKind;
 
 use crate::TextTable;
 
@@ -66,129 +67,6 @@ impl SweepRow {
             ("spec", self.spec.to_json()),
             ("report", self.report.to_json()),
         ])
-    }
-}
-
-/// A cartesian sweep over experiment axes.
-#[derive(Debug, Clone)]
-pub struct Sweep {
-    base: ExperimentSpec,
-    sources: Vec<SourceKind>,
-    strategies: Vec<StrategyKind>,
-    workloads: Vec<WorkloadKind>,
-    threads: Option<usize>,
-    catalog: TraceCatalog,
-    metrics: Option<edc_metrics::Registry>,
-}
-
-impl Sweep {
-    /// A sweep whose axes all start as the base spec's own kinds; widen
-    /// them with [`Sweep::sources`], [`Sweep::strategies`] and
-    /// [`Sweep::workloads`].
-    pub fn over(base: ExperimentSpec) -> Self {
-        Self {
-            sources: vec![base.source],
-            strategies: vec![base.strategy],
-            workloads: vec![base.workload],
-            base,
-            threads: None,
-            catalog: TraceCatalog::new(),
-            metrics: None,
-        }
-    }
-
-    /// Supplies the trace catalog the grid's [`SourceKind::Trace`] (and
-    /// trace-backed field-view) entries resolve through. Grids without
-    /// trace sources never need one.
-    pub fn catalog(mut self, catalog: TraceCatalog) -> Self {
-        self.catalog = catalog;
-        self
-    }
-
-    /// Sets the source axis.
-    pub fn sources(mut self, axis: &[SourceKind]) -> Self {
-        self.sources = axis.to_vec();
-        self
-    }
-
-    /// Sets the strategy axis.
-    pub fn strategies(mut self, axis: &[StrategyKind]) -> Self {
-        self.strategies = axis.to_vec();
-        self
-    }
-
-    /// Sets the workload axis.
-    pub fn workloads(mut self, axis: &[WorkloadKind]) -> Self {
-        self.workloads = axis.to_vec();
-        self
-    }
-
-    /// Caps the worker count (defaults to the machine's parallelism).
-    /// Thread count never affects results, only wall-clock time.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Records sweep and runner counters into `registry` instead of the
-    /// process-global [`edc_metrics::global`] one — the registry
-    /// counterpart of [`Sweep::catalog`], used by determinism tests that
-    /// need an isolated exposition.
-    pub fn metrics(mut self, registry: edc_metrics::Registry) -> Self {
-        self.metrics = Some(registry);
-        self
-    }
-
-    /// The grid in its stable row order: source-major, then workload, then
-    /// strategy.
-    pub fn specs(&self) -> Vec<ExperimentSpec> {
-        let mut specs =
-            Vec::with_capacity(self.sources.len() * self.workloads.len() * self.strategies.len());
-        for &source in &self.sources {
-            for &workload in &self.workloads {
-                for &strategy in &self.strategies {
-                    specs.push(
-                        self.base
-                            .source(source)
-                            .workload(workload)
-                            .strategy(strategy),
-                    );
-                }
-            }
-        }
-        specs
-    }
-
-    /// Runs every grid point, fanning out across scoped worker threads,
-    /// and measures wall-clock time (total and per cell) for `BENCH`
-    /// artifacts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first (by grid order) [`BuildError`]; rows are only
-    /// returned when the entire grid assembled and ran.
-    pub fn run(&self) -> Result<SweepRun, BuildError> {
-        let threads = self
-            .threads
-            .or_else(|| std::thread::available_parallelism().ok().map(|n| n.get()))
-            .unwrap_or(1);
-        let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
-        run_specs_timed_metered(self.specs(), threads, &self.catalog, &registry)
-    }
-
-    /// Statically lints every grid point without simulating anything.
-    /// Diagnostics are located at `$.specs[i]` in grid-row order, so a
-    /// flagged row is directly addressable in [`Sweep::run`]'s output.
-    /// Running this before a long sweep catches provably-infeasible rows
-    /// (`E0xx`) and simulation-wasting hazards (`W1xx`) for the cost of a
-    /// few closed-form checks per row.
-    pub fn lint(&self) -> edc_lint::LintReport {
-        let mut linter = edc_lint::Linter::with_catalog(self.catalog.clone());
-        let mut report = edc_lint::LintReport::new();
-        for (i, spec) in self.specs().iter().enumerate() {
-            report.merge_prefixed(&format!("$.specs[{i}]"), linter.lint_spec(spec));
-        }
-        report
     }
 }
 
@@ -287,7 +165,8 @@ impl SweepRun {
     /// conflicting entry already stored under a row's spec.
     ///
     /// ```
-    /// use edc_bench::sweep::Sweep;
+    /// use edc_bench::sweep::run_specs_timed_in;
+    /// use edc_core::catalog::TraceCatalog;
     /// use edc_core::experiment::ExperimentSpec;
     /// use edc_core::scenarios::{SourceKind, StrategyKind};
     /// use edc_store::Store;
@@ -302,9 +181,8 @@ impl SweepRun {
     ///     WorkloadKind::BusyLoop(120),
     /// )
     /// .deadline(Seconds(1.0));
-    /// let run = Sweep::over(base)
-    ///     .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-    ///     .run()?;
+    /// let specs = vec![base, base.strategy(StrategyKind::Hibernus)];
+    /// let run = run_specs_timed_in(specs, 2, &TraceCatalog::new())?;
     ///
     /// let store = Store::open(&dir)?.into_handle();
     /// let registry = edc_metrics::Registry::new();
@@ -348,7 +226,8 @@ impl SweepRun {
 
 /// Runs an explicit spec list (one worker per thread, rows claimed by
 /// index) and returns rows in input order, with wall-clock time per cell
-/// and for the whole grid. Every worker resolves [`SourceKind::Trace`]
+/// and for the whole grid. Every worker resolves
+/// [`SourceKind::Trace`](edc_core::scenarios::SourceKind::Trace)
 /// entries through the same shared `catalog`. Metrics go to the
 /// process-wide [`edc_metrics::global`] registry; see
 /// [`run_specs_timed_metered`] for an explicit one.
@@ -525,7 +404,9 @@ pub fn render_json(rows: &[SweepRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use edc_core::scenarios::{SourceKind, StrategyKind};
     use edc_units::Seconds;
+    use edc_workloads::WorkloadKind;
 
     fn small_base() -> ExperimentSpec {
         ExperimentSpec::new(
@@ -536,37 +417,31 @@ mod tests {
         .deadline(Seconds(1.0))
     }
 
-    #[test]
-    fn grid_order_is_source_major_then_workload_then_strategy() {
-        let sweep = Sweep::over(small_base())
-            .sources(&[SourceKind::Dc { volts: 3.3 }, SourceKind::Dc { volts: 2.8 }])
-            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)])
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus]);
-        let specs = sweep.specs();
-        assert_eq!(specs.len(), 8);
-        assert_eq!(specs[0].strategy, StrategyKind::Restart);
-        assert_eq!(specs[1].strategy, StrategyKind::Hibernus);
-        assert_eq!(specs[1].workload, WorkloadKind::BusyLoop(100));
-        assert_eq!(specs[2].workload, WorkloadKind::Crc16(32));
-        assert_eq!(specs[3].source, SourceKind::Dc { volts: 3.3 });
-        assert_eq!(specs[4].source, SourceKind::Dc { volts: 2.8 });
+    /// `base` under the restart and hibernus strategies, in that order.
+    fn two_strategies(base: ExperimentSpec) -> Vec<ExperimentSpec> {
+        vec![base, base.strategy(StrategyKind::Hibernus)]
+    }
+
+    fn sweep(specs: Vec<ExperimentSpec>, threads: usize) -> SweepRun {
+        run_specs_timed_metered(
+            specs,
+            threads,
+            &TraceCatalog::new(),
+            &edc_metrics::Registry::new(),
+        )
+        .expect("sweep runs")
     }
 
     #[test]
     fn parallel_matches_serial_and_is_deterministic() {
-        let sweep = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)]);
-        let parallel = sweep.clone().threads(4).run().expect("sweep runs").rows;
-        let serial = sweep.threads(1).run().expect("sweep runs").rows;
+        let specs: Vec<_> = [WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)]
+            .into_iter()
+            .flat_map(|w| two_strategies(small_base().workload(w)))
+            .collect();
+        let parallel = sweep(specs.clone(), 4).rows;
+        let serial = sweep(specs.clone(), 1).rows;
         assert_eq!(render_json(&parallel), render_json(&serial));
-        let again = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)])
-            .threads(3)
-            .run()
-            .expect("sweep runs")
-            .rows;
+        let again = sweep(specs, 3).rows;
         assert_eq!(render_json(&parallel), render_json(&again));
     }
 
@@ -590,10 +465,7 @@ mod tests {
 
     #[test]
     fn timed_run_measures_every_cell() {
-        let run = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run()
-            .expect("sweep runs");
+        let run = sweep(two_strategies(small_base()), 2);
         assert_eq!(run.timing.per_cell_s.len(), run.rows.len());
         assert!(run.timing.per_cell_s.iter().all(|&s| s > 0.0));
         assert!(run.timing.total_s > 0.0);
@@ -605,10 +477,8 @@ mod tests {
     #[test]
     fn stats_telemetry_aggregates_across_cells() {
         use edc_core::TelemetryKind;
-        let run = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run()
-            .expect("sweep runs");
+        let specs = two_strategies(small_base().telemetry(TelemetryKind::Stats));
+        let run = sweep(specs.clone(), 2);
         let merged = run.aggregate_stats().expect("stats cells present");
         let per_cell: u64 = run
             .rows
@@ -624,28 +494,24 @@ mod tests {
         // of it.
         let telemetry = run.telemetry_json().to_string();
         assert!(!telemetry.contains("per_cell_s"));
-        let again = Sweep::over(small_base().telemetry(TelemetryKind::Stats))
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run()
-            .expect("sweep runs");
+        let again = sweep(specs, 2);
         assert_eq!(telemetry, again.telemetry_json().to_string());
     }
 
     #[test]
     fn invalid_grid_point_surfaces_first_error() {
-        let err = Sweep::over(small_base().timestep(Seconds(0.0)))
-            .run()
-            .expect_err("bad timestep");
+        let err = run_specs_timed_in(
+            vec![small_base().timestep(Seconds(0.0))],
+            1,
+            &TraceCatalog::new(),
+        )
+        .expect_err("bad timestep");
         assert_eq!(err, BuildError::InvalidTimestep(0.0));
     }
 
     #[test]
     fn renderers_cover_every_row() {
-        let rows = Sweep::over(small_base())
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .run()
-            .expect("sweep runs")
-            .rows;
+        let rows = sweep(two_strategies(small_base()), 2).rows;
         let text = render_text(&rows);
         assert!(text.contains("restart") && text.contains("hibernus"));
         let json = render_json(&rows);

@@ -478,6 +478,74 @@ impl TraceCatalog {
         }
         Ok(catalog)
     }
+
+    /// Walks a JSON document and merges into this catalog every section
+    /// shaped like [`TraceCatalog::to_json`] output (a non-empty array
+    /// whose every element carries `name`, `hash` and `samples`), at any
+    /// depth. Re-registering the same name and content is idempotent, so
+    /// sections from several documents can be merged into one catalog.
+    ///
+    /// A malformed section, or an entry whose name is already bound to
+    /// different content, does not stop the walk: each comes back as one
+    /// message, in document order, for the caller to report.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use edc_core::catalog::TraceCatalog;
+    /// use edc_core::json::Json;
+    ///
+    /// let mut recorded = TraceCatalog::new();
+    /// recorded.register("site", vec![(0.0, 1e-3), (1.0, 2e-3)])?;
+    /// let doc = Json::obj(vec![("traces", recorded.to_json())]);
+    /// let mut catalog = TraceCatalog::new();
+    /// assert!(catalog.merge_sections(&doc).is_empty());
+    /// assert_eq!(catalog.len(), 1);
+    /// # Ok::<(), edc_core::catalog::TraceError>(())
+    /// ```
+    pub fn merge_sections(&mut self, doc: &Json) -> Vec<String> {
+        let mut problems = Vec::new();
+        self.merge_sections_into(doc, &mut problems);
+        problems
+    }
+
+    fn merge_sections_into(&mut self, json: &Json, problems: &mut Vec<String>) {
+        if is_catalog_array(json) {
+            match TraceCatalog::from_json(json) {
+                Ok(found) => {
+                    for entry in &found.entries {
+                        if let Err(e) = self.register_ref(entry.name, &entry.samples) {
+                            problems.push(format!("catalog entry '{}': {e}", entry.name));
+                        }
+                    }
+                }
+                Err(e) => problems.push(format!("malformed trace catalog: {e}")),
+            }
+            return;
+        }
+        match json {
+            Json::Arr(items) => items
+                .iter()
+                .for_each(|i| self.merge_sections_into(i, problems)),
+            Json::Obj(pairs) => pairs
+                .iter()
+                .for_each(|(_, v)| self.merge_sections_into(v, problems)),
+            _ => {}
+        }
+    }
+}
+
+/// True for an array that looks like [`TraceCatalog::to_json`] output.
+fn is_catalog_array(json: &Json) -> bool {
+    match json {
+        Json::Arr(items) => {
+            !items.is_empty()
+                && items.iter().all(|i| {
+                    i.get("name").is_some() && i.get("hash").is_some() && i.get("samples").is_some()
+                })
+        }
+        _ => false,
+    }
 }
 
 /// JSON numbers arrive as `Uint` or `Num` depending on their spelling.
@@ -500,6 +568,44 @@ mod tests {
 
     fn samples() -> Vec<(f64, f64)> {
         vec![(0.0, 0.0), (0.5, 2e-3), (1.0, 1e-3)]
+    }
+
+    #[test]
+    fn merge_sections_finds_nested_catalogs_and_reports_bad_ones() {
+        let mut recorded = TraceCatalog::new();
+        recorded.register("site", samples()).expect("valid");
+        let mut conflicting = TraceCatalog::new();
+        conflicting
+            .register("site", vec![(0.0, 1.0), (1.0, 1.0)])
+            .expect("valid");
+        let malformed = Json::Arr(vec![Json::obj(vec![
+            ("name", Json::Str("bad".into())),
+            ("hash", Json::Uint(1)),
+            ("samples", Json::Arr(vec![])),
+        ])]);
+        let doc = Json::obj(vec![
+            (
+                "run",
+                Json::obj(vec![("deep", Json::Arr(vec![recorded.to_json()]))]),
+            ),
+            ("broken", malformed),
+            ("other", conflicting.to_json()),
+        ]);
+        let mut catalog = TraceCatalog::new();
+        let problems = catalog.merge_sections(&doc);
+        assert_eq!(catalog.ids(), recorded.ids(), "the nested section merged");
+        assert_eq!(
+            problems,
+            vec![
+                "malformed trace catalog: a trace needs at least two samples".to_string(),
+                "catalog entry 'site': trace 'site' already registered with different samples"
+                    .to_string(),
+            ]
+        );
+        // Merging the same document again is idempotent apart from the
+        // same two problems.
+        assert_eq!(catalog.merge_sections(&doc), problems);
+        assert_eq!(catalog.len(), 1);
     }
 
     #[test]

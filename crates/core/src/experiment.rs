@@ -437,6 +437,16 @@ impl ExperimentSpec {
         Json::obj(pairs)
     }
 
+    /// True for an object shaped like [`ExperimentSpec::to_json`] output
+    /// (it carries `source`, `strategy`, `workload` and `decoupling_f`):
+    /// how document scanners such as `edc_lint` find the specs to parse.
+    pub fn is_spec_json(json: &crate::json::Json) -> bool {
+        json.get("source").is_some()
+            && json.get("strategy").is_some()
+            && json.get("workload").is_some()
+            && json.get("decoupling_f").is_some()
+    }
+
     /// Rebuilds a spec from [`ExperimentSpec::to_json`] output, resolving
     /// trace-backed sources through `catalog` — the inverse that lets
     /// `edc_lint` (and any external tool) analyse spec JSON from disk.
@@ -787,7 +797,7 @@ impl<'a> Experiment<'a> {
     /// ```
     ///
     /// The reports are byte-identical between the two paths; the spec path
-    /// additionally composes with `Sweep`, `SpecSpace` axes and fleet
+    /// additionally composes with sweeps, `SpecSpace` axes and fleet
     /// fields. Custom *synthetic* sources (one-off models) remain
     /// this method's legitimate use.
     pub fn source(mut self, s: impl EnergySource + 'a) -> Self {

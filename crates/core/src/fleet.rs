@@ -10,7 +10,8 @@
 //!
 //! Like `ExperimentSpec`, a `FleetSpec` is *description*, not computation:
 //! it validates, serialises losslessly to JSON, and expands into per-node
-//! specs/sources. Execution (parallel fan-out, fleet metrics, merged
+//! specs ([`FleetSpec::node_specs_in`]), whose sources are plain
+//! [`SourceKind::FieldView`] data. Execution (parallel fan-out, fleet metrics, merged
 //! telemetry) lives in the `edc-fleet` crate.
 //!
 //! # Examples
@@ -42,8 +43,7 @@
 
 use std::fmt;
 
-use edc_harvest::{EnergySource, FieldView, TracePlayback};
-use edc_units::{Seconds, Watts};
+use edc_units::Seconds;
 
 use crate::catalog::{TraceCatalog, TraceError};
 use crate::experiment::{BuildError, ExperimentSpec};
@@ -124,9 +124,9 @@ pub enum FieldSpec {
     /// A synthetic envelope from the kind registry.
     Envelope(FieldEnvelope),
     /// A recorded harvested-power series, replayed for every node
-    /// ([`TracePlayback`] semantics: linear interpolation, optional
-    /// looping). Sample times must be strictly increasing; values are
-    /// watts.
+    /// ([`TracePlayback`](edc_harvest::TracePlayback) semantics: linear
+    /// interpolation, optional looping). Sample times must be strictly
+    /// increasing; values are watts.
     PowerTrace {
         /// Trace name (carried into logs and JSON).
         name: String,
@@ -205,33 +205,6 @@ impl FieldSpec {
                     decimate: 1,
                     looped: *looping,
                 })
-            }
-        }
-    }
-
-    /// Instantiates one node's view of the field.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the field or placement parameters are invalid; validate
-    /// the owning [`FleetSpec`] first to get violations as values.
-    pub fn make_node_source(&self, attenuation: f64, phase: Seconds) -> Box<dyn EnergySource> {
-        match self {
-            FieldSpec::Envelope(e) => Box::new(FieldView::new(e.make(), attenuation, phase)),
-            FieldSpec::PowerTrace {
-                name,
-                samples,
-                looping,
-            } => {
-                let series: Vec<(Seconds, Watts)> = samples
-                    .iter()
-                    .map(|&(t, w)| (Seconds(t), Watts(w)))
-                    .collect();
-                let mut trace = TracePlayback::from_power_series(name.clone(), series);
-                if *looping {
-                    trace = trace.looping();
-                }
-                Box::new(FieldView::new(trace, attenuation, phase))
             }
         }
     }
@@ -618,16 +591,6 @@ impl FleetSpec {
             .collect()
     }
 
-    /// Node `i`'s boxed field view — works for every field kind.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the spec is invalid; call [`FleetSpec::validate`] first.
-    pub fn node_source(&self, i: usize) -> Box<dyn EnergySource> {
-        self.field
-            .make_node_source(self.attenuation(i), self.phase(i))
-    }
-
     /// The spec as a JSON value. Lossless: the field (trace samples
     /// included), the per-node design, and every placement parameter are
     /// serialised with deterministic field order.
@@ -761,7 +724,10 @@ mod tests {
         );
         fleet.validate().expect("valid fleet");
         assert!(fleet.node_specs().is_none());
-        let mut src = fleet.node_source(1);
+        // Through a catalog, each node's view boxes like any other source.
+        let mut catalog = TraceCatalog::new();
+        let specs = fleet.node_specs_in(&mut catalog).expect("trace registers");
+        let mut src = specs[1].source.make_in(&catalog);
         assert!(src.name().contains("site"));
         let sample = src.sample(Seconds(0.5));
         assert!(sample.power_into(edc_units::Volts(1.0)).0 > 0.0);

@@ -41,10 +41,12 @@ use std::rc::Rc;
 use edc_bound::{Bounder, ScoreBracket};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::fleet::{FieldSpec, FleetSpec, Placement};
-use edc_core::scenarios::SourceKind;
+use edc_core::json::Json;
+use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::SystemReport;
 use edc_fleet::{Fleet, FleetMetrics};
 use edc_units::Seconds;
+use edc_workloads::WorkloadKind;
 
 use crate::objective::Objective;
 
@@ -164,16 +166,17 @@ impl FleetTemplate {
     /// fingerprint, so differently-configured fleet searches sharing a
     /// persistent store can never alias each other's scores.
     pub fn fingerprint(&self) -> String {
-        let config = edc_core::json::Json::obj(vec![
-            ("field", self.field.to_json()),
-            ("nodes", edc_core::json::Json::Uint(self.nodes as u64)),
-            ("placement", self.placement.to_json()),
-            ("stagger_s", edc_core::json::Json::Num(self.stagger.0)),
-            (
-                "duty_period_s",
-                edc_core::json::Json::Num(self.duty_period.0),
-            ),
-        ]);
+        // The deployment part of the fleet's own JSON: the design is the
+        // open part, so any design will do and its member is dropped.
+        let design = ExperimentSpec::new(
+            SourceKind::Dc { volts: 0.0 },
+            StrategyKind::Restart,
+            WorkloadKind::MatMul,
+        );
+        let mut config = self.fleet_for(&design).to_json();
+        if let Json::Obj(members) = &mut config {
+            members.retain(|(key, _)| key != "design");
+        }
         edc_store::hex16(edc_store::key_hash(&config.to_string()))
     }
 
@@ -389,8 +392,7 @@ impl Objective for FleetBrownoutShortfall {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edc_core::scenarios::{FieldEnvelope, SourceKind, StrategyKind};
-    use edc_workloads::WorkloadKind;
+    use edc_core::scenarios::FieldEnvelope;
 
     fn template() -> FleetTemplate {
         FleetTemplate::new(
@@ -526,6 +528,27 @@ mod tests {
         assert!(FleetNodesToCover(template)
             .static_bracket(&design(), &mut Bounder::new())
             .is_none());
+    }
+
+    #[test]
+    fn fingerprint_is_pinned_for_a_trace_field_with_explicit_placement() {
+        let template = FleetTemplate::new(
+            FieldSpec::PowerTrace {
+                name: "site".into(),
+                samples: vec![(0.0, 1e-3), (0.5, 2.5e-3), (1.0, 0.0)],
+                looping: true,
+            },
+            3,
+        )
+        .placement(Placement::Explicit(vec![1.0, 0.75, 0.5]))
+        .stagger(Seconds(0.125))
+        .duty_period(Seconds(2.0));
+        assert_eq!(template.fingerprint(), "63a24199d4002912");
+        // The memo caches and the thread cap are not configuration.
+        assert_eq!(
+            template.clone().threads(1).fingerprint(),
+            template.fingerprint()
+        );
     }
 
     #[test]

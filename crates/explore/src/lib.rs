@@ -5,11 +5,13 @@
 //! *co-designed*: storage size, wake/hibernate thresholds and workload
 //! choice trade off against completion time and brownout behaviour. The
 //! rest of the workspace can *run what you specify* (one spec, or a fixed
-//! cartesian [`Sweep`](edc_bench::sweep::Sweep) grid); this crate *finds
-//! the design*:
+//! spec list through the sweep engine's
+//! [`run_specs_timed_in`](edc_bench::sweep::run_specs_timed_in)); this
+//! crate *finds the design*:
 //!
 //! - [`SpecSpace`] — typed axes over [`ExperimentSpec`]: source, workload
-//!   and strategy kinds, decoupling capacitance, timestep, board leakage;
+//!   and strategy kinds, decoupling capacitance, timestep, board leakage
+//!   (the workspace's one cartesian spec grid);
 //! - [`Objective`] — scalar figures of merit from a run's report (built-ins:
 //!   [`CompletionTime`], [`BrownoutCount`], [`P99Outage`],
 //!   [`EnergyPerTask`]); several at once yield a [`ParetoFront`];

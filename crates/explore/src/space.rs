@@ -6,8 +6,9 @@
 //! leakage. Every combination of axis values is one candidate design,
 //! addressed either by a [`Point`] (one index per axis) or by a flat index
 //! in the deterministic enumeration order (source-major, then workload,
-//! strategy, decoupling, timestep, leakage — the sweep engine's order,
-//! extended).
+//! strategy, decoupling, timestep, leakage). It is the workspace's one
+//! cartesian spec grid: [`SpecSpace::all_specs`] feeds the sweep engine
+//! (`edc_bench::sweep::run_specs_timed_in`) directly.
 //!
 //! The space is *description*, not computation: searchers decide which of
 //! its points to evaluate.
@@ -482,6 +483,22 @@ mod tests {
         assert_eq!(space.spec_at(1).leakage, Some(Ohms(100_000.0)));
         assert_eq!(space.spec_at(0).strategy, StrategyKind::Restart);
         assert_eq!(space.spec_at(6).strategy, StrategyKind::Hibernus);
+    }
+
+    #[test]
+    fn grid_order_is_source_major_then_workload_then_strategy() {
+        let specs = SpecSpace::over(base())
+            .sources(&[SourceKind::Dc { volts: 3.3 }, SourceKind::Dc { volts: 2.8 }])
+            .workloads(&[WorkloadKind::BusyLoop(100), WorkloadKind::Crc16(32)])
+            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
+            .all_specs();
+        assert_eq!(specs.len(), 8);
+        assert_eq!(specs[0].strategy, StrategyKind::Restart);
+        assert_eq!(specs[1].strategy, StrategyKind::Hibernus);
+        assert_eq!(specs[1].workload, WorkloadKind::BusyLoop(100));
+        assert_eq!(specs[2].workload, WorkloadKind::Crc16(32));
+        assert_eq!(specs[3].source, SourceKind::Dc { volts: 3.3 });
+        assert_eq!(specs[4].source, SourceKind::Dc { volts: 2.8 });
     }
 
     #[test]

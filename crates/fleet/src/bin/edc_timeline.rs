@@ -2,9 +2,10 @@
 //!
 //! Usage: `edc_timeline [-o OUT.perfetto.json] FILE.json`
 //!
-//! The file is parsed and walked recursively, reusing `edc_lint`'s
-//! conventions. Arrays whose every element carries `name`/`hash`/`samples`
-//! are merged into one shared trace catalog, so trace-backed specs resolve
+//! The file is parsed and walked recursively, with the same document scan
+//! as `edc_lint`. Arrays whose every element carries
+//! `name`/`hash`/`samples` are merged into one shared trace catalog
+//! (`TraceCatalog::merge_sections`), so trace-backed specs resolve
 //! exactly as they do under the linter. Objects carrying
 //! `field`/`design`/`nodes` are treated as fleet specs and deployed — one
 //! Perfetto track (process) per node; objects carrying
@@ -87,7 +88,9 @@ fn main() -> ExitCode {
     };
 
     let mut catalog = TraceCatalog::new();
-    collect_catalogs(&doc, &mut catalog, &file);
+    for problem in catalog.merge_sections(&doc) {
+        eprintln!("{file}: {problem}");
+    }
 
     let mut trace = PerfettoTrace::new();
     if let Err(msg) = render(&doc, "$", &catalog, &mut trace) {
@@ -134,55 +137,6 @@ fn is_fleet_object(json: &Json) -> bool {
     json.get("field").is_some() && json.get("design").is_some() && json.get("nodes").is_some()
 }
 
-/// True for an object that looks like `ExperimentSpec::to_json` output.
-fn is_spec_object(json: &Json) -> bool {
-    json.get("source").is_some()
-        && json.get("strategy").is_some()
-        && json.get("workload").is_some()
-        && json.get("decoupling_f").is_some()
-}
-
-/// True for an array that looks like `TraceCatalog::to_json` output.
-fn is_catalog_array(json: &Json) -> bool {
-    match json {
-        Json::Arr(items) => {
-            !items.is_empty()
-                && items.iter().all(|i| {
-                    i.get("name").is_some() && i.get("hash").is_some() && i.get("samples").is_some()
-                })
-        }
-        _ => false,
-    }
-}
-
-/// Walks `json` merging every catalog section into `catalog`.
-fn collect_catalogs(json: &Json, catalog: &mut TraceCatalog, file: &str) {
-    if is_catalog_array(json) {
-        match TraceCatalog::from_json(json) {
-            Ok(found) => {
-                for id in found.ids() {
-                    if let Some(samples) = found.samples(id) {
-                        if let Err(e) = catalog.register_ref(id.name(), samples) {
-                            eprintln!("{file}: catalog entry '{}': {e}", id.name());
-                        }
-                    }
-                }
-            }
-            Err(e) => eprintln!("{file}: malformed trace catalog: {e}"),
-        }
-        return;
-    }
-    match json {
-        Json::Arr(items) => items
-            .iter()
-            .for_each(|i| collect_catalogs(i, catalog, file)),
-        Json::Obj(pairs) => pairs
-            .iter()
-            .for_each(|(_, v)| collect_catalogs(v, catalog, file)),
-        _ => {}
-    }
-}
-
 /// Walks `json`, running every fleet or experiment spec it finds with
 /// timeline telemetry and adding one track per run to `trace`.
 fn render(
@@ -208,7 +162,7 @@ fn render(
         }
         return Ok(());
     }
-    if is_spec_object(json) {
+    if ExperimentSpec::is_spec_json(json) {
         let spec = ExperimentSpec::from_json(json, catalog)
             .map_err(|e| format!("{path}: unparseable experiment spec: {e}"))?
             .telemetry(TelemetryKind::Timeline);

@@ -84,7 +84,9 @@ fn main() -> ExitCode {
             }
         };
         if let Some(doc) = &doc {
-            collect_catalogs(doc, &mut catalog, &file);
+            for problem in catalog.merge_sections(doc) {
+                eprintln!("{file}: {problem}");
+            }
         }
         parsed.push((file, doc));
     }
@@ -184,58 +186,6 @@ fn main() -> ExitCode {
     }
 }
 
-/// True for an array that looks like [`TraceCatalog::to_json`] output.
-fn is_catalog_array(json: &Json) -> bool {
-    match json {
-        Json::Arr(items) => {
-            !items.is_empty()
-                && items.iter().all(|i| {
-                    i.get("name").is_some() && i.get("hash").is_some() && i.get("samples").is_some()
-                })
-        }
-        _ => false,
-    }
-}
-
-/// True for an object that looks like [`ExperimentSpec::to_json`] output.
-fn is_spec_object(json: &Json) -> bool {
-    json.get("source").is_some()
-        && json.get("strategy").is_some()
-        && json.get("workload").is_some()
-        && json.get("decoupling_f").is_some()
-}
-
-/// Walks `json` merging every catalog section into `catalog`. A section
-/// that fails hash re-verification is reported but does not abort the walk.
-fn collect_catalogs(json: &Json, catalog: &mut TraceCatalog, file: &str) {
-    if is_catalog_array(json) {
-        match TraceCatalog::from_json(json) {
-            Ok(found) => {
-                for id in found.ids() {
-                    if let Some(samples) = found.samples(id) {
-                        // Same name+content is idempotent; a name bound to
-                        // different content elsewhere is a real conflict.
-                        if let Err(e) = catalog.register_ref(id.name(), samples) {
-                            eprintln!("{file}: catalog entry '{}': {e}", id.name());
-                        }
-                    }
-                }
-            }
-            Err(e) => eprintln!("{file}: malformed trace catalog: {e}"),
-        }
-        return;
-    }
-    match json {
-        Json::Arr(items) => items
-            .iter()
-            .for_each(|i| collect_catalogs(i, catalog, file)),
-        Json::Obj(pairs) => pairs
-            .iter()
-            .for_each(|(_, v)| collect_catalogs(v, catalog, file)),
-        _ => {}
-    }
-}
-
 /// Walks `json` linting every spec object, merging diagnostics (prefixed
 /// with the spec's JSON path) into `report`. When `bounds` is `Some`, each
 /// spec's static score brackets are appended to it, keyed by the same path
@@ -248,7 +198,7 @@ fn lint_specs(
     report: &mut LintReport,
     mut bounds: Option<&mut Vec<(String, Json)>>,
 ) {
-    if is_spec_object(json) {
+    if ExperimentSpec::is_spec_json(json) {
         match ExperimentSpec::from_json(json, linter.catalog()) {
             Ok(spec) => {
                 report.merge_prefixed(path, linter.lint_spec(&spec));

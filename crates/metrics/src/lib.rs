@@ -13,7 +13,7 @@
 //! serial and parallel runs of the same work render byte-identically.
 //! Wall-clock readings are quarantined exactly like `SweepRun.timing`:
 //! gauges registered via [`Registry::wall_gauge`] are excluded from
-//! [`Registry::render_text`]/[`Registry::render_json`] and only appear in
+//! [`Registry::render_text`] and only appear in
 //! [`Registry::render_text_full`].
 //!
 //! # Examples
@@ -36,7 +36,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Fixed-point scale for histogram sums: 2⁶⁰ keeps ~18 decimal digits
 /// below the unit while an `i128` total still spans ±10²⁰ units. Matches
@@ -246,7 +246,7 @@ impl Histogram {
         let mut hasher = DefaultHasher::new();
         std::thread::current().id().hash(&mut hasher);
         let shard = &self.cell.shards[(hasher.finish() as usize) % SHARDS];
-        let mut shard = shard.lock().expect("histogram shard poisoned");
+        let mut shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
         if shard.counts.is_empty() {
             shard.counts = vec![0; self.cell.bounds.len() + 1];
         }
@@ -289,7 +289,7 @@ impl Histogram {
         let mut count = 0u64;
         let mut sum = 0i128;
         for shard in &self.cell.shards {
-            let shard = shard.lock().expect("histogram shard poisoned");
+            let shard = shard.lock().unwrap_or_else(PoisonError::into_inner);
             for (a, b) in counts.iter_mut().zip(&shard.counts) {
                 *a += b;
             }
@@ -426,8 +426,7 @@ impl Registry {
     }
 
     /// Registers (or re-fetches) a **quarantined** wall-clock gauge:
-    /// excluded from [`Registry::render_text`] and
-    /// [`Registry::render_json`], visible only in
+    /// excluded from [`Registry::render_text`], visible only in
     /// [`Registry::render_text_full`] — the same quarantine
     /// `SweepRun.timing` applies to wall-clock readings in artifacts.
     ///
@@ -506,7 +505,7 @@ impl Registry {
             .inner
             .families
             .lock()
-            .expect("metrics registry poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         let family = families.entry(name.to_string()).or_insert_with(|| Family {
             help: help.to_string(),
             kind,
@@ -578,7 +577,7 @@ impl Registry {
             .inner
             .families
             .lock()
-            .expect("metrics registry poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         let mut out = String::new();
         for (name, family) in families.iter() {
             if family.quarantined && !include_quarantined {
@@ -635,88 +634,6 @@ impl Registry {
             }
         }
         out.push_str("# EOF\n");
-        out
-    }
-
-    /// The deterministic exposition as a JSON text (one
-    /// `{"families": [...]}` document, quarantined families excluded).
-    /// The text is valid JSON with deterministic key order, so callers can
-    /// parse it with `edc_core::json::Json::parse` and re-emit it
-    /// byte-identically.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// let registry = edc_metrics::Registry::new();
-    /// registry.counter("edc_runs", "Runs.", &[("kind", "sweep")]).inc();
-    /// let json = registry.render_json();
-    /// assert!(json.starts_with(r#"{"families":[{"name":"edc_runs","type":"counter""#));
-    /// assert!(json.contains(r#""labels":{"kind":"sweep"},"value":1"#));
-    /// ```
-    pub fn render_json(&self) -> String {
-        let families = self
-            .inner
-            .families
-            .lock()
-            .expect("metrics registry poisoned");
-        let mut out = String::from("{\"families\":[");
-        let mut first_family = true;
-        for (name, family) in families.iter() {
-            if family.quarantined {
-                continue;
-            }
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            out.push_str(&format!(
-                "{{\"name\":{},\"type\":\"{}\",\"help\":{},\"samples\":[",
-                json_string(name),
-                family.kind.exposition_name(),
-                json_string(&family.help)
-            ));
-            let mut first_child = true;
-            for (labels, child) in &family.children {
-                if !first_child {
-                    out.push(',');
-                }
-                first_child = false;
-                out.push_str("{\"labels\":{");
-                for (i, (k, v)) in labels.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!("{}:{}", json_string(k), json_string(v)));
-                }
-                out.push('}');
-                match child {
-                    Child::Counter(c) => out.push_str(&format!(",\"value\":{}}}", c.get())),
-                    Child::Gauge(g) => {
-                        out.push_str(&format!(",\"value\":{}}}", json_float(g.get())))
-                    }
-                    Child::Histogram(h) => {
-                        let snap = h.snapshot();
-                        out.push_str(",\"buckets\":[");
-                        let mut cumulative = 0u64;
-                        for (i, le) in h.cell.bounds.iter().enumerate() {
-                            cumulative += snap.counts[i];
-                            out.push_str(&format!(
-                                "{{\"le\":{},\"count\":{cumulative}}},",
-                                json_float(*le)
-                            ));
-                        }
-                        out.push_str(&format!(
-                            "{{\"le\":\"+Inf\",\"count\":{}}}],\"sum\":{},\"count\":{}}}",
-                            snap.count,
-                            json_float(snap.sum as f64 / FIXED_SCALE),
-                            snap.count
-                        ));
-                    }
-                }
-            }
-            out.push_str("]}");
-        }
-        out.push_str("]}");
         out
     }
 }
@@ -779,35 +696,6 @@ fn fmt_float(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// A finite `f64` as a JSON number; non-finite values become `null`,
-/// matching `edc_core::json::Json`'s convention.
-fn json_float(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// A JSON string literal with the required escapes.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -892,7 +780,6 @@ mod tests {
             }
         });
         assert_eq!(serial.render_text(), parallel.render_text());
-        assert_eq!(serial.render_json(), parallel.render_json());
     }
 
     #[test]
@@ -901,7 +788,6 @@ mod tests {
         r.counter("edc_c", "C.", &[]).inc();
         r.wall_gauge("edc_wall_seconds", "Wall.", &[]).set(3.25);
         assert!(!r.render_text().contains("edc_wall_seconds"));
-        assert!(!r.render_json().contains("edc_wall_seconds"));
         let full = r.render_text_full();
         assert!(full.contains("edc_wall_seconds 3.25"));
         assert!(
@@ -924,20 +810,6 @@ mod tests {
         let r = Registry::new();
         r.histogram("edc_x", "X.", &[], &[1.0]);
         r.histogram("edc_x", "X.", &[], &[2.0]);
-    }
-
-    #[test]
-    fn render_json_is_valid_json_shape() {
-        let r = Registry::new();
-        r.counter("edc_c", "Counts \"things\".", &[("k", "v")])
-            .inc_by(7);
-        let h = r.histogram("edc_h", "H.", &[], &[1.0]);
-        h.observe(0.5);
-        let json = r.render_json();
-        assert!(json.starts_with("{\"families\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains(r#""help":"Counts \"things\".""#));
-        assert!(json.contains(r#"{"le":1,"count":1},{"le":"+Inf","count":1}"#));
     }
 
     #[test]

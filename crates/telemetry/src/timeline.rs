@@ -99,21 +99,10 @@ impl TimelineSink {
     ///
     /// ```
     /// let tl = edc_telemetry::TimelineSink::new();
-    /// assert!(tl.is_empty());
+    /// assert!(tl.records().is_empty() && tl.phases().is_empty() && tl.gauges().is_empty());
     /// ```
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// `true` when nothing has been retained yet.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// assert!(edc_telemetry::TimelineSink::new().is_empty());
-    /// ```
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty() && self.phases.is_empty() && self.gauges.is_empty()
     }
 
     /// Retained event records, in emission order.

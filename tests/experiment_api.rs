@@ -1,10 +1,8 @@
-//! Integration tests for the fallible Experiment/Sweep API: build errors
+//! Integration tests for the fallible Experiment/sweep API: build errors
 //! are values not panics, parallel sweeps are deterministic and match
 //! serial execution, and reports round-trip through JSON.
 
-use edc_bench::sweep::{
-    render_json, render_text, run_specs_timed_in, run_specs_timed_metered, Sweep,
-};
+use edc_bench::sweep::{render_json, render_text, run_specs_timed_in, run_specs_timed_metered};
 use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::{BuildError, Experiment, ExperimentSpec};
 use energy_driven::core::fleet::{FieldSpec, FleetSpec, Placement};
@@ -12,6 +10,7 @@ use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{FieldEnvelope, SourceKind, StrategyKind};
 use energy_driven::core::system::Topology;
 use energy_driven::core::TelemetryKind;
+use energy_driven::explore::SpecSpace;
 use energy_driven::harvest::DcSupply;
 use energy_driven::metrics::Registry;
 use energy_driven::units::{Farads, Ohms, Seconds, Volts};
@@ -56,7 +55,7 @@ fn missing_components_surface_as_build_errors() {
 }
 
 /// Out-of-domain kind parameters must surface as `BuildError`s, not
-/// constructor panics — including through a parallel `Sweep`, where a
+/// constructor panics — including through a parallel sweep, where a
 /// worker panic would kill the whole scope.
 #[test]
 fn invalid_kind_parameters_are_errors_not_panics() {
@@ -96,10 +95,9 @@ fn invalid_kind_parameters_are_errors_not_panics() {
         Some(BuildError::InvalidLeakage(0.0))
     );
     // Through the sweep engine: the grid fails fast with the error value.
-    let err = Sweep::over(base(WorkloadKind::BusyLoop(40_000)).deadline(Seconds(1.0)))
-        .strategies(&StrategyKind::ALL)
-        .run()
-        .expect_err("invalid grid point");
+    let too_long = base(WorkloadKind::BusyLoop(40_000)).deadline(Seconds(1.0));
+    let specs = StrategyKind::ALL.map(|s| too_long.strategy(s)).to_vec();
+    let err = run_specs_timed_in(specs, 4, &TraceCatalog::new()).expect_err("invalid grid point");
     assert!(matches!(err, BuildError::InvalidWorkload(_)));
 }
 
@@ -115,15 +113,19 @@ fn full_strategy_sweep_is_deterministic_and_matches_serial() {
         WorkloadKind::Crc16(256),
     )
     .deadline(Seconds(3.0));
-    let sweep = Sweep::over(base)
+    let specs = SpecSpace::over(base)
         .strategies(&StrategyKind::ALL)
-        .workloads(&[WorkloadKind::Crc16(256), WorkloadKind::MatMul]);
+        .workloads(&[WorkloadKind::Crc16(256), WorkloadKind::MatMul])
+        .all_specs();
+    let run = |threads| {
+        run_specs_timed_in(specs.clone(), threads, &TraceCatalog::new())
+            .expect("grid assembles")
+            .rows
+    };
 
-    let parallel_a = sweep.clone().run().expect("grid assembles").rows;
-    let parallel_b = sweep.clone().threads(5).run().expect("grid assembles").rows;
-    let serial = run_specs_timed_in(sweep.specs(), 1, &TraceCatalog::new())
-        .expect("grid assembles")
-        .rows;
+    let parallel_a = run(2);
+    let parallel_b = run(5);
+    let serial = run(1);
 
     assert_eq!(parallel_a.len(), StrategyKind::ALL.len() * 2);
     let json_a = render_json(&parallel_a);

@@ -307,8 +307,8 @@ fn space_and_sweep_lint_locate_flagged_points() {
         .iter()
         .any(|d| d.code == Code::W105 && d.path == "$.axes.decoupling"));
 
-    // Sweep::lint points at the offending grid row.
-    let sweep = edc_bench::sweep::Sweep::over(
+    // A flagged axis value is located at its own index on that axis.
+    let sources = SpecSpace::over(
         ExperimentSpec::new(
             SourceKind::Dc { volts: 3.3 },
             StrategyKind::Restart,
@@ -317,8 +317,8 @@ fn space_and_sweep_lint_locate_flagged_points() {
         .deadline(Seconds(0.5)),
     )
     .sources(&[SourceKind::Dc { volts: 3.3 }, SourceKind::Dc { volts: 1.0 }]);
-    let report = sweep.lint();
+    let report = lint_space(&sources, &mut Linter::new());
     assert_eq!(report.error_count(), 1);
-    assert_eq!(report.diagnostics()[0].path, "$.specs[1].source");
+    assert_eq!(report.diagnostics()[0].path, "$.axes.source[1].source");
     assert_eq!(report.diagnostics()[0].code, Code::E002);
 }

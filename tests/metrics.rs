@@ -81,26 +81,6 @@ fn serial_parallel_and_repeated_expositions_are_byte_identical() {
         .contains("edc_sweep_wall_seconds"));
 }
 
-/// JSON exposition obeys the same contract as the text form.
-#[test]
-fn json_exposition_is_deterministic_and_round_trips() {
-    let a = {
-        let registry = Registry::new();
-        run_specs_timed_metered(grid_specs(), 1, &TraceCatalog::new(), &registry)
-            .expect("grid runs");
-        registry.render_json().to_string()
-    };
-    let b = {
-        let registry = Registry::new();
-        run_specs_timed_metered(grid_specs(), 4, &TraceCatalog::new(), &registry)
-            .expect("grid runs");
-        registry.render_json().to_string()
-    };
-    assert_eq!(a, b);
-    let parsed = energy_driven::core::json::Json::parse(&a).expect("valid JSON");
-    assert_eq!(parsed.to_string(), a, "parse → emit is byte-identical");
-}
-
 /// The README quickstart run's metrics exposition is pinned to a committed
 /// golden file: any drift in metric names, labels, help text, or the
 /// runner's deterministic counters fails here first. Regenerate

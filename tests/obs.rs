@@ -5,11 +5,13 @@
 
 use std::sync::OnceLock;
 
-use edc_bench::sweep::Sweep;
+use edc_bench::sweep::run_specs_timed_in;
+use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::core::telemetry::stats_json;
 use energy_driven::core::TelemetryKind;
+use energy_driven::explore::SpecSpace;
 use energy_driven::harvest::{DcSupply, Gated};
 use energy_driven::obs::PerfettoTrace;
 use energy_driven::telemetry::{StatsSink, Telemetry, TimelineSink};
@@ -102,15 +104,15 @@ fn sweep_cells() -> &'static Vec<StatsSink> {
         )
         .deadline(Seconds(1.0))
         .telemetry(TelemetryKind::Stats);
-        let sweep = Sweep::over(base)
+        let specs = SpecSpace::over(base)
             .strategies(&[
                 StrategyKind::Restart,
                 StrategyKind::Hibernus,
                 StrategyKind::Mementos,
             ])
-            .workloads(&[WorkloadKind::Crc16(128), WorkloadKind::Fourier(64)]);
-        sweep
-            .run()
+            .workloads(&[WorkloadKind::Crc16(128), WorkloadKind::Fourier(64)])
+            .all_specs();
+        run_specs_timed_in(specs, 2, &TraceCatalog::new())
             .expect("sweep runs")
             .rows
             .into_iter()

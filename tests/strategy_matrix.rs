@@ -1,10 +1,11 @@
 //! Integration test: the Section II.B strategy comparison, asserting the
 //! qualitative orderings the paper describes rather than absolute numbers.
 //!
-//! Runs as one `Sweep` over the full strategy axis so the comparison is the
-//! same declarative grid the bench harness prints.
+//! Runs as one sweep over the full strategy axis so the comparison is the
+//! same grid the bench harness prints.
 
-use edc_bench::sweep::{Sweep, SweepRow};
+use edc_bench::sweep::{run_specs_timed_in, SweepRow};
+use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::transient::RunOutcome;
@@ -23,9 +24,8 @@ fn survey() -> &'static [SweepRow] {
             WorkloadKind::Fourier(64),
         )
         .deadline(Seconds(3.0));
-        Sweep::over(base)
-            .strategies(&StrategyKind::ALL)
-            .run()
+        let specs = StrategyKind::ALL.map(|s| base.strategy(s)).to_vec();
+        run_specs_timed_in(specs, 2, &TraceCatalog::new())
             .expect("the strategy grid assembles")
             .rows
     })

@@ -4,11 +4,13 @@
 //! the `TelemetryKind::Null` byte-compatibility guarantee, and that no
 //! telemetry kind changes the run it observes.
 
-use edc_bench::sweep::Sweep;
+use edc_bench::sweep::run_specs_timed_in;
+use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::ExperimentSpec;
 use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::core::TelemetryKind;
+use energy_driven::explore::SpecSpace;
 use energy_driven::harvest::{DcSupply, Gated};
 use energy_driven::telemetry::{Event, Telemetry};
 use energy_driven::transient::{Hibernus, RunOutcome, TransientRunner};
@@ -237,11 +239,13 @@ proptest! {
         )
         .deadline(Seconds(1.0))
         .telemetry(TelemetryKind::Stats);
-        let sweep = Sweep::over(base)
+        let specs = SpecSpace::over(base)
             .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus, StrategyKind::Mementos])
-            .workloads(&[WorkloadKind::Crc16(128), WorkloadKind::MatMul]);
-        let parallel = sweep.clone().threads(threads).run().expect("sweep runs");
-        let serial = sweep.threads(1).run().expect("sweep runs");
+            .workloads(&[WorkloadKind::Crc16(128), WorkloadKind::MatMul])
+            .all_specs();
+        let catalog = TraceCatalog::new();
+        let parallel = run_specs_timed_in(specs.clone(), threads, &catalog).expect("sweep runs");
+        let serial = run_specs_timed_in(specs, 1, &catalog).expect("sweep runs");
         prop_assert_eq!(
             parallel.telemetry_json().to_string(),
             serial.telemetry_json().to_string()

@@ -13,11 +13,13 @@
 //!    spec-driven sweep-engine path with identical per-node results to
 //!    hand-built boxed sources.
 
+use edc_bench::sweep::run_specs_timed_in;
 use energy_driven::core::catalog::TraceCatalog;
 use energy_driven::core::experiment::{Experiment, ExperimentSpec};
 use energy_driven::core::fleet::{FieldSpec, FleetSpec, Placement};
 use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
+use energy_driven::explore::SpecSpace;
 use energy_driven::fleet::Fleet;
 use energy_driven::harvest::{FieldView, TracePlayback};
 use energy_driven::units::{Seconds, Watts};
@@ -250,32 +252,34 @@ fn sweeps_carry_trace_axes_through_the_catalog() {
         .register_uniform("steady", Seconds(0.01), &[3e-3, 3e-3, 3e-3])
         .expect("valid");
     let base = design().telemetry(TelemetryKind::Stats);
-    let sweep = || {
-        edc_bench::sweep::Sweep::over(base)
-            .sources(&[
-                SourceKind::Trace {
-                    id: mains,
-                    decimate: 1,
-                    looped: true,
-                },
-                SourceKind::Trace {
-                    id: steady,
-                    decimate: 1,
-                    looped: true,
-                },
-            ])
-            .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
-            .catalog(catalog.clone())
+    let specs = SpecSpace::over(base)
+        .sources(&[
+            SourceKind::Trace {
+                id: mains,
+                decimate: 1,
+                looped: true,
+            },
+            SourceKind::Trace {
+                id: steady,
+                decimate: 1,
+                looped: true,
+            },
+        ])
+        .strategies(&[StrategyKind::Restart, StrategyKind::Hibernus])
+        .all_specs();
+    let run = |threads| {
+        run_specs_timed_in(specs.clone(), threads, &catalog)
+            .expect("trace sweep runs")
+            .rows
     };
-    let parallel = sweep().threads(4).run().expect("trace sweep runs").rows;
-    let serial = sweep().threads(1).run().expect("trace sweep runs").rows;
+    let parallel = run(4);
+    let serial = run(1);
     assert_eq!(parallel.len(), 4);
     assert_eq!(
         edc_bench::sweep::render_json(&parallel),
         edc_bench::sweep::render_json(&serial)
     );
     // Without the catalog the same grid fails up front, as a value.
-    let err = edc_bench::sweep::run_specs_timed_in(sweep().specs(), 2, &TraceCatalog::new())
-        .expect_err("no catalog");
+    let err = run_specs_timed_in(specs, 2, &TraceCatalog::new()).expect_err("no catalog");
     assert!(err.to_string().contains("not registered"), "{err}");
 }
