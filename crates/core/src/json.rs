@@ -415,4 +415,198 @@ mod tests {
         let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
         assert!(Json::parse(&ok).is_ok());
     }
+
+    /// The emitter as it was before emission went into one buffer: one
+    /// `Formatter` call per character and a `write!` per nested value.
+    /// Kept as the reference the single-pass emitter must match.
+    struct Reference<'a>(&'a Json);
+
+    impl fmt::Display for Reference<'_> {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            match self.0 {
+                Json::Null => f.write_str("null"),
+                Json::Bool(b) => write!(f, "{b}"),
+                Json::Uint(n) => write!(f, "{n}"),
+                Json::Num(x) if x.is_finite() => write!(f, "{x}"),
+                Json::Num(_) => f.write_str("null"),
+                Json::Str(s) => reference_escaped(f, s),
+                Json::Arr(items) => {
+                    f.write_str("[")?;
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        write!(f, "{}", Reference(item))?;
+                    }
+                    f.write_str("]")
+                }
+                Json::Obj(pairs) => {
+                    f.write_str("{")?;
+                    for (i, (k, v)) in pairs.iter().enumerate() {
+                        if i > 0 {
+                            f.write_str(",")?;
+                        }
+                        reference_escaped(f, k)?;
+                        write!(f, ":{}", Reference(v))?;
+                    }
+                    f.write_str("}")
+                }
+            }
+        }
+    }
+
+    fn reference_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+        f.write_str("\"")?;
+        for c in s.chars() {
+            match c {
+                '"' => f.write_str("\\\"")?,
+                '\\' => f.write_str("\\\\")?,
+                '\n' => f.write_str("\\n")?,
+                '\r' => f.write_str("\\r")?,
+                '\t' => f.write_str("\\t")?,
+                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                c => f.write_str(c.encode_utf8(&mut [0u8; 4]))?,
+            }
+        }
+        f.write_str("\"")
+    }
+
+    /// Random JSON trees up to a fixed depth, biased toward the text the
+    /// emitter treats specially: escapes, control bytes, DEL, multi-byte
+    /// characters, signed zero, subnormals, non-finite numbers and the
+    /// extremes of `u64`.
+    struct Trees;
+
+    fn pick_string(rng: &mut proptest::TestRng) -> String {
+        const CHARS: [char; 22] = [
+            'a',
+            'Z',
+            '0',
+            ' ',
+            '/',
+            '"',
+            '\\',
+            '\n',
+            '\r',
+            '\t',
+            '\u{0}',
+            '\u{1}',
+            '\u{8}',
+            '\u{c}',
+            '\u{1f}',
+            '\u{7f}',
+            '\u{80}',
+            'é',
+            'π',
+            '→',
+            '😀',
+            '\u{10ffff}',
+        ];
+        let len = (rng.next_u64() % 12) as usize;
+        (0..len)
+            .map(|_| match rng.next_u64() % 8 {
+                // Any scalar value, now and then.
+                0 => char::from_u32((rng.next_u64() % 0x11_0000) as u32).unwrap_or('?'),
+                _ => CHARS[(rng.next_u64() % CHARS.len() as u64) as usize],
+            })
+            .collect()
+    }
+
+    fn pick_number(rng: &mut proptest::TestRng) -> f64 {
+        const SPECIAL: [f64; 12] = [
+            0.0,
+            -0.0,
+            1.0,
+            -2.5,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+            f64::EPSILON,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            18_446_744_073_709_551_616.0, // 2^64: one past u64::MAX
+        ];
+        match rng.next_u64() % 5 {
+            0 => SPECIAL[(rng.next_u64() % SPECIAL.len() as u64) as usize],
+            // Subnormal.
+            1 => {
+                f64::from_bits(rng.next_u64() % (1 << 52))
+                    * if rng.next_u64().is_multiple_of(2) {
+                        1.0
+                    } else {
+                        -1.0
+                    }
+            }
+            // Any bit pattern: NaNs, infinities and every exponent.
+            2 => f64::from_bits(rng.next_u64()),
+            // Integral values, which emit without a fraction.
+            3 => (rng.next_u64() % 1_000_000) as f64,
+            _ => (rng.unit_f64() - 0.5) * 1e3,
+        }
+    }
+
+    fn pick_tree(rng: &mut proptest::TestRng, depth: u32) -> Json {
+        let leaves = 6;
+        let kinds = if depth == 0 { leaves } else { leaves + 2 };
+        match rng.next_u64() % kinds {
+            0 => Json::Null,
+            1 => Json::Bool(rng.next_u64().is_multiple_of(2)),
+            2 => Json::Uint(match rng.next_u64() % 3 {
+                0 => u64::MAX,
+                1 => rng.next_u64() % 1000,
+                _ => rng.next_u64(),
+            }),
+            3 | 4 => Json::Num(pick_number(rng)),
+            5 => Json::Str(pick_string(rng)),
+            6 => Json::Arr(
+                (0..rng.next_u64() % 5)
+                    .map(|_| pick_tree(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.next_u64() % 5)
+                    .map(|_| (pick_string(rng), pick_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    impl proptest::Strategy for Trees {
+        type Value = Json;
+
+        fn pick(&self, rng: &mut proptest::TestRng) -> Json {
+            pick_tree(rng, 4)
+        }
+    }
+
+    /// The value `v` parses back as after emission: a non-finite number
+    /// emits `null`, and a finite one whose text is a plain unsigned
+    /// integer parses as [`Json::Uint`].
+    fn as_parsed(v: &Json) -> Json {
+        match v {
+            Json::Num(x) if !x.is_finite() => Json::Null,
+            Json::Num(x) => format!("{x}").parse().map_or(Json::Num(*x), Json::Uint),
+            Json::Arr(items) => Json::Arr(items.iter().map(as_parsed).collect()),
+            Json::Obj(pairs) => Json::Obj(
+                pairs
+                    .iter()
+                    .map(|(k, v)| (k.clone(), as_parsed(v)))
+                    .collect(),
+            ),
+            other => other.clone(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 2000, ..Default::default() })]
+
+        #[test]
+        fn emission_matches_the_reference_and_parses_back(v in Trees) {
+            let text = v.to_string();
+            proptest::prop_assert_eq!(&text, &Reference(&v).to_string());
+            let parsed = Json::parse(&text);
+            proptest::prop_assert_eq!(parsed, Ok(as_parsed(&v)), "text {}", text);
+        }
+    }
 }
