@@ -7,8 +7,15 @@
 //! **deterministic**: object keys keep insertion order and numbers use
 //! Rust's shortest round-trip formatting, so identical data always yields
 //! byte-identical text.
+//!
+//! Emission is one recursive pass into one `String`: string escaping
+//! scans bytes and copies each unescaped run whole. The parser borrows
+//! the validated input and slices it for string runs and numbers. No
+//! code path in this module unwraps or expects (enforced below).
 
-use std::fmt;
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+
+use std::fmt::{self, Write as _};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,6 +63,7 @@ impl Json {
     /// arrays and objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
         let mut p = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -70,54 +78,88 @@ impl Json {
     }
 }
 
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends the JSON text of `self` to `out`: the one emitter, behind
+    /// [`Display`](fmt::Display).
+    fn write_to(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Uint(n) => write!(f, "{n}"),
-            Json::Num(x) if x.is_finite() => write!(f, "{x}"),
-            Json::Num(_) => f.write_str("null"),
-            Json::Str(s) => write_escaped(f, s),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Writing into a `String` cannot fail.
+            Json::Uint(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Num(x) if x.is_finite() => {
+                let _ = write!(out, "{x}");
+            }
+            Json::Num(_) => out.push_str("null"),
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.write_to(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write_to(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
     }
 }
 
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_str(c.encode_utf8(&mut [0u8; 4]))?,
-        }
+/// The JSON text, built in one pass into one buffer and handed to the
+/// formatter with a single `write_str` (width and fill flags are ignored).
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write_to(&mut out);
+        f.write_str(&out)
     }
-    f.write_str("\"")
+}
+
+/// Appends `s` as a quoted JSON string. The bytes are scanned and each
+/// run that needs no escape is copied whole: `"`, `\`, `\n`, `\r` and `\t`
+/// take their short escapes, the other C0 bytes `\u00xx` in lowercase hex,
+/// and DEL and non-ASCII text pass through. Runs end only at ASCII bytes,
+/// which are always char boundaries.
+fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    out.push('"');
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
 }
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts
@@ -142,7 +184,11 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// A recursive-descent parser over validated UTF-8. It scans `bytes`
+/// and stops only at ASCII bytes, which are always char boundaries, so
+/// string runs and numbers are slices of `text` with no re-validation.
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects currently open.
@@ -211,17 +257,15 @@ impl Parser<'_> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid UTF-8"))?,
-            );
+            out.push_str(&self.text[start..self.pos]);
             match self.bytes.get(self.pos) {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                // The scan stops only at a quote or a backslash.
+                Some(_) => {
                     self.pos += 1;
                     let esc = *self.bytes.get(self.pos).ok_or(self.err("bad escape"))?;
                     self.pos += 1;
@@ -236,9 +280,8 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'u' => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or(self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
@@ -250,7 +293,6 @@ impl Parser<'_> {
                         _ => return Err(self.err("unknown escape")),
                     }
                 }
-                Some(_) => unreachable!("scan stops only at quote or backslash"),
             }
         }
     }
@@ -271,7 +313,7 @@ impl Parser<'_> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
+        let text = &self.text[start..self.pos];
         if !fractional && !text.starts_with('-') {
             if let Ok(n) = text.parse::<u64>() {
                 return Ok(Json::Uint(n));

@@ -276,20 +276,20 @@ impl ServeSession {
             return Vec::new();
         }
         let pending = std::mem::take(&mut self.pending);
-        let memo_before: HashSet<String> = pending
+        let memo_before: HashSet<&str> = pending
             .iter()
             .filter(|p| self.memo.contains_key(&p.key))
-            .map(|p| p.key.clone())
+            .map(|p| p.key.as_str())
             .collect();
         let mut seen: HashSet<&str> = HashSet::new();
         let mut unique: Vec<&Pending> = Vec::new();
         for p in &pending {
-            if !memo_before.contains(&p.key) && seen.insert(p.key.as_str()) {
+            if !memo_before.contains(p.key.as_str()) && seen.insert(p.key.as_str()) {
                 unique.push(p);
             }
         }
         // Source of each freshly-resolved key: "store" or "simulated".
-        let mut fresh_source: HashMap<String, &'static str> = HashMap::new();
+        let mut fresh_source: HashMap<&str, &'static str> = HashMap::new();
         if !unique.is_empty() {
             let reference_dt = Seconds(
                 unique
@@ -319,7 +319,7 @@ impl ServeSession {
             let trace = eval.into_trace();
             for ((p, evaluation), entry) in unique.iter().zip(&evaluations).zip(&trace) {
                 fresh_source.insert(
-                    p.key.clone(),
+                    p.key.as_str(),
                     match entry.provenance {
                         Provenance::Store => "store",
                         _ => "simulated",
@@ -346,10 +346,13 @@ impl ServeSession {
                         vec![error_field("evaluation produced no result")],
                     );
                 };
-                let source = if memo_before.contains(&p.key) {
+                let source = if memo_before.contains(p.key.as_str()) {
                     "memo"
                 } else if emitted.insert(p.key.as_str()) {
-                    fresh_source.get(&p.key).copied().unwrap_or("simulated")
+                    fresh_source
+                        .get(p.key.as_str())
+                        .copied()
+                        .unwrap_or("simulated")
                 } else {
                     "inflight"
                 };

@@ -32,6 +32,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::borrow::Cow;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
@@ -327,13 +328,14 @@ enum Child {
 }
 
 /// One metric family: a name, help text, kind, and children keyed by
-/// their sorted label pairs (so exposition order is deterministic).
+/// their sorted label pairs, kept in key order (so exposition order is
+/// deterministic) and found by binary search on borrowed labels.
 #[derive(Debug)]
 struct Family {
     help: String,
     kind: Kind,
     quarantined: bool,
-    children: BTreeMap<Vec<(String, String)>, Child>,
+    children: Vec<(Vec<(String, String)>, Child)>,
 }
 
 /// A cloneable handle to one metrics registry.
@@ -486,7 +488,9 @@ impl Registry {
         }
     }
 
-    /// Looks up or creates the child cell for `name` + `labels`.
+    /// Looks up or creates the child cell for `name` + `labels`. An
+    /// existing family and child are found by `&str`: only registering
+    /// one allocates (and labels not given in sorted order).
     fn child(
         &self,
         name: &str,
@@ -496,40 +500,61 @@ impl Registry {
         quarantined: bool,
         bounds: &[f64],
     ) -> Child {
-        let mut sorted: Vec<(String, String)> = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        sorted.sort();
+        let sorted: Cow<'_, [(&str, &str)]> = if labels.is_sorted() {
+            Cow::Borrowed(labels)
+        } else {
+            let mut owned = labels.to_vec();
+            owned.sort_unstable();
+            Cow::Owned(owned)
+        };
         let mut families = self
             .inner
             .families
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            quarantined,
-            children: BTreeMap::new(),
-        });
+        let family = match families.get_mut(name) {
+            Some(family) => family,
+            None => families.entry(name.to_string()).or_insert(Family {
+                help: help.to_string(),
+                kind,
+                quarantined,
+                children: Vec::new(),
+            }),
+        };
         assert!(
             family.kind == kind && family.quarantined == quarantined,
             "metric {name} re-registered as a different kind"
         );
-        let child = family.children.entry(sorted).or_insert_with(|| match kind {
-            Kind::Counter => Child::Counter(Counter {
-                cell: Arc::new(AtomicU64::new(0)),
-            }),
-            Kind::Gauge => Child::Gauge(Gauge {
-                cell: Arc::new(AtomicU64::new(0f64.to_bits())),
-            }),
-            Kind::Histogram => Child::Histogram(Histogram {
-                cell: Arc::new(HistogramCell {
-                    bounds: bounds.to_vec(),
-                    shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-                }),
-            }),
+        let at = family.children.binary_search_by(|(key, _)| {
+            key.iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .cmp(sorted.iter().copied())
         });
+        let child = match at {
+            Ok(i) => &family.children[i].1,
+            Err(i) => {
+                let key = sorted
+                    .iter()
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect();
+                let child = match kind {
+                    Kind::Counter => Child::Counter(Counter {
+                        cell: Arc::new(AtomicU64::new(0)),
+                    }),
+                    Kind::Gauge => Child::Gauge(Gauge {
+                        cell: Arc::new(AtomicU64::new(0f64.to_bits())),
+                    }),
+                    Kind::Histogram => Child::Histogram(Histogram {
+                        cell: Arc::new(HistogramCell {
+                            bounds: bounds.to_vec(),
+                            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
+                        }),
+                    }),
+                };
+                family.children.insert(i, (key, child));
+                &family.children[i].1
+            }
+        };
         if let Child::Histogram(h) = child {
             assert!(
                 h.cell.bounds == bounds,
@@ -731,6 +756,34 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 2, "one cell regardless of label order");
         assert!(r.render_text().contains(r#"edc_c_total{a="1",b="2"} 2"#));
+    }
+
+    #[test]
+    fn many_children_keep_one_cell_each_and_render_in_label_order() {
+        let r = Registry::new();
+        // Registered in a scrambled order (7 is coprime to 20), each one
+        // re-fetched once with its labels reversed.
+        for i in (0..20).map(|i| i * 7 % 20) {
+            let (phase, rung) = (format!("p{:02}", i % 5), format!("r{i:02}"));
+            r.counter("edc_c", "C.", &[("phase", &phase), ("rung", &rung)])
+                .inc();
+            r.counter("edc_c", "C.", &[("rung", &rung), ("phase", &phase)])
+                .inc_by(i);
+        }
+        let text = r.render_text();
+        let lines: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("edc_c_total"))
+            .collect();
+        let mut expected: Vec<(String, u64)> = (0..20)
+            .map(|i| (format!("phase=\"p{:02}\",rung=\"r{i:02}\"", i % 5), i + 1))
+            .collect();
+        expected.sort();
+        let expected: Vec<String> = expected
+            .iter()
+            .map(|(labels, n)| format!("edc_c_total{{{labels}}} {n}"))
+            .collect();
+        assert_eq!(lines, expected);
     }
 
     #[test]
