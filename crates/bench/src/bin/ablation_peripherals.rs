@@ -10,13 +10,26 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin ablation_peripherals`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_mcu::{Mcu, PeripheralPolicy, RunExit};
 use edc_workloads::{SensePipeline, Workload};
 
+/// The 12 window averages a finished run persisted, and their spread.
+fn window_averages(mcu: &Mcu) -> Result<(Vec<u16>, f64), MainError> {
+    let averages = (0..12)
+        .map(|w| mcu.memory().peek(edc_workloads::OUTPUT_BASE + 1 + w))
+        .collect::<Result<Vec<u16>, _>>()?;
+    // Continuity metric: windows should sweep the ADC sinusoid smoothly.
+    // A reinit glitch repeats the waveform start, flattening the spread.
+    let (lo, hi) = averages
+        .iter()
+        .fold((u16::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
+    Ok((averages, f64::from(hi) - f64::from(lo)))
+}
+
 /// Runs the sensing pipeline with periodic outages under a policy,
 /// reporting continuity of the sampled sinusoid.
-fn run(policy: PeripheralPolicy) -> (Vec<u16>, f64, f64) {
+fn run(policy: PeripheralPolicy) -> Result<(Vec<u16>, f64, f64), MainError> {
     let wl = SensePipeline::new(12, 8);
     let mut mcu = Mcu::new(wl.program()).with_peripheral_policy(policy);
     let mut outages = 0;
@@ -28,28 +41,18 @@ fn run(policy: PeripheralPolicy) -> (Vec<u16>, f64, f64) {
                 mcu.take_snapshot(None);
                 mcu.power_loss();
                 mcu.cold_boot();
-                mcu.restore_snapshot().expect("sealed frame");
+                mcu.restore_snapshot().ok_or("no sealed frame to restore")?;
                 outages += 1;
             }
             other => panic!("unexpected exit {other:?}"),
         }
     }
-    wl.verify(&mcu).expect("pipeline structure intact");
-    let averages: Vec<u16> = (0..12)
-        .map(|w| {
-            mcu.memory()
-                .peek(edc_workloads::OUTPUT_BASE + 1 + w)
-                .unwrap()
-        })
-        .collect();
-    // Continuity metric: windows should sweep the ADC sinusoid smoothly.
-    // A reinit glitch repeats the waveform start, flattening the spread.
-    let lo = *averages.iter().min().unwrap() as f64;
-    let hi = *averages.iter().max().unwrap() as f64;
-    (averages, hi - lo, outages as f64)
+    wl.verify(&mcu)?;
+    let (averages, spread) = window_averages(&mcu)?;
+    Ok((averages, spread, outages as f64))
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     banner("Peripheral checkpointing ablation (sense pipeline, forced outages)");
     let frame_plain = Mcu::new(SensePipeline::new(1, 2).program()).snapshot_words();
     let frame_cp = Mcu::new(SensePipeline::new(1, 2).program())
@@ -60,23 +63,14 @@ fn main() {
          (checkpointed)\n"
     );
 
-    let (avg_reinit, spread_reinit, outages_r) = run(PeripheralPolicy::Reinit);
-    let (avg_cp, spread_cp, outages_c) = run(PeripheralPolicy::Checkpointed);
-    let (avg_ref, spread_ref, _) = {
+    let (avg_reinit, spread_reinit, outages_r) = run(PeripheralPolicy::Reinit)?;
+    let (avg_cp, spread_cp, outages_c) = run(PeripheralPolicy::Checkpointed)?;
+    let (avg_ref, spread_ref) = {
         // Uninterrupted reference.
         let wl = SensePipeline::new(12, 8);
         let mut mcu = Mcu::new(wl.program());
         assert_eq!(mcu.run(u64::MAX, false).exit, RunExit::Completed);
-        let averages: Vec<u16> = (0..12)
-            .map(|w| {
-                mcu.memory()
-                    .peek(edc_workloads::OUTPUT_BASE + 1 + w)
-                    .unwrap()
-            })
-            .collect();
-        let lo = *averages.iter().min().unwrap() as f64;
-        let hi = *averages.iter().max().unwrap() as f64;
-        (averages, hi - lo, 0.0)
+        window_averages(&mcu)?
     };
 
     let mut t = TextTable::new(&["policy", "outages", "window averages (ADC codes)", "spread"]);
@@ -113,4 +107,5 @@ fn main() {
          paper's discussion flags)",
         avg_reinit == avg_ref
     );
+    Ok(())
 }

@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin ablation_timestep`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_units::{Ohms, Seconds};
@@ -24,7 +24,7 @@ struct Run {
     verified: bool,
 }
 
-fn run(dt: Seconds) -> Run {
+fn run(dt: Seconds) -> Result<Run, MainError> {
     let supply_hz = 2.0;
     let report = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: supply_hz },
@@ -34,9 +34,8 @@ fn run(dt: Seconds) -> Run {
     .leakage(Ohms(100_000.0))
     .timestep(dt)
     .deadline(Seconds(3.0))
-    .run()
-    .expect("spec assembles");
-    Run {
+    .run()?;
+    Ok(Run {
         dt_us: dt.0 * 1e6,
         completed: report.stats.completed_at,
         cycle: report
@@ -46,15 +45,15 @@ fn run(dt: Seconds) -> Run {
         snapshots: report.stats.snapshots,
         restores: report.stats.restores,
         verified: report.verification.is_ok(),
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     banner("Timestep ablation on the Fig. 7 experiment");
     let runs: Vec<Run> = [5e-6, 10e-6, 20e-6, 40e-6]
         .into_iter()
         .map(|dt| run(Seconds(dt)))
-        .collect();
+        .collect::<Result<_, _>>()?;
 
     let mut t = TextTable::new(&[
         "dt (µs)",
@@ -98,4 +97,5 @@ fn main() {
             spread * 100.0
         );
     }
+    Ok(())
 }

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin eq4_threshold_sweep`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::Experiment;
 use edc_core::scenarios::SourceKind;
 use edc_mcu::Mcu;
@@ -39,20 +39,19 @@ impl Strategy for FixedThreshold {
     }
 }
 
-fn torn_fraction(v_h: Volts, c: Farads) -> (u64, u64) {
+fn torn_fraction(v_h: Volts, c: Farads) -> Result<(u64, u64), MainError> {
     let mut system = Experiment::new()
         .source_kind(SourceKind::RectifiedSine { hz: 8.0 })
         .decoupling(c)
         .strategy(Box::new(FixedThreshold { v_h }))
         .workload_kind(WorkloadKind::Fourier(128))
-        .build()
-        .expect("experiment assembles");
+        .build()?;
     system.run_for(Seconds(6.0));
     let s = system.runner().stats();
-    (s.snapshots, s.torn_snapshots)
+    Ok((s.snapshots, s.torn_snapshots))
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let v_min = Volts(2.0);
     let v_max = Volts(3.6);
     let e_s = Mcu::new(Fourier::new(128).program()).snapshot_energy();
@@ -78,10 +77,8 @@ fn main() {
 
     banner("Empirical boundary check at C = 10 µF");
     let c = Farads::from_micro(10.0);
-    let v_h_min = try_hibernate_threshold(e_s, c, v_min, v_max, 0.0)
-        .ok()
-        .flatten()
-        .expect("feasible");
+    let v_h_min =
+        try_hibernate_threshold(e_s, c, v_min, v_max, 0.0)?.ok_or("no feasible V_H at 10 µF")?;
     let mut t = TextTable::new(&["V_H", "relation to Eq. 4", "sealed", "torn"]);
     for (dv, label) in [
         (-0.15, "below (violates Eq. 4)"),
@@ -89,7 +86,7 @@ fn main() {
         (0.30, "comfortably above"),
     ] {
         let v_h = Volts(v_h_min.0 + dv);
-        let (sealed, torn) = torn_fraction(v_h, c);
+        let (sealed, torn) = torn_fraction(v_h, c)?;
         t.row(&[
             format!("{v_h:.3}"),
             label.to_string(),
@@ -99,4 +96,5 @@ fn main() {
     }
     print!("{}", t.render());
     println!("\nexpected shape: thresholds below the Eq. 4 bound tear snapshots.");
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin eq5_crossover`
 
-use edc_bench::{banner, log_space, TextTable};
+use edc_bench::{banner, log_space, MainError, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_mcu::PowerModel;
@@ -20,26 +20,29 @@ use edc_units::{Hertz, Seconds};
 use edc_workloads::WorkloadKind;
 
 /// Energy per million forward cycles at one interruption frequency.
-fn energy_per_mcycle(strategy: StrategyKind, f_int: Hertz, horizon: Seconds) -> (f64, u64) {
+fn energy_per_mcycle(
+    strategy: StrategyKind,
+    f_int: Hertz,
+    horizon: Seconds,
+) -> Result<(f64, u64), MainError> {
     let mut system = ExperimentSpec::new(
         SourceKind::Interrupted { hz: f_int.0 },
         strategy,
         WorkloadKind::Endless,
     )
-    .build()
-    .expect("spec assembles");
+    .build()?;
     // Endless workload: forward progress never saturates, so energy/cycle is
     // meaningful over the whole horizon.
     system.run_for(horizon);
     let stats = system.runner().stats();
     let cycles = stats.cycles.max(1);
-    (
+    Ok((
         stats.energy_consumed.0 / (cycles as f64 / 1e6),
         stats.snapshots + stats.torn_snapshots,
-    )
+    ))
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let pm = PowerModel::msp430fr5739();
     let f_clock = Hertz::from_mega(8.0);
     let analytic = analytic_crossover(&pm, f_clock);
@@ -65,8 +68,8 @@ fn main() {
     let mut last_winner_hib = true;
     for (i, f) in log_space(0.5, 200.0, 10).into_iter().enumerate() {
         let f_int = Hertz(f);
-        let (hib, hib_snaps) = energy_per_mcycle(StrategyKind::Hibernus, f_int, horizon);
-        let (qr, qr_snaps) = energy_per_mcycle(StrategyKind::QuickRecall, f_int, horizon);
+        let (hib, hib_snaps) = energy_per_mcycle(StrategyKind::Hibernus, f_int, horizon)?;
+        let (qr, qr_snaps) = energy_per_mcycle(StrategyKind::QuickRecall, f_int, horizon)?;
         let hib_wins = hib < qr;
         if i > 0 && last_winner_hib && !hib_wins && crossover_measured.is_none() {
             crossover_measured = Some(f);
@@ -104,4 +107,5 @@ fn main() {
          itself smooths\nthe interruptions (dips no longer reach V_H) — the \
          buffering effect the taxonomy's\nstorage axis is about."
     );
+    Ok(())
 }

@@ -8,7 +8,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin fig8_power_neutral`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_power::{Rectifier, RectifierKind};
@@ -19,7 +19,7 @@ use edc_workloads::WorkloadKind;
 
 type Trace = Vec<(f64, f64)>;
 
-fn run_with(strategy: StrategyKind) -> (RunnerStats, Trace, Trace) {
+fn run_with(strategy: StrategyKind) -> Result<(RunnerStats, Trace, Trace), MainError> {
     let mut system = ExperimentSpec::new(SourceKind::Turbine, strategy, WorkloadKind::Endless)
         .rectifier(Rectifier::new(
             RectifierKind::HalfWave,
@@ -27,8 +27,7 @@ fn run_with(strategy: StrategyKind) -> (RunnerStats, Trace, Trace) {
         ))
         .decoupling(Farads::from_micro(220.0))
         .trace(100)
-        .build()
-        .expect("spec assembles");
+        .build()?;
     system.run_for(Seconds(9.0));
     let runner = system.runner();
     let vcc = runner
@@ -48,15 +47,15 @@ fn run_with(strategy: StrategyKind) -> (RunnerStats, Trace, Trace) {
         stats.brownouts,
         stats.cycles
     );
-    (stats, vcc, freq)
+    Ok((stats, vcc, freq))
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     banner("Fig. 8: power-neutral DFS on a rectified wind-turbine gust");
     println!("turbine: 5 V peak @ 8 Hz electrical, Fig. 1(a) gust, Schottky half-wave\n");
 
-    let (pn_stats, vcc, freq) = run_with(StrategyKind::HibernusPn);
-    let (plain_stats, _, _) = run_with(StrategyKind::Hibernus);
+    let (pn_stats, vcc, freq) = run_with(StrategyKind::HibernusPn)?;
+    let (plain_stats, _, _) = run_with(StrategyKind::Hibernus)?;
 
     banner("Power-neutral benefit");
     let mut t = TextTable::new(&["metric", "hibernus", "hibernus-pn"]);
@@ -87,4 +86,5 @@ fn main() {
             println!("{tv:.3}\t{v:.3}\t{f:.1}");
         }
     }
+    Ok(())
 }

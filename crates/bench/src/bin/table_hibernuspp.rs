@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin table_hibernuspp`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::Experiment;
 use edc_core::scenarios::SourceKind;
 use edc_mcu::Mcu;
@@ -57,26 +57,25 @@ struct Row {
     verified: bool,
 }
 
-fn run(strategy: Box<dyn Strategy>, actual: Farads, label: &'static str) -> Row {
+fn run(strategy: Box<dyn Strategy>, actual: Farads, label: &'static str) -> Result<Row, MainError> {
     let report = Experiment::new()
         .source_kind(SourceKind::RectifiedSine { hz: 6.0 })
         .leakage(edc_units::Ohms(100_000.0))
         .decoupling(actual)
         .strategy(strategy)
         .workload_kind(WorkloadKind::Fourier(128))
-        .run(Seconds(30.0))
-        .expect("experiment assembles");
-    Row {
+        .run(Seconds(30.0))?;
+    Ok(Row {
         strategy: label,
         completed: report.stats.completed_at,
         snapshots: report.stats.snapshots,
         torn: report.stats.torn_snapshots,
         active: report.stats.active_time,
         verified: report.verification.is_ok(),
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let characterised = Farads::from_micro(10.0);
     banner("Hibernus vs Hibernus++ under capacitance mis-characterisation");
     println!("characterised storage: {characterised}; supply: rectified sine 6 Hz\n");
@@ -100,8 +99,8 @@ fn main() {
                 }),
                 actual,
                 "hibernus (design-time)",
-            ),
-            run(Box::new(HibernusPP::new()), actual, "hibernus++"),
+            )?,
+            run(Box::new(HibernusPP::new()), actual, "hibernus++")?,
         ];
         for r in rows {
             t.row(&[
@@ -124,4 +123,5 @@ fn main() {
          at 0.4× plain hibernus tears snapshots / fails while hibernus++ \
          still completes."
     );
+    Ok(())
 }

@@ -11,7 +11,7 @@
 //!
 //! Run: `cargo run --release -p edc-bench --bin table_topologies`
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_core::system::Topology;
@@ -27,7 +27,7 @@ struct Row {
     storage: String,
 }
 
-fn run(topology: Topology, label: &str) -> Row {
+fn run(topology: Topology, label: &str) -> Result<Row, MainError> {
     let mut system = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: 6.0 },
         StrategyKind::Hibernus,
@@ -35,11 +35,10 @@ fn run(topology: Topology, label: &str) -> Row {
     )
     .leakage(edc_units::Ohms(100_000.0))
     .topology(topology)
-    .build()
-    .expect("spec assembles");
+    .build()?;
     let report = system.run(Seconds(30.0));
     assert!(report.verification.is_ok() || report.stats.completed_at.is_none());
-    Row {
+    Ok(Row {
         label: label.to_string(),
         first_result: report.stats.completed_at,
         snapshots: report.stats.snapshots,
@@ -49,29 +48,29 @@ fn run(topology: Topology, label: &str) -> Row {
             Topology::Direct => "10 µF decoupling".to_string(),
             Topology::Buffered { storage, .. } => format!("{storage} + decoupling"),
         },
-    }
+    })
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     banner("Fig. 3 vs Fig. 4: the cost of making the harvester look like a battery");
     println!("supply: 4 V rectified sine @ 6 Hz; workload: fourier-128 (~100 ms)\n");
 
     let rows = [
-        run(Topology::Direct, "direct (Fig. 4, energy-driven)"),
+        run(Topology::Direct, "direct (Fig. 4, energy-driven)")?,
         run(
             Topology::Buffered {
                 storage: Farads::from_micro(470.0),
                 efficiency: 0.85,
             },
             "buffered 470 µF @ 85% (Fig. 3)",
-        ),
+        )?,
         run(
             Topology::Buffered {
                 storage: Farads::from_milli(4.7),
                 efficiency: 0.85,
             },
             "buffered 4.7 mF @ 85% (Fig. 3)",
-        ),
+        )?,
     ];
 
     let mut t = TextTable::new(&[
@@ -101,4 +100,5 @@ fn main() {
          converter losses on every joule —\nthe paper's argument for \
          designing energy-driven systems from the outset."
     );
+    Ok(())
 }

@@ -147,43 +147,43 @@ pub fn bench_args(default: &str) -> BenchArgs {
 
 /// Loads section `section` of the committed artifact at `committed`,
 /// for store-backed BENCH runs that assert warm results byte-identical
-/// to the committed cold ones. Exits with status 1 when the artifact is
-/// missing, unparsable, or lacks the section, so CI cannot mistake a
-/// skipped comparison for a passing one.
-pub fn committed_section(committed: &str, section: &str) -> Json {
-    let text = std::fs::read_to_string(committed).unwrap_or_else(|e| {
-        eprintln!("cannot read committed artifact {committed}: {e}");
-        std::process::exit(1);
-    });
-    let json = Json::parse(&text).unwrap_or_else(|e| {
-        eprintln!("committed artifact {committed} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    match json.get(section) {
-        Some(value) => value.clone(),
-        None => {
-            eprintln!("committed artifact {committed} has no section {section:?}");
-            std::process::exit(1);
-        }
-    }
+/// to the committed cold ones.
+///
+/// # Errors
+///
+/// Fails when the artifact is missing, unparsable, or lacks the section,
+/// so CI cannot mistake a skipped comparison for a passing one.
+pub fn committed_section(committed: &str, section: &str) -> Result<Json, MainError> {
+    let text = std::fs::read_to_string(committed)
+        .map_err(|e| format!("cannot read committed artifact {committed}: {e}"))?;
+    let json = Json::parse(&text)
+        .map_err(|e| format!("committed artifact {committed} is not valid JSON: {e}"))?;
+    json.get(section)
+        .cloned()
+        .ok_or_else(|| format!("committed artifact {committed} has no section {section:?}").into())
 }
 
-/// Asserts that `front` is byte-identical to the `front` member of
+/// Checks that `front` is byte-identical to the `front` member of
 /// section `section` in the committed artifact at `committed` — the
 /// warm-start contract of the `--store` flag: a store-backed search must
-/// reproduce the committed cold Pareto front exactly. Logs the check and
-/// exits with status 1 on any mismatch.
-pub fn assert_front_matches(committed: &str, section: &str, front: &Json) {
-    let committed_front = committed_section(committed, section);
-    let committed_front = committed_front.get("front").unwrap_or_else(|| {
-        eprintln!("committed section {section:?} of {committed} has no front");
-        std::process::exit(1);
-    });
+/// reproduce the committed cold Pareto front exactly. Logs the check.
+///
+/// # Errors
+///
+/// Fails on any mismatch, or when the committed front cannot be read.
+pub fn assert_front_matches(committed: &str, section: &str, front: &Json) -> Result<(), MainError> {
+    let committed_front = committed_section(committed, section)?;
+    let committed_front = committed_front
+        .get("front")
+        .ok_or_else(|| format!("committed section {section:?} of {committed} has no front"))?;
     if committed_front.to_string() != front.to_string() {
-        eprintln!("FAIL: store-backed {section} front differs from committed {committed}");
-        std::process::exit(1);
+        return Err(format!(
+            "FAIL: store-backed {section} front differs from committed {committed}"
+        )
+        .into());
     }
     println!("store: {section} front byte-identical to committed {committed}");
+    Ok(())
 }
 
 /// Writes a BENCH artifact (the JSON plus a trailing newline) to `path`,
@@ -205,6 +205,23 @@ pub fn write_artifact(path: &str, artifact: &Json) {
             eprintln!("could not write {path}: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+/// The error a harness binary's `main` returns. It is made from any
+/// displayable error by `?` and prints as that error's message, so a
+/// failing `main` exits with status 1 after `Error: <message>`.
+pub struct MainError(String);
+
+impl<E: Display> From<E> for MainError {
+    fn from(e: E) -> Self {
+        MainError(e.to_string())
+    }
+}
+
+impl std::fmt::Debug for MainError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
     }
 }
 

@@ -34,8 +34,8 @@
 //! # Ok::<(), edc_core::experiment::BuildError>(())
 //! ```
 
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use edc_core::catalog::TraceCatalog;
@@ -337,24 +337,25 @@ where
         return items.iter().map(f).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads.clamp(1, items.len().max(1)) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else { break };
-                *slots[i].lock().expect("result slot poisoned") = Some(f(item));
-            });
-        }
+    // Each worker claims indices until they run past the end and returns
+    // its `(index, result)` pairs.
+    let worker = || {
+        std::iter::repeat_with(|| next.fetch_add(1, Ordering::Relaxed))
+            .map_while(|i| Some((i, f(items.get(i)?))))
+            .collect::<Vec<_>>()
+    };
+    let mut done: Vec<(usize, R)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads.min(items.len()))
+            .map(|_| scope.spawn(worker))
+            .collect();
+        // A worker's panic is re-raised here, as the scope would.
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_else(|e| resume_unwind(e)))
+            .collect()
     });
-    slots
-        .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                .expect("result slot poisoned")
-                .expect("every slot is filled before the scope exits")
-        })
-        .collect()
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Renders rows as an aligned text table.
@@ -461,6 +462,16 @@ mod tests {
             .collect();
         let expected: Vec<u64> = inline.into_iter().map(|(v, _)| v).collect();
         assert_eq!(fanned, expected, "input order at any thread count");
+    }
+
+    #[test]
+    fn par_map_reraises_a_worker_panic() {
+        let items: Vec<u32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            par_map(&items, 3, |&x| if x == 5 { panic!("item five") } else { x })
+        });
+        let payload = caught.expect_err("the panic reaches the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"item five"));
     }
 
     #[test]

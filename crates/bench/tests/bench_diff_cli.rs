@@ -1,6 +1,10 @@
 //! End-to-end tests of the `bench_diff` regression gate binary: exit
 //! codes, offending-path reporting, and the committed tolerance policy.
 
+// Test-only crate: fixture helpers may panic on harness failures
+// (allow-unwrap-in-tests only covers `#[test]` fns, not their helpers).
+#![allow(clippy::expect_used)]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

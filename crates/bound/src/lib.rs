@@ -98,6 +98,7 @@ use std::collections::HashMap;
 
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
+use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::system::Topology;
 use edc_harvest::{SourceSample, POWER_SOURCE_COMPLIANCE_FLOOR};
 use edc_mcu::{Mcu, RunExit};
@@ -332,13 +333,6 @@ pub struct Bounder {
     memo: HashMap<String, Option<BoundReport>>,
 }
 
-/// The catalog-independent memo state of a [`Bounder`], so a caller that
-/// needs a temporary bounder against a different catalog (fleet linting
-/// derives per-node specs into a field-registered catalog) can move the
-/// workload cycle memo across instead of re-counting cycles.
-#[derive(Debug, Default)]
-pub struct CycleMemo(HashMap<WorkloadKind, u64>);
-
 impl Bounder {
     /// A bounder with an empty catalog (synthetic sources only).
     pub fn new() -> Self {
@@ -359,15 +353,32 @@ impl Bounder {
         &self.catalog
     }
 
-    /// Moves the workload cycle memo out (leaving an empty one), for
-    /// transfer into a sub-bounder over a different catalog.
-    pub fn take_cycle_memo(&mut self) -> CycleMemo {
-        CycleMemo(std::mem::take(&mut self.cycle_memo))
-    }
-
-    /// Restores a cycle memo taken with [`Bounder::take_cycle_memo`].
-    pub fn restore_cycle_memo(&mut self, memo: CycleMemo) {
-        self.cycle_memo = memo.0;
+    /// Runs `f` over `fleet`'s per-node specs with a node bounder whose
+    /// catalog is this one's plus the traces the fleet's field registers.
+    /// The node bounder shares this bounder's workload cycle memo (cycle
+    /// floors do not depend on the catalog) but starts an empty per-spec
+    /// memo that is dropped afterwards: node trace ids mean something only
+    /// in the extended catalog, and two fleets' extensions reuse the same
+    /// ids.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FleetError`] of expanding the fleet into node specs.
+    pub fn with_fleet_nodes<R>(
+        &mut self,
+        fleet: &FleetSpec,
+        f: impl FnOnce(&mut Bounder, &[ExperimentSpec]) -> R,
+    ) -> Result<R, FleetError> {
+        let mut catalog = self.catalog.clone();
+        let specs = fleet.node_specs_in(&mut catalog)?;
+        let mut nodes = Bounder {
+            catalog,
+            cycle_memo: std::mem::take(&mut self.cycle_memo),
+            memo: HashMap::new(),
+        };
+        let out = f(&mut nodes, &specs);
+        self.cycle_memo = nodes.cycle_memo;
+        Ok(out)
     }
 
     /// The workload's bare cycle demand (memoized). Sound lower bound even
@@ -731,7 +742,8 @@ fn bound_from_facts(spec: &ExperimentSpec, facts: &DynamicsFacts) -> BoundReport
 #[cfg(test)]
 mod tests {
     use super::*;
-    use edc_core::scenarios::{SourceKind, StrategyKind};
+    use edc_core::fleet::FieldSpec;
+    use edc_core::scenarios::{FieldEnvelope, SourceKind, StrategyKind};
     use edc_core::TelemetryKind;
     use edc_core::{SystemReport, Telemetry};
 
@@ -880,13 +892,32 @@ mod tests {
         let a = bounder.bound_spec(&s).expect("valid");
         let b = bounder.bound_spec(&s).expect("valid");
         assert_eq!(a, b);
-        let memo = bounder.take_cycle_memo();
-        let mut other = Bounder::new();
-        other.restore_cycle_memo(memo);
-        assert_eq!(other.cycle_floor(WorkloadKind::Crc16(64)), {
-            let mut fresh = Bounder::new();
-            fresh.cycle_floor(WorkloadKind::Crc16(64))
-        });
+        // A fleet's node bounder starts from this cycle memo and hands it
+        // back extended; its per-spec memo is its own.
+        let memo_len = bounder.memo.len();
+        let design = ExperimentSpec {
+            workload: WorkloadKind::Crc16(32),
+            ..s
+        };
+        let fleet = FleetSpec::new(
+            FieldSpec::Envelope(FieldEnvelope::Dc { volts: 3.3 }),
+            design,
+            2,
+        );
+        bounder
+            .with_fleet_nodes(&fleet, |nodes, specs| {
+                assert!(nodes.cycle_memo.contains_key(&WorkloadKind::Crc16(64)));
+                assert!(nodes.memo.is_empty());
+                for spec in specs {
+                    assert!(nodes.bound_spec(spec).is_some());
+                }
+            })
+            .expect("envelope fleets expand");
+        assert_eq!(
+            bounder.cycle_memo.get(&WorkloadKind::Crc16(32)).copied(),
+            Some(Bounder::new().cycle_floor(WorkloadKind::Crc16(32)))
+        );
+        assert_eq!(bounder.memo.len(), memo_len, "node specs stay out");
     }
 
     #[test]

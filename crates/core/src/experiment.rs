@@ -40,7 +40,7 @@ use std::fmt;
 use edc_harvest::EnergySource;
 use edc_power::Rectifier;
 use edc_telemetry::TelemetryKind;
-use edc_transient::{RunOutcome, Strategy, TransientRunner};
+use edc_transient::{RunOutcome, RunnerBuildError, Strategy, TransientRunner};
 use edc_units::{Farads, Ohms, Seconds, Volts};
 use edc_workloads::{VerifyError, Workload, WorkloadKind};
 
@@ -117,6 +117,17 @@ impl fmt::Display for BuildError {
 }
 
 impl std::error::Error for BuildError {}
+
+impl From<RunnerBuildError> for BuildError {
+    fn from(e: RunnerBuildError) -> Self {
+        match e {
+            RunnerBuildError::MissingStrategy => BuildError::MissingStrategy,
+            RunnerBuildError::MissingProgram => BuildError::MissingWorkload,
+            RunnerBuildError::MissingSource => BuildError::MissingSource,
+            RunnerBuildError::InvalidEfficiency(x) => BuildError::InvalidEfficiency(x),
+        }
+    }
+}
 
 /// A declarative experiment: pure `Copy` data naming every component via
 /// the kind registries. The unit of sweeps, tables and JSON trajectories.
@@ -738,8 +749,9 @@ impl<'a> Experiment<'a> {
     }
 
     /// An experiment with every component instantiated from `spec`'s kind
-    /// registries. Panics for trace-backed sources (their samples live in
-    /// a [`TraceCatalog`]); use [`Experiment::from_spec_in`] for those.
+    /// registries. A trace-backed source, whose samples live in a
+    /// [`TraceCatalog`], builds as a dead source; use
+    /// [`Experiment::from_spec_in`] for those.
     pub fn from_spec(spec: &ExperimentSpec) -> Experiment<'static> {
         Self::from_spec_in(spec, &TraceCatalog::new())
     }
@@ -749,10 +761,10 @@ impl<'a> Experiment<'a> {
     ///
     /// # Panics
     ///
-    /// Panics when the spec's kind parameters are invalid or a trace
-    /// handle does not resolve; call
+    /// Panics when the spec's kind parameters are invalid; call
     /// [`ExperimentSpec::validate_in`] first to get violations as values
-    /// (as [`ExperimentSpec::build_in`] does).
+    /// (as [`ExperimentSpec::build_in`] does), including a trace handle
+    /// that does not resolve (built anyway, it is a dead source).
     pub fn from_spec_in(spec: &ExperimentSpec, catalog: &TraceCatalog) -> Experiment<'static> {
         Experiment {
             source: Some(spec.source.make_in(catalog)),
@@ -806,8 +818,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// Shorthand for [`Experiment::source`] via the kind registry. Panics
-    /// for invalid or trace-backed kinds; run those through
-    /// [`ExperimentSpec::build_in`].
+    /// for invalid kinds, and builds trace-backed kinds as a dead source;
+    /// run those through [`ExperimentSpec::build_in`].
     pub fn source_kind(mut self, kind: SourceKind) -> Self {
         // Already boxed: stored as is rather than boxed a second time.
         self.source = Some(kind.make_in(&TraceCatalog::new()));
@@ -943,7 +955,7 @@ impl<'a> Experiment<'a> {
             builder = builder.leakage(r);
         }
         Ok(System {
-            runner: builder.telemetry(params.telemetry).build(),
+            runner: builder.telemetry(params.telemetry).build()?,
             workload,
             strategy_name,
             metrics: self.metrics,
@@ -1147,6 +1159,66 @@ mod tests {
                 .err(),
             Some(BuildError::MissingWorkload)
         );
+    }
+
+    #[test]
+    fn runner_build_errors_surface_as_build_errors() {
+        let mapped = [
+            (
+                RunnerBuildError::MissingStrategy,
+                BuildError::MissingStrategy,
+            ),
+            (
+                RunnerBuildError::MissingProgram,
+                BuildError::MissingWorkload,
+            ),
+            (RunnerBuildError::MissingSource, BuildError::MissingSource),
+            (
+                RunnerBuildError::InvalidEfficiency(0.0),
+                BuildError::InvalidEfficiency(0.0),
+            ),
+            (
+                RunnerBuildError::InvalidEfficiency(1.5),
+                BuildError::InvalidEfficiency(1.5),
+            ),
+        ];
+        for (runner, build) in mapped.clone() {
+            assert_eq!(BuildError::from(runner), build);
+        }
+        // The same five cases through `Experiment::build`.
+        let source = || DcSupply::new(Volts(3.3));
+        let restart = || Box::new(Restart::new());
+        let busy = || Box::new(BusyLoop::new(10));
+        let buffered = |efficiency| Topology::Buffered {
+            storage: Farads::from_milli(1.0),
+            efficiency,
+        };
+        let built = [
+            Experiment::new().source(source()).workload(busy()).build(),
+            Experiment::new()
+                .source(source())
+                .strategy(restart())
+                .build(),
+            Experiment::new()
+                .strategy(restart())
+                .workload(busy())
+                .build(),
+            Experiment::new()
+                .source(source())
+                .strategy(restart())
+                .workload(busy())
+                .topology(buffered(0.0))
+                .build(),
+            Experiment::new()
+                .source(source())
+                .strategy(restart())
+                .workload(busy())
+                .topology(buffered(1.5))
+                .build(),
+        ];
+        for ((_, want), got) in mapped.into_iter().zip(built) {
+            assert_eq!(got.err(), Some(want));
+        }
     }
 
     #[test]

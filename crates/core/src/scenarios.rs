@@ -262,11 +262,13 @@ impl SourceKind {
     }
 
     /// Instantiates the source, resolving trace handles through `catalog`.
+    /// A trace that does not resolve in `catalog` builds a dead source
+    /// ([`SourceSample::OFF`](edc_harvest::SourceSample::OFF) at every
+    /// time); [`SourceKind::validate_in`] reports it as a violation.
     ///
     /// # Panics
     ///
-    /// Panics when the parameters violate the constructor domain or a
-    /// trace handle does not resolve in `catalog`; call
+    /// Panics when the parameters violate the constructor domain; call
     /// [`SourceKind::validate_in`] first to get the violation as a value.
     pub fn make_in(self, catalog: &TraceCatalog) -> Box<dyn EnergySource> {
         match self {
@@ -291,21 +293,20 @@ impl SourceKind {
                 id,
                 decimate,
                 looped,
-            } => Box::new(
-                catalog
-                    .playback(id, decimate, looped)
-                    .expect("validate_in gates unresolvable traces"),
-            ),
+            } => match catalog.playback(id, decimate, looped) {
+                Ok(trace) => Box::new(trace),
+                Err(_) => Box::new(DcSupply::new(Volts(0.0))),
+            },
         }
     }
 
-    /// Instantiates the source without a catalog.
+    /// Instantiates the source without a catalog, so trace-backed kinds,
+    /// whose samples live in a [`TraceCatalog`], build a dead source; use
+    /// [`SourceKind::make_in`] for those.
     ///
     /// # Panics
     ///
-    /// Panics when the parameters violate the constructor domain — and
-    /// always for trace-backed kinds, whose samples live in a
-    /// [`TraceCatalog`]; use [`SourceKind::make_in`] for those.
+    /// Panics when the parameters violate the constructor domain.
     pub fn make(self) -> Box<dyn EnergySource> {
         self.make_in(&TraceCatalog::new())
     }
@@ -550,24 +551,25 @@ impl FieldEnvelope {
     }
 
     /// Instantiates the bare envelope as an energy source, resolving
-    /// trace-backed fields through `catalog`.
+    /// trace-backed fields through `catalog` as [`SourceKind::make_in`]
+    /// does.
     ///
     /// # Panics
     ///
-    /// Panics when the parameters violate the constructor domain or a
-    /// trace handle does not resolve; validate via
-    /// [`SourceKind::validate_in`] first to get the violation as a value.
+    /// Panics when the parameters violate the constructor domain; validate
+    /// via [`SourceKind::validate_in`] first to get the violation as a
+    /// value.
     pub fn make_in(self, catalog: &TraceCatalog) -> Box<dyn EnergySource> {
         self.source_kind().make_in(catalog)
     }
 
-    /// Instantiates the bare envelope without a catalog.
+    /// Instantiates the bare envelope without a catalog, so a
+    /// [`FieldEnvelope::Trace`] builds a dead source; use
+    /// [`FieldEnvelope::make_in`] for those.
     ///
     /// # Panics
     ///
-    /// Panics when the parameters violate the constructor domain — and
-    /// always for [`FieldEnvelope::Trace`]; use
-    /// [`FieldEnvelope::make_in`] for those.
+    /// Panics when the parameters violate the constructor domain.
     pub fn make(self) -> Box<dyn EnergySource> {
         self.source_kind().make()
     }
@@ -655,6 +657,9 @@ mod tests {
         let mut source = kind.make_in(&catalog);
         assert_eq!(source.name(), "site");
         assert!(source.sample(Seconds(0.5)).power_into(Volts(1.0)).0 > 0.0);
+        // Unresolved, the same kind builds a dead source.
+        let mut dead = kind.make_in(&TraceCatalog::new());
+        assert_eq!(dead.sample(Seconds(0.5)), edc_harvest::SourceSample::OFF);
         let json = kind.to_json().to_string();
         assert!(json.contains("\"kind\":\"trace\""), "{json}");
         assert!(json.contains("\"name\":\"site\""), "{json}");

@@ -40,7 +40,7 @@ mod store;
 use std::path::Path;
 use std::time::Instant;
 
-use edc_bench::banner;
+use edc_bench::{banner, MainError};
 use edc_core::json::Json;
 use edc_explore::{
     lint_space, BrownoutCount, CompletionTime, EnergyPerTask, ExhaustiveGrid, Explorer,
@@ -50,11 +50,11 @@ use edc_lint::Linter;
 use recordings::catalog;
 use space224::space;
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let args = edc_bench::bench_args("BENCH_bound.json");
     let path = args.path.clone();
-    let catalog = catalog();
-    let space = space(&catalog);
+    let catalog = catalog()?;
+    let space = space(&catalog)?;
 
     // The space-level static report, committed alongside the search.
     let space_lint = lint_space(&space, &mut Linter::with_catalog(catalog.clone()));
@@ -66,24 +66,20 @@ fn main() {
         .prefilter(true)
         .catalog(catalog.clone());
     if let Some(dir) = &args.store {
-        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
+        explorer = explorer.store(store::open(Path::new(dir))?);
     }
 
     let started = Instant::now();
-    let lint_only = explorer.run(&space, &ExhaustiveGrid).unwrap_or_else(|e| {
-        eprintln!("lint-only exploration failed: {e}");
-        std::process::exit(1);
-    });
+    let lint_only = explorer
+        .run(&space, &ExhaustiveGrid)
+        .map_err(|e| format!("lint-only exploration failed: {e}"))?;
     let lint_only_s = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
     let bounded = explorer
         .bound(true)
         .run(&space, &ExhaustiveGrid)
-        .unwrap_or_else(|e| {
-            eprintln!("bounded exploration failed: {e}");
-            std::process::exit(1);
-        });
+        .map_err(|e| format!("bounded exploration failed: {e}"))?;
     let bounded_s = started.elapsed().as_secs_f64();
 
     banner("Space: bench_lint's 224 designs, with a brownout objective");
@@ -117,22 +113,21 @@ fn main() {
     let front_b_json = bounded.front.to_json(&objectives);
     let fronts_identical = front_a_json.to_string() == front_b_json.to_string();
     if !fronts_identical {
-        eprintln!("FAIL: branch-and-bound changed the Pareto front");
-        std::process::exit(1);
+        return Err("FAIL: branch-and-bound changed the Pareto front".into());
     }
     if args.store.is_none() {
         // Store hits bypass the interval engine entirely (a stored score
         // needs no bounding), so these only hold for store-less runs.
         if bounded.bound_pruned == 0 {
-            eprintln!("FAIL: nothing was bound-pruned — the space must contain dominated brackets");
-            std::process::exit(1);
+            let why = "the space must contain dominated brackets";
+            return Err(format!("FAIL: nothing was bound-pruned — {why}").into());
         }
         if bounded.cost_units >= lint_only.cost_units {
-            eprintln!(
+            return Err(format!(
                 "FAIL: bounded cost {} is not strictly below lint-only {}",
                 bounded.cost_units, lint_only.cost_units
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
         println!(
             "fronts byte-identical; cost {:.2} → {:.2} units ({:.0}% saved)",
@@ -145,8 +140,8 @@ fn main() {
             "store: lint-only {} hits, bounded {} hits",
             lint_only.store_hits, bounded.store_hits
         );
-        edc_bench::assert_front_matches("BENCH_bound.json", "lint_only", &front_a_json);
-        edc_bench::assert_front_matches("BENCH_bound.json", "bounded", &front_b_json);
+        edc_bench::assert_front_matches("BENCH_bound.json", "lint_only", &front_a_json)?;
+        edc_bench::assert_front_matches("BENCH_bound.json", "bounded", &front_b_json)?;
     }
 
     edc_bench::banner("Metrics");
@@ -184,4 +179,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

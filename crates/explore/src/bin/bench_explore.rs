@@ -28,7 +28,7 @@ mod store;
 use std::path::Path;
 use std::time::Instant;
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
@@ -37,12 +37,13 @@ use edc_explore::{
     CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, Provenance, SpecSpace,
     SuccessiveHalving,
 };
+use edc_power::sizing::SizingError;
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
 /// The benchmark space: 8 sizing-seeded capacitances × all 7 strategies
 /// over the Fig. 7 supply (56 designs).
-fn space() -> SpecSpace {
+fn space() -> Result<SpecSpace, SizingError> {
     let decoupling = sizing_seeded_decoupling_axis(
         Joules::from_micro(5.0), // snapshot cost scale of the paper's platform
         Volts(2.0),              // MSP430 V_min
@@ -50,17 +51,16 @@ fn space() -> SpecSpace {
         0.1,                     // 10% safety margin
         32.0,                    // bracket the floor up to 32×
         8,
-    )
-    .expect("canonical rails are valid");
+    )?;
     let base = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: 50.0 },
         StrategyKind::Hibernus,
         WorkloadKind::Fourier(256),
     )
     .deadline(Seconds(10.0));
-    SpecSpace::over(base)
+    Ok(SpecSpace::over(base)
         .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
+        .decoupling(&decoupling))
 }
 
 fn front_table(report: &ExploreReport) -> String {
@@ -89,31 +89,27 @@ fn front_table(report: &ExploreReport) -> String {
     t.render()
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let args = edc_bench::bench_args("BENCH_explore.json");
     let path = args.path.clone();
-    let space = space();
+    let space = space()?;
     let mut explorer = Explorer::new()
         .objective(CompletionTime)
         .objective(EnergyPerTask);
     if let Some(dir) = &args.store {
-        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
+        explorer = explorer.store(store::open(Path::new(dir))?);
     }
 
     let started = Instant::now();
-    let grid = explorer.run(&space, &ExhaustiveGrid).unwrap_or_else(|e| {
-        eprintln!("exhaustive exploration failed: {e}");
-        std::process::exit(1);
-    });
+    let grid = explorer
+        .run(&space, &ExhaustiveGrid)
+        .map_err(|e| format!("exhaustive exploration failed: {e}"))?;
     let grid_s = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
     let halving = explorer
         .run(&space, &SuccessiveHalving::new())
-        .unwrap_or_else(|e| {
-            eprintln!("successive-halving exploration failed: {e}");
-            std::process::exit(1);
-        });
+        .map_err(|e| format!("successive-halving exploration failed: {e}"))?;
     let halving_s = started.elapsed().as_secs_f64();
 
     banner("Design space: Fig. 7 supply, sizing-seeded capacitance x strategy");
@@ -175,12 +171,12 @@ fn main() {
             "BENCH_explore.json",
             "exhaustive",
             &grid.front.to_json(&objectives),
-        );
+        )?;
         edc_bench::assert_front_matches(
             "BENCH_explore.json",
             "halving",
             &halving.front.to_json(&objectives),
-        );
+        )?;
     }
 
     edc_bench::banner("Metrics");
@@ -218,4 +214,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -37,7 +37,7 @@ mod store;
 use std::path::Path;
 use std::time::Instant;
 
-use edc_bench::banner;
+use edc_bench::{banner, MainError};
 use edc_core::json::Json;
 use edc_explore::{lint_space, CompletionTime, EnergyPerTask, ExhaustiveGrid, Explorer};
 use edc_lint::Linter;
@@ -45,11 +45,11 @@ use edc_lint::Linter;
 use recordings::catalog;
 use space224::space;
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let args = edc_bench::bench_args("BENCH_lint.json");
     let path = args.path.clone();
-    let catalog = catalog();
-    let space = space(&catalog);
+    let catalog = catalog()?;
+    let space = space(&catalog)?;
 
     // The space-level static report, committed alongside the search: which
     // designs the analyzer flags, and where.
@@ -60,24 +60,20 @@ fn main() {
         .objective(EnergyPerTask)
         .catalog(catalog.clone());
     if let Some(dir) = &args.store {
-        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
+        explorer = explorer.store(store::open(Path::new(dir))?);
     }
 
     let started = Instant::now();
-    let baseline = explorer.run(&space, &ExhaustiveGrid).unwrap_or_else(|e| {
-        eprintln!("baseline exploration failed: {e}");
-        std::process::exit(1);
-    });
+    let baseline = explorer
+        .run(&space, &ExhaustiveGrid)
+        .map_err(|e| format!("baseline exploration failed: {e}"))?;
     let baseline_s = started.elapsed().as_secs_f64();
 
     let started = Instant::now();
     let prefiltered = explorer
         .prefilter(true)
         .run(&space, &ExhaustiveGrid)
-        .unwrap_or_else(|e| {
-            eprintln!("prefiltered exploration failed: {e}");
-            std::process::exit(1);
-        });
+        .map_err(|e| format!("prefiltered exploration failed: {e}"))?;
     let prefiltered_s = started.elapsed().as_secs_f64();
 
     banner("Space: bench_trace extended with statically-infeasible designs");
@@ -108,24 +104,21 @@ fn main() {
     let front_b_json = prefiltered.front.to_json(&objectives);
     let fronts_identical = front_a_json.to_string() == front_b_json.to_string();
     if !fronts_identical {
-        eprintln!("FAIL: prefilter changed the Pareto front");
-        std::process::exit(1);
+        return Err("FAIL: prefilter changed the Pareto front".into());
     }
     if args.store.is_none() {
         // Store hits bypass the prefilter entirely (a stored score needs
         // no static analysis), so these only hold for store-less runs.
         if prefiltered.lint_pruned == 0 {
-            eprintln!(
-                "FAIL: prefilter pruned nothing — the extended space must contain E-flagged designs"
-            );
-            std::process::exit(1);
+            let why = "the extended space must contain E-flagged designs";
+            return Err(format!("FAIL: prefilter pruned nothing — {why}").into());
         }
         if prefiltered.cost_units >= baseline.cost_units {
-            eprintln!(
+            return Err(format!(
                 "FAIL: prefiltered cost {} is not strictly below baseline {}",
                 prefiltered.cost_units, baseline.cost_units
-            );
-            std::process::exit(1);
+            )
+            .into());
         }
         println!(
             "fronts byte-identical; cost {:.2} → {:.2} units ({:.0}% saved)",
@@ -138,8 +131,8 @@ fn main() {
             "store: baseline {} hits, prefiltered {} hits",
             baseline.store_hits, prefiltered.store_hits
         );
-        edc_bench::assert_front_matches("BENCH_lint.json", "baseline", &front_a_json);
-        edc_bench::assert_front_matches("BENCH_lint.json", "prefiltered", &front_b_json);
+        edc_bench::assert_front_matches("BENCH_lint.json", "baseline", &front_a_json)?;
+        edc_bench::assert_front_matches("BENCH_lint.json", "prefiltered", &front_b_json)?;
     }
 
     edc_bench::banner("Metrics");
@@ -178,4 +171,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -20,7 +20,7 @@
 //! the working directory).
 
 use edc_bench::sweep::{run_specs_timed_in, SweepRow};
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
@@ -30,12 +30,13 @@ use edc_core::Telemetry;
 use edc_core::TelemetryKind;
 use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::SpecSpace;
+use edc_power::sizing::SizingError;
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
 /// The benchmark grid: `bench_explore`'s space — 8 sizing-seeded
 /// capacitances × all 7 strategies over the Fig. 7 supply (56 designs).
-fn space() -> SpecSpace {
+fn space() -> Result<SpecSpace, SizingError> {
     let decoupling = sizing_seeded_decoupling_axis(
         Joules::from_micro(5.0),
         Volts(2.0),
@@ -43,17 +44,16 @@ fn space() -> SpecSpace {
         0.1,
         32.0,
         8,
-    )
-    .expect("canonical rails are valid");
+    )?;
     let base = ExperimentSpec::new(
         SourceKind::RectifiedSine { hz: 50.0 },
         StrategyKind::Hibernus,
         WorkloadKind::Fourier(256),
     )
     .deadline(Seconds(10.0));
-    SpecSpace::over(base)
+    Ok(SpecSpace::over(base)
         .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
+        .decoupling(&decoupling))
 }
 
 /// One sweep over the grid with `telemetry`, returning the rows and the
@@ -63,28 +63,23 @@ fn run_variant(
     telemetry: TelemetryKind,
     threads: usize,
     reps: usize,
-) -> (Vec<SweepRow>, f64) {
-    let mut best_s = f64::INFINITY;
-    let mut rows = None;
-    for _ in 0..reps {
+) -> Result<(Vec<SweepRow>, f64), MainError> {
+    let sweep = || {
         let batch: Vec<ExperimentSpec> = specs.iter().map(|s| s.telemetry(telemetry)).collect();
-        let run = run_specs_timed_in(batch, threads, &TraceCatalog::new()).unwrap_or_else(|e| {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(1);
-        });
-        best_s = best_s.min(run.timing.total_s);
-        rows.get_or_insert(run.rows);
+        run_specs_timed_in(batch, threads, &TraceCatalog::new())
+            .map_err(|e| format!("sweep failed: {e}"))
+    };
+    let first = sweep()?;
+    let mut best_s = first.timing.total_s;
+    for _ in 1..reps {
+        best_s = best_s.min(sweep()?.timing.total_s);
     }
-    (rows.expect("reps >= 1"), best_s)
+    Ok((first.rows, best_s))
 }
 
 /// The deterministic stats section of one row's report JSON.
-fn stats_of(row: &SweepRow) -> String {
-    row.report
-        .to_json()
-        .get("stats")
-        .expect("every report carries stats")
-        .to_string()
+fn stats_of(row: &SweepRow) -> Option<String> {
+    row.report.to_json().get("stats").map(Json::to_string)
 }
 
 /// Deterministic timeline-capture JSON for a row, when present.
@@ -95,17 +90,17 @@ fn capture_of(row: &SweepRow) -> Option<String> {
     }
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let path = edc_bench::artifact_path("BENCH_obs.json");
     let threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
     const REPS: usize = 3;
-    let specs = space().all_specs();
+    let specs = space()?.all_specs();
 
-    let (null_rows, null_s) = run_variant(&specs, TelemetryKind::Null, threads, REPS);
-    let (timeline_rows, timeline_s) = run_variant(&specs, TelemetryKind::Timeline, threads, REPS);
-    let (repeat_rows, _) = run_variant(&specs, TelemetryKind::Timeline, threads, 1);
+    let (null_rows, null_s) = run_variant(&specs, TelemetryKind::Null, threads, REPS)?;
+    let (timeline_rows, timeline_s) = run_variant(&specs, TelemetryKind::Timeline, threads, REPS)?;
+    let (repeat_rows, _) = run_variant(&specs, TelemetryKind::Timeline, threads, 1)?;
 
     // Invariant 1: observation never perturbs the simulation.
     let stats_match = null_rows
@@ -143,8 +138,7 @@ fn main() {
         "overhead x{overhead:.3} (best of {REPS}); stats match: {stats_match}; deterministic: {capture_deterministic}"
     );
     if !stats_match || !capture_deterministic {
-        eprintln!("observability invariant violated");
-        std::process::exit(1);
+        return Err("observability invariant violated".into());
     }
 
     banner("Metrics");
@@ -177,4 +171,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -36,157 +36,141 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use edc_bench::banner;
+use edc_bench::{banner, MainError};
 use edc_core::catalog::TraceCatalog;
 use edc_core::json::Json;
 use edc_explore::{
     CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, SpecSpace, Store,
-    StoreHandle,
 };
 
 use recordings::catalog;
 use space224::space;
 
-/// One exhaustive grid over the space, backed by `store`.
-fn run(catalog: &TraceCatalog, space: &SpecSpace, store: StoreHandle) -> (ExploreReport, f64) {
+/// One exhaustive grid over the space, backed by the store at `dir`.
+fn run(
+    catalog: &TraceCatalog,
+    space: &SpecSpace,
+    dir: &Path,
+) -> Result<(ExploreReport, f64), MainError> {
     let explorer = Explorer::new()
         .objective(CompletionTime)
         .objective(EnergyPerTask)
         .catalog(catalog.clone())
-        .store(store);
+        .store(store::open(dir)?);
     let started = Instant::now();
-    let report = explorer.run(space, &ExhaustiveGrid).unwrap_or_else(|e| {
-        eprintln!("exploration failed: {e}");
-        std::process::exit(1);
-    });
-    (report, started.elapsed().as_secs_f64())
+    let report = explorer
+        .run(space, &ExhaustiveGrid)
+        .map_err(|e| format!("exploration failed: {e}"))?;
+    Ok((report, started.elapsed().as_secs_f64()))
 }
 
 /// Compacts the store at `dir` so its file bytes are a pure function of
 /// its contents.
-fn compact(dir: &Path) {
-    let mut store = Store::open(dir).unwrap_or_else(|e| {
-        eprintln!("cannot reopen store at {}: {e}", dir.display());
-        std::process::exit(1);
-    });
-    if let Err(e) = store.compact() {
-        eprintln!("compaction failed at {}: {e}", dir.display());
-        std::process::exit(1);
-    }
+fn compact(dir: &Path) -> Result<(), MainError> {
+    let mut store =
+        Store::open(dir).map_err(|e| format!("cannot reopen store at {}: {e}", dir.display()))?;
+    store
+        .compact()
+        .map_err(|e| format!("compaction failed at {}: {e}", dir.display()))?;
+    Ok(())
 }
 
 /// Every file in `dir` as sorted `(name, bytes)` pairs — the directory's
 /// identity for byte-level comparison.
-fn files(dir: &Path) -> Vec<(String, Vec<u8>)> {
-    let entries = std::fs::read_dir(dir).unwrap_or_else(|e| {
-        eprintln!("cannot list {}: {e}", dir.display());
-        std::process::exit(1);
-    });
+fn files(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, MainError> {
+    let listing_failed = |e: std::io::Error| format!("cannot list {}: {e}", dir.display());
     let mut out: Vec<(String, Vec<u8>)> = Vec::new();
-    for entry in entries {
-        let entry = entry.unwrap_or_else(|e| {
-            eprintln!("cannot list {}: {e}", dir.display());
-            std::process::exit(1);
-        });
+    for entry in std::fs::read_dir(dir).map_err(listing_failed)? {
+        let entry = entry.map_err(listing_failed)?;
         let name = entry.file_name().to_string_lossy().into_owned();
-        let bytes = std::fs::read(entry.path()).unwrap_or_else(|e| {
-            eprintln!("cannot read {}: {e}", entry.path().display());
-            std::process::exit(1);
-        });
+        let bytes = std::fs::read(entry.path())
+            .map_err(|e| format!("cannot read {}: {e}", entry.path().display()))?;
         out.push((name, bytes));
     }
     out.sort();
-    out
+    Ok(out)
 }
 
-fn fail(message: &str) -> ! {
-    eprintln!("FAIL: {message}");
-    std::process::exit(1);
-}
-
-fn main() {
+fn main() -> Result<(), MainError> {
     let path = edc_bench::artifact_path("BENCH_store.json");
     let root: PathBuf = std::env::temp_dir().join("edc-bench-store");
     let _ = std::fs::remove_dir_all(&root);
     let (dir_a, dir_b, dir_c) = (root.join("cold"), root.join("half"), root.join("rebuild"));
 
-    let catalog = catalog();
-    let space = space(&catalog);
+    let catalog = catalog()?;
+    let space = space(&catalog)?;
     let designs = space.len() as u64;
 
     // Cold: a fresh store simulates everything and writes it all back.
-    let (cold, cold_s) = run(&catalog, &space, store::open_or_exit(&dir_a));
+    let (cold, cold_s) = run(&catalog, &space, &dir_a)?;
     if (cold.evaluations, cold.store_hits) != (designs, 0) {
-        fail("cold run must simulate every design with zero store hits");
+        return Err("FAIL: cold run must simulate every design with zero store hits".into());
     }
 
     // Fully warm: reopen the store from disk — zero simulations, same
     // front. This is the tentpole claim: persistence replaces simulation
     // without perturbing the result.
-    let (warm, warm_s) = run(&catalog, &space, store::open_or_exit(&dir_a));
+    let (warm, warm_s) = run(&catalog, &space, &dir_a)?;
     if (warm.evaluations, warm.store_hits) != (0, designs) {
-        fail("fully-warm run must hit the store for every design and simulate nothing");
+        return Err(
+            "FAIL: fully-warm run must hit the store for every design and simulate nothing".into(),
+        );
     }
     let objectives: Vec<String> = cold.objectives.clone();
     let cold_front = cold.front.to_json(&objectives);
     if warm.front.to_json(&objectives).to_string() != cold_front.to_string() {
-        fail("fully-warm front differs from the cold front");
+        return Err("FAIL: fully-warm front differs from the cold front".into());
     }
 
     // Half-warm: a second store seeded with every other entry simulates
     // exactly the missing half.
     let seeded = {
-        let source = Store::open(&dir_a).unwrap_or_else(|e| {
-            eprintln!("cannot reopen store at {}: {e}", dir_a.display());
-            std::process::exit(1);
-        });
-        let mut target = Store::open(&dir_b).unwrap_or_else(|e| {
-            eprintln!("cannot open store at {}: {e}", dir_b.display());
-            std::process::exit(1);
-        });
+        let source = Store::open(&dir_a)
+            .map_err(|e| format!("cannot reopen store at {}: {e}", dir_a.display()))?;
+        let mut target = Store::open(&dir_b)
+            .map_err(|e| format!("cannot open store at {}: {e}", dir_b.display()))?;
         let mut seeded = 0u64;
         for entry in source.sorted_entries().iter().step_by(2) {
-            let spec = Json::parse(&entry.spec_json).unwrap_or_else(|e| {
-                eprintln!("stored spec is not valid JSON: {e}");
-                std::process::exit(1);
-            });
+            let spec = Json::parse(&entry.spec_json)
+                .map_err(|e| format!("stored spec is not valid JSON: {e}"))?;
             let scores: BTreeMap<String, f64> = entry.scores.clone();
             match target.put(&spec, entry.report.clone(), scores, entry.cost) {
                 Ok(true) => seeded += 1,
-                Ok(false) => fail("seeding a fresh store must append every entry"),
+                Ok(false) => {
+                    return Err("FAIL: seeding a fresh store must append every entry".into())
+                }
                 Err(e) => {
-                    eprintln!("seeding failed: {e}");
-                    std::process::exit(1);
+                    return Err(format!("seeding failed: {e}").into());
                 }
             }
         }
         seeded
     };
-    let (half, half_s) = run(&catalog, &space, store::open_or_exit(&dir_b));
+    let (half, half_s) = run(&catalog, &space, &dir_b)?;
     if (half.evaluations, half.store_hits) != (designs - seeded, seeded) {
-        fail("half-warm run must simulate exactly the unseeded half");
+        return Err("FAIL: half-warm run must simulate exactly the unseeded half".into());
     }
     if half.front.to_json(&objectives).to_string() != cold_front.to_string() {
-        fail("half-warm front differs from the cold front");
+        return Err("FAIL: half-warm front differs from the cold front".into());
     }
 
     // Independent rebuild: a third store built from scratch, in whatever
     // order the parallel evaluator writes back.
-    let (rebuild, rebuild_s) = run(&catalog, &space, store::open_or_exit(&dir_c));
+    let (rebuild, rebuild_s) = run(&catalog, &space, &dir_c)?;
     if (rebuild.evaluations, rebuild.store_hits) != (designs, 0) {
-        fail("rebuild run must simulate every design with zero store hits");
+        return Err("FAIL: rebuild run must simulate every design with zero store hits".into());
     }
 
     // Deterministic compaction: all three stores now hold the same runs,
     // inserted in different orders; their files must end up
     // byte-identical.
     for dir in [&dir_a, &dir_b, &dir_c] {
-        compact(dir);
+        compact(dir)?;
     }
-    let (files_a, files_b, files_c) = (files(&dir_a), files(&dir_b), files(&dir_c));
+    let (files_a, files_b, files_c) = (files(&dir_a)?, files(&dir_b)?, files(&dir_c)?);
     let stores_identical = files_a == files_b && files_a == files_c;
     if !stores_identical {
-        fail("compacted stores are not byte-identical");
+        return Err("FAIL: compacted stores are not byte-identical".into());
     }
     let store_bytes: u64 = files_a.iter().map(|(_, bytes)| bytes.len() as u64).sum();
 
@@ -250,4 +234,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -31,7 +31,7 @@ mod store;
 use std::path::Path;
 use std::time::Instant;
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::json::Json;
@@ -41,6 +41,7 @@ use edc_explore::{
     CompletionTime, EnergyPerTask, ExhaustiveGrid, ExploreReport, Explorer, SpecSpace,
     SuccessiveHalving,
 };
+use edc_power::sizing::SizingError;
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
@@ -48,7 +49,7 @@ use recordings::catalog;
 
 /// The benchmark space: (2 recordings × 2 decimation levels) × all 7
 /// strategies × 2 sizing-seeded capacitances = 56 designs.
-fn space(catalog: &TraceCatalog) -> SpecSpace {
+fn space(catalog: &TraceCatalog) -> Result<SpecSpace, SizingError> {
     let sources: Vec<SourceKind> = catalog
         .ids()
         .into_iter()
@@ -69,18 +70,17 @@ fn space(catalog: &TraceCatalog) -> SpecSpace {
         0.1,                     // 10% safety margin
         8.0,                     // bracket the floor up to 8×
         2,
-    )
-    .expect("canonical rails are valid");
+    )?;
     let base = ExperimentSpec::new(
         sources[0],
         StrategyKind::Hibernus,
         WorkloadKind::Fourier(256),
     )
     .deadline(Seconds(4.0));
-    SpecSpace::over(base)
+    Ok(SpecSpace::over(base)
         .sources(&sources)
         .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
+        .decoupling(&decoupling))
 }
 
 fn front_table(report: &ExploreReport) -> String {
@@ -117,34 +117,32 @@ fn front_table(report: &ExploreReport) -> String {
     t.render()
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let args = edc_bench::bench_args("BENCH_trace.json");
     let path = args.path.clone();
-    let catalog = catalog();
-    let space = space(&catalog);
+    let catalog = catalog()?;
+    let space = space(&catalog)?;
     let mut explorer = Explorer::new()
         .objective(CompletionTime)
         .objective(EnergyPerTask)
         .catalog(catalog.clone());
     if let Some(dir) = &args.store {
-        explorer = explorer.store(store::open_or_exit(Path::new(dir)));
+        explorer = explorer.store(store::open(Path::new(dir))?);
     }
 
     let started = Instant::now();
-    let grid = explorer.run(&space, &ExhaustiveGrid).unwrap_or_else(|e| {
-        eprintln!("exhaustive exploration failed: {e}");
-        std::process::exit(1);
-    });
+    let grid = explorer
+        .run(&space, &ExhaustiveGrid)
+        .map_err(|e| format!("exhaustive exploration failed: {e}"))?;
     let grid_s = started.elapsed().as_secs_f64();
 
     // Early rungs coarsen the timestep *and* shorten the deadline; the
     // evaluator charges both discounts, compounding the budget saving.
     let halving_searcher = SuccessiveHalving::new().deadline_divisors(&[4.0, 2.0, 1.0]);
     let started = Instant::now();
-    let halving = explorer.run(&space, &halving_searcher).unwrap_or_else(|e| {
-        eprintln!("successive-halving exploration failed: {e}");
-        std::process::exit(1);
-    });
+    let halving = explorer
+        .run(&space, &halving_searcher)
+        .map_err(|e| format!("successive-halving exploration failed: {e}"))?;
     let halving_s = started.elapsed().as_secs_f64();
 
     banner("Design space: recorded traces x decimation x strategy x capacitance");
@@ -194,12 +192,12 @@ fn main() {
             "BENCH_trace.json",
             "exhaustive",
             &grid.front.to_json(&objectives),
-        );
+        )?;
         edc_bench::assert_front_matches(
             "BENCH_trace.json",
             "halving",
             &halving.front.to_json(&objectives),
-        );
+        )?;
     }
 
     banner("Metrics");
@@ -233,4 +231,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -6,6 +6,7 @@ use edc_core::experiment::ExperimentSpec;
 use edc_core::scenarios::{SourceKind, StrategyKind};
 use edc_explore::seed::sizing_seeded_decoupling_axis;
 use edc_explore::SpecSpace;
+use edc_power::sizing::SizingError;
 use edc_units::{Joules, Seconds, Volts};
 use edc_workloads::WorkloadKind;
 
@@ -15,7 +16,7 @@ use edc_workloads::WorkloadKind;
 /// and the `endless` workload (→ `E005`). (2 recordings × 2 decimations ×
 /// 2 loop modes) × 2 workloads × 7 strategies × 2 capacitances = 224
 /// designs, a large fraction of them provably dead weight.
-pub fn space(catalog: &TraceCatalog) -> SpecSpace {
+pub fn space(catalog: &TraceCatalog) -> Result<SpecSpace, SizingError> {
     let sources: Vec<SourceKind> = catalog
         .ids()
         .into_iter()
@@ -31,18 +32,23 @@ pub fn space(catalog: &TraceCatalog) -> SpecSpace {
             })
         })
         .collect();
-    let decoupling =
-        sizing_seeded_decoupling_axis(Joules::from_micro(5.0), Volts(2.0), Volts(3.6), 0.1, 8.0, 2)
-            .expect("canonical rails are valid");
+    let decoupling = sizing_seeded_decoupling_axis(
+        Joules::from_micro(5.0),
+        Volts(2.0),
+        Volts(3.6),
+        0.1,
+        8.0,
+        2,
+    )?;
     let base = ExperimentSpec::new(
         sources[0],
         StrategyKind::Hibernus,
         WorkloadKind::Fourier(256),
     )
     .deadline(Seconds(4.0));
-    SpecSpace::over(base)
+    Ok(SpecSpace::over(base)
         .sources(&sources)
         .workloads(&[WorkloadKind::Fourier(256), WorkloadKind::Endless])
         .strategies(&StrategyKind::ALL)
-        .decoupling(&decoupling)
+        .decoupling(&decoupling))
 }

@@ -4,14 +4,10 @@ use std::path::Path;
 
 use edc_explore::{Store, StoreHandle};
 
-/// Opens the persistent evaluation store at `dir`, or exits with status
-/// 1 naming the directory and the error.
-pub fn open_or_exit(dir: &Path) -> StoreHandle {
-    match Store::open(dir) {
-        Ok(store) => store.into_handle(),
-        Err(e) => {
-            eprintln!("cannot open store at {}: {e}", dir.display());
-            std::process::exit(1);
-        }
-    }
+/// Opens the persistent evaluation store at `dir`; the error names the
+/// directory.
+pub fn open(dir: &Path) -> Result<StoreHandle, String> {
+    Store::open(dir)
+        .map(Store::into_handle)
+        .map_err(|e| format!("cannot open store at {}: {e}", dir.display()))
 }

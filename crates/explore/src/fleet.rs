@@ -214,31 +214,23 @@ impl FleetTemplate {
         if !fleet.violations().is_empty() {
             return None;
         }
-        // Node specs may reference traces registered while expanding the
-        // field, so the sub-bounder gets its own catalog clone; the cycle
-        // memo rides along both ways because cycle floors are
-        // catalog-independent.
-        let mut catalog = bounder.catalog().clone();
-        let specs = fleet.node_specs_in(&mut catalog).ok()?;
-        let mut sub = Bounder::with_catalog(catalog);
-        sub.restore_cycle_memo(bounder.take_cycle_memo());
-        let mut summary = NodeBrackets {
-            all_dnf: true,
-            all_never_boot: true,
-            energy_lo: f64::INFINITY,
-        };
-        let mut bounded_all = !specs.is_empty();
-        for spec in &specs {
-            let Some(report) = sub.bound_spec(spec) else {
-                bounded_all = false;
-                break;
-            };
-            summary.all_dnf &= report.proven_dnf;
-            summary.all_never_boot &= report.never_boots;
-            summary.energy_lo = summary.energy_lo.min(report.energy_per_task_j.lo);
-        }
-        bounder.restore_cycle_memo(sub.take_cycle_memo());
-        bounded_all.then_some(summary)
+        bounder
+            .with_fleet_nodes(&fleet, |bounder, specs| {
+                let mut summary = NodeBrackets {
+                    all_dnf: true,
+                    all_never_boot: true,
+                    energy_lo: f64::INFINITY,
+                };
+                for spec in specs {
+                    let report = bounder.bound_spec(spec)?;
+                    summary.all_dnf &= report.proven_dnf;
+                    summary.all_never_boot &= report.never_boots;
+                    summary.energy_lo = summary.energy_lo.min(report.energy_per_task_j.lo);
+                }
+                (!specs.is_empty()).then_some(summary)
+            })
+            .ok()
+            .flatten()
     }
 }
 

@@ -392,12 +392,14 @@ impl Searcher for CoordinateDescent {
                 let evals = eval.evaluate(specs, &phase)?;
                 collect(&evals, &mut all);
                 let current = self.weighted(&evals[here[axis]].scores);
-                let (best_v, best) = evals
+                let Some((best_v, best)) = evals
                     .iter()
                     .enumerate()
                     .map(|(v, e)| (v, self.weighted(&e.scores)))
                     .min_by(|(va, a), (vb, b)| a.total_cmp(b).then_with(|| va.cmp(vb)))
-                    .expect("axis is non-empty");
+                else {
+                    continue;
+                };
                 if best_v != here[axis] && best.total_cmp(&current).is_lt() {
                     here[axis] = best_v;
                     improved = true;

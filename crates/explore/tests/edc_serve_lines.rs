@@ -2,6 +2,10 @@
 //! over-long line gets one `"ok":false` error (after the pending evaluate
 //! batch) and the session keeps serving.
 
+// Test-only crate: fixture helpers may panic on harness failures
+// (allow-unwrap-in-tests only covers `#[test]` fns, not their helpers).
+#![allow(clippy::expect_used)]
+
 use std::io::Write;
 use std::process::{Command, Stdio};
 

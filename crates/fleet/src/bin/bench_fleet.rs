@@ -28,7 +28,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-use edc_bench::{banner, TextTable};
+use edc_bench::{banner, MainError, TextTable};
 use edc_core::catalog::TraceCatalog;
 use edc_core::experiment::ExperimentSpec;
 use edc_core::fleet::{FieldSpec, FleetSpec, Placement};
@@ -103,26 +103,25 @@ fn trace_fleet(nodes: usize) -> FleetSpec {
     .duty_period(Seconds(1.0))
 }
 
-fn run(spec: FleetSpec) -> (FleetReport, f64) {
+fn run(spec: FleetSpec) -> Result<(FleetReport, f64), MainError> {
     let started = Instant::now();
-    let report = Fleet::new(spec).run().unwrap_or_else(|e| {
-        eprintln!("fleet failed to assemble: {e}");
-        std::process::exit(1);
-    });
-    (report, started.elapsed().as_secs_f64())
+    let report = Fleet::new(spec)
+        .run()
+        .map_err(|e| format!("fleet failed to assemble: {e}"))?;
+    Ok((report, started.elapsed().as_secs_f64()))
 }
 
-fn main() {
+fn main() -> Result<(), MainError> {
     let args = edc_bench::bench_args("BENCH_fleet.json");
     let path = args.path.clone();
 
     let sizes = [1usize, 2, 4, 8, 16];
     let mut scaling: Vec<(usize, FleetReport, f64)> = Vec::new();
     for &n in &sizes {
-        let (report, wall_s) = run(envelope_fleet(n));
+        let (report, wall_s) = run(envelope_fleet(n))?;
         scaling.push((n, report, wall_s));
     }
-    let (trace_report, trace_s) = run(trace_fleet(8));
+    let (trace_report, trace_s) = run(trace_fleet(8))?;
 
     banner("Fleet scaling: 50 Hz rectified-sine field, mementos/sense-pipeline nodes");
     let mut table = TextTable::new(&[
@@ -178,10 +177,7 @@ fn main() {
     // store consumers can serve these designs without re-simulating, and
     // pin that persistence never perturbs the fleet reports themselves.
     if let Some(dir) = &args.store {
-        let mut store = Store::open(dir).unwrap_or_else(|e| {
-            eprintln!("cannot open store at {dir}: {e}");
-            std::process::exit(1);
-        });
+        let mut store = Store::open(dir).map_err(|e| format!("cannot open store at {dir}: {e}"))?;
         let mut catalog = TraceCatalog::new();
         let (mut appended, mut total) = (0u64, 0u64);
         let reports = scaling
@@ -189,25 +185,23 @@ fn main() {
             .map(|(_, report, _)| report)
             .chain(std::iter::once(&trace_report));
         for report in reports {
-            let specs = report.spec.node_specs_in(&mut catalog).unwrap_or_else(|e| {
-                eprintln!("cannot derive node specs: {e}");
-                std::process::exit(1);
-            });
+            let specs = report
+                .spec
+                .node_specs_in(&mut catalog)
+                .map_err(|e| format!("cannot derive node specs: {e}"))?;
             for (spec, node) in specs.iter().zip(&report.nodes) {
                 total += 1;
                 match store.put(&spec.to_json(), node.to_json(), BTreeMap::new(), 1.0) {
                     Ok(true) => appended += 1,
                     Ok(false) => {}
                     Err(e) => {
-                        eprintln!("store write failed: {e}");
-                        std::process::exit(1);
+                        return Err(format!("store write failed: {e}").into());
                     }
                 }
             }
         }
         if let Err(e) = store.compact() {
-            eprintln!("store compaction failed: {e}");
-            std::process::exit(1);
+            return Err(format!("store compaction failed: {e}").into());
         }
         banner("Store");
         println!("{appended} of {total} node evaluations appended to {dir}");
@@ -215,10 +209,12 @@ fn main() {
             ("scaling", scaling_json.to_string()),
             ("trace_fleet", trace_report.to_json().to_string()),
         ] {
-            let committed = edc_bench::committed_section("BENCH_fleet.json", section);
+            let committed = edc_bench::committed_section("BENCH_fleet.json", section)?;
             if committed.to_string() != current {
-                eprintln!("FAIL: store-backed {section} differs from committed BENCH_fleet.json");
-                std::process::exit(1);
+                return Err(format!(
+                    "FAIL: store-backed {section} differs from committed BENCH_fleet.json"
+                )
+                .into());
             }
             println!("store: {section} byte-identical to committed BENCH_fleet.json");
         }
@@ -251,4 +247,5 @@ fn main() {
         ],
     );
     edc_bench::write_artifact(&path, &artifact);
+    Ok(())
 }

@@ -31,14 +31,18 @@ enum TraceKind {
 ///     "bench",
 ///     vec![(Seconds(0.0), Watts(0.001)), (Seconds(1.0), Watts(0.003))],
 /// ).looping();
-/// let mid = trace.power_at(Seconds(0.5));
-/// assert!((mid.0 - 0.002).abs() < 1e-12); // linear interpolation
+/// let mid = trace.try_power_at(Seconds(0.5));
+/// assert!(mid.is_some_and(|p| (p.0 - 0.002).abs() < 1e-12)); // linear interpolation
 /// ```
 #[derive(Debug, Clone)]
 pub struct TracePlayback {
     name: String,
     /// Monotonically increasing sample times with their values.
     samples: Vec<(Seconds, f64)>,
+    /// The first and last entries of `samples`, which `validated`
+    /// guarantees exist and decimation keeps.
+    first: (Seconds, f64),
+    last: (Seconds, f64),
     kind: TraceKind,
     looping: bool,
 }
@@ -81,6 +85,8 @@ impl TracePlayback {
         }
         Self {
             name,
+            first: samples[0],
+            last: samples[samples.len() - 1],
             samples,
             kind,
             looping: false,
@@ -122,7 +128,7 @@ impl TracePlayback {
 
     /// Duration covered by the underlying samples.
     pub fn duration(&self) -> Seconds {
-        Seconds(self.samples.last().unwrap().0 .0 - self.samples[0].0 .0)
+        Seconds(self.last.0 .0 - self.first.0 .0)
     }
 
     /// Raw interpolated value at `t` (volts or watts depending on the trace
@@ -140,8 +146,8 @@ impl TracePlayback {
     ///   itself for tiny negative offsets) clamp to the window instead of
     ///   indexing out of range.
     fn value_at(&self, t: Seconds) -> f64 {
-        let t0 = self.samples[0].0 .0;
-        let t1 = self.samples.last().unwrap().0 .0;
+        let t0 = self.first.0 .0;
+        let t1 = self.last.0 .0;
         let mut q = t.0;
         if self.looping {
             let span = t1 - t0;
@@ -152,9 +158,9 @@ impl TracePlayback {
             let rel = (q - t0).rem_euclid(span);
             q = (t0 + rel).clamp(t0, t1);
         } else if q <= t0 {
-            return self.samples[0].1;
+            return self.first.1;
         } else if q >= t1 {
-            return self.samples.last().unwrap().1;
+            return self.last.1;
         }
         let idx = self
             .samples
@@ -184,31 +190,6 @@ impl TracePlayback {
             TraceKind::Power => None,
         }
     }
-
-    /// Interpolated power at `t`. Asserting wrapper over
-    /// [`TracePlayback::try_power_at`] for call sites that know the trace
-    /// kind statically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is a voltage trace (power is not defined without a
-    /// load operating point).
-    pub fn power_at(&self, t: Seconds) -> Watts {
-        self.try_power_at(t)
-            .expect("power_at is only defined for power traces")
-    }
-
-    /// Interpolated open-circuit voltage at `t`. Asserting wrapper over
-    /// [`TracePlayback::try_voltage_at`] for call sites that know the trace
-    /// kind statically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is a power trace.
-    pub fn voltage_at(&self, t: Seconds) -> Volts {
-        self.try_voltage_at(t)
-            .expect("voltage_at is only defined for voltage traces")
-    }
 }
 
 impl EnergySource for TracePlayback {
@@ -228,10 +209,6 @@ impl EnergySource for TracePlayback {
 }
 
 #[cfg(test)]
-// Tests exercise the asserting wrappers on purpose (they are the
-// documented panic surface); production code is held to the try_* forms
-// via clippy.toml's disallowed-methods list.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -250,21 +227,25 @@ mod tests {
     #[test]
     fn interpolates_linearly() {
         let tr = power_trace();
-        assert!((tr.power_at(Seconds(0.5)).0 - 0.5).abs() < 1e-12);
-        assert!((tr.power_at(Seconds(1.5)).0 - 0.75).abs() < 1e-12);
+        assert!((tr.try_power_at(Seconds(0.5)).unwrap().0 - 0.5).abs() < 1e-12);
+        assert!((tr.try_power_at(Seconds(1.5)).unwrap().0 - 0.75).abs() < 1e-12);
     }
 
     #[test]
     fn holds_endpoints_when_not_looping() {
         let tr = power_trace();
-        assert_eq!(tr.power_at(Seconds(-1.0)), Watts(0.0));
-        assert_eq!(tr.power_at(Seconds(10.0)), Watts(0.5));
+        assert_eq!(tr.try_power_at(Seconds(-1.0)).unwrap(), Watts(0.0));
+        assert_eq!(tr.try_power_at(Seconds(10.0)).unwrap(), Watts(0.5));
     }
 
     #[test]
     fn looping_wraps_around() {
         let tr = power_trace().looping();
-        assert!((tr.power_at(Seconds(2.5)).0 - tr.power_at(Seconds(0.5)).0).abs() < 1e-12);
+        assert!(
+            (tr.try_power_at(Seconds(2.5)).unwrap().0 - tr.try_power_at(Seconds(0.5)).unwrap().0)
+                .abs()
+                < 1e-12
+        );
         assert_eq!(tr.duration(), Seconds(2.0));
     }
 
@@ -318,10 +299,10 @@ mod tests {
         assert_eq!(offset.try_power_at(Seconds(5.0)), Some(Watts(1.0)));
         assert_eq!(offset.try_power_at(Seconds(7.0)), Some(Watts(1.0)));
         assert_eq!(offset.try_power_at(Seconds(9.0)), Some(Watts(1.0)));
-        assert!((offset.power_at(Seconds(6.0)).0 - 2.0).abs() < 1e-12);
-        assert!((offset.power_at(Seconds(8.0)).0 - 2.0).abs() < 1e-12);
+        assert!((offset.try_power_at(Seconds(6.0)).unwrap().0 - 2.0).abs() < 1e-12);
+        assert!((offset.try_power_at(Seconds(8.0)).unwrap().0 - 2.0).abs() < 1e-12);
         // Before t0 the wrap reaches backwards into the period.
-        assert!((offset.power_at(Seconds(4.0)).0 - 2.0).abs() < 1e-12);
+        assert!((offset.try_power_at(Seconds(4.0)).unwrap().0 - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -338,7 +319,7 @@ mod tests {
             }
             other => panic!("unexpected sample {other:?}"),
         }
-        assert!((tr.voltage_at(Seconds(0.25)).0 - 1.0).abs() < 1e-12);
+        assert!((tr.try_voltage_at(Seconds(0.25)).unwrap().0 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -367,18 +348,21 @@ mod tests {
         let coarse = dense.clone().decimated(4);
         // Kept anchors (indices 0, 4, 8) agree exactly with the original.
         for &t in &[0.0, 1.0, 2.0] {
-            assert_eq!(coarse.power_at(Seconds(t)), dense.power_at(Seconds(t)));
+            assert_eq!(
+                coarse.try_power_at(Seconds(t)).unwrap(),
+                dense.try_power_at(Seconds(t)).unwrap()
+            );
         }
         assert_eq!(coarse.duration(), dense.duration(), "full span retained");
         // Between anchors the coarse trace interpolates across the gap.
-        let mid = coarse.power_at(Seconds(0.5)).0;
+        let mid = coarse.try_power_at(Seconds(0.5)).unwrap().0;
         assert!((mid - 0.5).abs() < 1e-12, "anchor 0 → anchor 4 midpoint");
         // The final sample is always kept, even off the stride.
         let coarse = dense.clone().decimated(5);
         assert_eq!(coarse.duration(), dense.duration());
         assert_eq!(
-            coarse.power_at(dense.duration()),
-            dense.power_at(dense.duration())
+            coarse.try_power_at(dense.duration()).unwrap(),
+            dense.try_power_at(dense.duration()).unwrap()
         );
     }
 
@@ -388,7 +372,7 @@ mod tests {
         let same = tr.clone().decimated(1);
         for i in 0..20 {
             let t = Seconds(i as f64 * 0.173);
-            assert_eq!(same.power_at(t), tr.power_at(t));
+            assert_eq!(same.try_power_at(t).unwrap(), tr.try_power_at(t).unwrap());
         }
     }
 
@@ -412,30 +396,19 @@ mod tests {
         assert_eq!(v.try_power_at(Seconds(0.5)), None);
     }
 
-    #[test]
-    #[should_panic(expected = "only defined for power traces")]
-    fn power_at_on_voltage_trace_panics() {
-        let tr = TracePlayback::from_voltage_series(
-            "v",
-            vec![(Seconds(0.0), Volts(0.0)), (Seconds(1.0), Volts(1.0))],
-            Ohms(1.0),
-        );
-        let _ = tr.power_at(Seconds(0.0));
-    }
-
     proptest! {
         #[test]
         fn prop_interpolation_bounded_by_samples(t in -5.0f64..10.0) {
             let tr = power_trace();
-            let p = tr.power_at(Seconds(t)).0;
+            let p = tr.try_power_at(Seconds(t)).unwrap().0;
             prop_assert!((0.0..=1.0).contains(&p));
         }
 
         #[test]
         fn prop_looping_periodic(t in 0.0f64..2.0, k in 1u32..5) {
             let tr = power_trace().looping();
-            let a = tr.power_at(Seconds(t)).0;
-            let b = tr.power_at(Seconds(t + 2.0 * k as f64)).0;
+            let a = tr.try_power_at(Seconds(t)).unwrap().0;
+            let b = tr.try_power_at(Seconds(t + 2.0 * k as f64)).unwrap().0;
             prop_assert!((a - b).abs() < 1e-9);
         }
     }

@@ -65,8 +65,14 @@ impl Linter {
     /// then the supply scan (`E002`/`E004`). Deterministic: same spec +
     /// same catalog → byte-identical report.
     pub fn lint_spec(&mut self, spec: &ExperimentSpec) -> LintReport {
+        Self::lint_spec_with(&mut self.bounder, spec)
+    }
+
+    /// [`Linter::lint_spec`] over any bounder, such as a fleet's node
+    /// bounder.
+    fn lint_spec_with(bounder: &mut Bounder, spec: &ExperimentSpec) -> LintReport {
         let mut report = LintReport::new();
-        let violations = spec.violations_in(self.bounder.catalog());
+        let violations = spec.violations_in(bounder.catalog());
         for e in &violations {
             report.push(Diagnostic::new(
                 Code::E001,
@@ -79,7 +85,7 @@ impl Linter {
             // well-formed spec.
             return report;
         }
-        let facts = match self.bounder.facts(spec) {
+        let facts = match bounder.facts(spec) {
             Some(facts) => facts,
             // Unreachable (violations were empty), but never panic on input.
             None => return report,
@@ -113,7 +119,7 @@ impl Linter {
         // duration is frequency- and residence-independent cycles over the
         // boot clock.
         let bare_duration = facts.demand_cycles.map(|n| n as f64 / facts.boot_hz);
-        self.trace_hazards(spec, bare_duration, &mut report);
+        Self::trace_hazards(bounder.catalog(), spec, bare_duration, &mut report);
 
         if facts.endless {
             report.push(Diagnostic::new(
@@ -223,46 +229,36 @@ impl Linter {
             }
         }
 
-        // Per-node lint against a catalog the field registers into.
-        let mut catalog = self.bounder.catalog().clone();
-        let specs = match fleet.node_specs_in(&mut catalog) {
-            Ok(specs) => specs,
-            // `violations` was empty, so registration cannot fail; if it
-            // somehow does, report it rather than panic.
-            Err(e) => {
-                report.push(Diagnostic::new(
-                    Code::E001,
-                    fleet_error_path(&e),
-                    e.to_string(),
-                ));
-                return report;
+        // Per-node lint against a catalog the field registers into. Nodes
+        // sharing a bucket produce identical reports; lint each bucket
+        // once.
+        let expanded = self.bounder.with_fleet_nodes(fleet, |bounder, specs| {
+            let mut bucket_reports: HashMap<(u64, u64), LintReport> = HashMap::new();
+            for (i, spec) in specs.iter().enumerate() {
+                let key = (fleet.attenuation(i).to_bits(), fleet.phase(i).0.to_bits());
+                let node_report = bucket_reports
+                    .entry(key)
+                    .or_insert_with(|| Self::lint_spec_with(bounder, spec))
+                    .clone();
+                report.merge_prefixed(&format!("$.nodes[{i}]"), node_report);
             }
-        };
-        let mut sub = Linter {
-            bounder: Bounder::with_catalog(catalog),
-        };
-        sub.bounder
-            .restore_cycle_memo(self.bounder.take_cycle_memo());
-        // Nodes sharing a bucket produce identical reports; lint each
-        // bucket once.
-        let mut bucket_reports: HashMap<(u64, u64), LintReport> = HashMap::new();
-        for (i, spec) in specs.iter().enumerate() {
-            let key = (fleet.attenuation(i).to_bits(), fleet.phase(i).0.to_bits());
-            let node_report = bucket_reports
-                .entry(key)
-                .or_insert_with(|| sub.lint_spec(spec))
-                .clone();
-            report.merge_prefixed(&format!("$.nodes[{i}]"), node_report);
+        });
+        // `violations` was empty, so registration cannot fail; if it
+        // somehow does, report it rather than panic.
+        if let Err(e) = expanded {
+            report.push(Diagnostic::new(
+                Code::E001,
+                fleet_error_path(&e),
+                e.to_string(),
+            ));
         }
-        self.bounder
-            .restore_cycle_memo(sub.bounder.take_cycle_memo());
         report
     }
 
     /// `W102`/`W103` for recorded traces (standalone or behind a field
     /// view).
     fn trace_hazards(
-        &self,
+        catalog: &TraceCatalog,
         spec: &ExperimentSpec,
         bare_duration: Option<f64>,
         report: &mut LintReport,
@@ -284,7 +280,7 @@ impl Linter {
             } => (id, decimate, looped),
             _ => return,
         };
-        let Some(samples) = self.bounder.catalog().samples(id) else {
+        let Some(samples) = catalog.samples(id) else {
             return; // unresolved traces were already E001
         };
         if samples.len() < 2 {
@@ -487,6 +483,32 @@ mod tests {
             .collect();
         assert_eq!(e002.len(), 1, "{}", report.render_text());
         assert_eq!(e002[0].path, "$.nodes[1].source");
+    }
+
+    #[test]
+    fn one_linter_lints_fleets_over_different_recordings_like_fresh_ones() {
+        // Each fleet registers its recording under the same name into its
+        // own extension of the linter's catalog, so the two node catalogs
+        // give different samples the same name and index.
+        let field = |watts: f64| FieldSpec::PowerTrace {
+            name: "site".into(),
+            samples: vec![(0.0, watts), (0.01, watts)],
+            looping: true,
+        };
+        let design = spec(SourceKind::Dc { volts: 3.3 });
+        let fleets = [
+            FleetSpec::new(field(5e-3), design, 2),
+            FleetSpec::new(field(1e-9), design, 2),
+        ];
+        let fresh: Vec<LintReport> = fleets.iter().map(|f| Linter::new().lint_fleet(f)).collect();
+        assert!(!fresh[0].has_errors(), "{}", fresh[0].render_text());
+        assert!(fresh[1].has_errors(), "{}", fresh[1].render_text());
+        let mut shared = Linter::new();
+        for _ in 0..2 {
+            for (fleet, want) in fleets.iter().zip(&fresh) {
+                assert_eq!(&shared.lint_fleet(fleet), want);
+            }
+        }
     }
 
     #[test]

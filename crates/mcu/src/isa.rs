@@ -13,6 +13,8 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::mem::Memory;
+
 /// A register index `R0`–`R15`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Reg(u8);
@@ -284,6 +286,8 @@ pub enum BuildProgramError {
     DuplicateLabel(String),
     /// The program contains no instructions.
     Empty,
+    /// A data block reaches this unmapped word address.
+    UnmappedData(u16),
 }
 
 impl fmt::Display for BuildProgramError {
@@ -292,6 +296,9 @@ impl fmt::Display for BuildProgramError {
             BuildProgramError::UndefinedLabel(l) => write!(f, "undefined label `{l}`"),
             BuildProgramError::DuplicateLabel(l) => write!(f, "duplicate label `{l}`"),
             BuildProgramError::Empty => write!(f, "program has no instructions"),
+            BuildProgramError::UnmappedData(a) => {
+                write!(f, "data block reaches unmapped address {a:#06x}")
+            }
         }
     }
 }
@@ -532,13 +539,21 @@ impl ProgramBuilder {
     /// # Errors
     ///
     /// Returns [`BuildProgramError`] when a label is undefined or duplicated,
-    /// or the program is empty.
+    /// the program is empty, or a data block reaches unmapped memory.
     pub fn build(self) -> Result<Program, BuildProgramError> {
         if let Some(e) = self.error {
             return Err(e);
         }
         if self.drafts.is_empty() {
             return Err(BuildProgramError::Empty);
+        }
+        for (addr, words) in &self.data {
+            // Both regions are contiguous and end below `u16::MAX`, so the
+            // first unmapped word comes before any wrap-around.
+            for i in 0..words.len() {
+                let a = addr.wrapping_add(i as u16);
+                Memory::region_of(a).map_err(|_| BuildProgramError::UnmappedData(a))?;
+            }
         }
         let mut insns = Vec::with_capacity(self.drafts.len());
         for draft in self.drafts {
@@ -573,6 +588,7 @@ impl ProgramBuilder {
 mod tests {
     use super::regs::*;
     use super::*;
+    use crate::mem::{FRAM_BASE, FRAM_WORDS, SRAM_WORDS};
 
     #[test]
     fn builder_resolves_forward_and_backward_labels() {
@@ -626,6 +642,35 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(p.checkpoint_sites(), vec![0, 2]);
+    }
+
+    #[test]
+    fn data_blocks_must_lie_in_mapped_memory() {
+        let build = |addr: u16, len: usize| {
+            ProgramBuilder::new("t")
+                .data(addr, vec![7; len])
+                .halt()
+                .build()
+                .err()
+        };
+        // The last SRAM word and a block filling FRAM to its end load.
+        assert_eq!(build(SRAM_WORDS - 1, 1), None);
+        assert_eq!(build(FRAM_BASE, FRAM_WORDS as usize), None);
+        // One word past either region, or a start in the gap, does not.
+        assert_eq!(
+            build(SRAM_WORDS - 1, 2),
+            Some(BuildProgramError::UnmappedData(SRAM_WORDS))
+        );
+        assert_eq!(
+            build(FRAM_BASE, FRAM_WORDS as usize + 1),
+            Some(BuildProgramError::UnmappedData(FRAM_BASE + FRAM_WORDS))
+        );
+        assert_eq!(
+            build(0x0800, 1),
+            Some(BuildProgramError::UnmappedData(0x0800))
+        );
+        // An empty block places nothing, wherever it points.
+        assert_eq!(build(0xFFFF, 0), None);
     }
 
     #[test]

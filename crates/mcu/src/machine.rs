@@ -545,9 +545,9 @@ impl Mcu {
     fn load_program_data(&mut self) {
         for (addr, words) in self.program.data().to_vec() {
             for (i, w) in words.iter().enumerate() {
-                self.mem
-                    .poke(addr + i as u16, *w)
-                    .expect("program data must target mapped memory");
+                // `ProgramBuilder::build` rejects data outside mapped
+                // memory, so every poke lands.
+                let _ = self.mem.poke(addr + i as u16, *w);
             }
         }
     }

@@ -15,6 +15,10 @@
 //! a later instruction and there is no `Push`, so `Ret` only returns to a
 //! call site and every program terminates.
 
+// Test-only crate: fixture helpers may panic on harness failures
+// (allow-unwrap-in-tests only covers `#[test]` fns, not their helpers).
+#![allow(clippy::expect_used)]
+
 use edc_mcu::isa::{Addr, Insn, Operand, Program, ProgramBuilder, Reg};
 use edc_mcu::{ExecutionResidence, Mcu, RunExit};
 use proptest::prelude::*;

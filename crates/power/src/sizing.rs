@@ -46,16 +46,40 @@ fn finite(x: f64, what: &'static str) -> Result<f64, SizingError> {
     }
 }
 
-/// Fallible form of [`hibernate_threshold`]: every argument is checked and
-/// violations come back as a [`SizingError`] instead of a panic or a `NaN`
-/// threshold.
+/// Solves Eq. (4) for the hibernate threshold `V_H`: the lowest rail voltage
+/// at which the capacitance `c` still holds enough energy above `v_min` to
+/// fund a snapshot of cost `e_snapshot`, inflated by `margin` (e.g. `0.1`
+/// for 10% safety).
 ///
-/// The outer `Result` reports argument violations; the inner `Option` keeps
-/// [`hibernate_threshold`]'s meaning (`None` = no feasible threshold below
-/// `v_max`). Note `v_max ≤ v_min` is *infeasibility*, not an argument
-/// error: no threshold can exist in an empty rail window, so it yields
-/// `Ok(None)` — the "under-provisioned platform limps along" path the
-/// strategy calibrators rely on.
+/// The outer `Result` reports argument violations as a [`SizingError`]
+/// instead of a panic or a `NaN` threshold. The inner `Option` is `None`
+/// when no threshold below `v_max` satisfies the budget — the platform's
+/// capacitance is simply too small to ever checkpoint safely (the failure
+/// mode Hibernus++ was designed to detect at run time). Note
+/// `v_max ≤ v_min` is *infeasibility*, not an argument error: no threshold
+/// can exist in an empty rail window, so it yields `Ok(None)` — the
+/// "under-provisioned platform limps along" path the strategy calibrators
+/// rely on.
+///
+/// # Examples
+///
+/// ```
+/// use edc_power::sizing::try_hibernate_threshold;
+/// use edc_units::{Farads, Joules, Volts};
+///
+/// # fn main() -> Result<(), edc_power::sizing::SizingError> {
+/// let v_h = try_hibernate_threshold(
+///     Joules::from_micro(5.0),
+///     Farads::from_micro(10.0),
+///     Volts(2.0),
+///     Volts(3.6),
+///     0.1,
+/// )?;
+/// // 10 µF is plenty for a 5 µJ snapshot.
+/// assert!(v_h.is_some_and(|v| v > Volts(2.0) && v < Volts(3.6)));
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -87,50 +111,9 @@ pub fn try_hibernate_threshold(
     Ok(if v_h < v_max { Some(v_h) } else { None })
 }
 
-/// Solves Eq. (4) for the hibernate threshold `V_H`: the lowest rail voltage
-/// at which the capacitance `c` still holds enough energy above `v_min` to
-/// fund a snapshot of cost `e_snapshot`, inflated by `margin` (e.g. `0.1`
-/// for 10% safety).
-///
-/// Returns `None` when no threshold below `v_max` satisfies the budget —
-/// i.e. the platform's capacitance is simply too small to ever checkpoint
-/// safely (the failure mode Hibernus++ was designed to detect at run time).
-///
-/// Asserting wrapper over [`try_hibernate_threshold`] for call sites whose
-/// arguments are known-good by construction (the strategy calibrators).
-///
-/// # Examples
-///
-/// ```
-/// use edc_power::sizing::hibernate_threshold;
-/// use edc_units::{Farads, Joules, Volts};
-///
-/// let v_h = hibernate_threshold(
-///     Joules::from_micro(5.0),
-///     Farads::from_micro(10.0),
-///     Volts(2.0),
-///     Volts(3.6),
-///     0.1,
-/// ).expect("10 µF is plenty for a 5 µJ snapshot");
-/// assert!(v_h > Volts(2.0) && v_h < Volts(3.6));
-/// ```
-///
-/// # Panics
-///
-/// Panics when [`try_hibernate_threshold`] rejects the arguments (non-finite
-/// values, `e_snapshot < 0`, `c ≤ 0`, `v_min < 0`, or `margin < 0`).
-pub fn hibernate_threshold(
-    e_snapshot: Joules,
-    c: Farads,
-    v_min: Volts,
-    v_max: Volts,
-    margin: f64,
-) -> Option<Volts> {
-    try_hibernate_threshold(e_snapshot, c, v_min, v_max, margin).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`required_capacitance`]: Eq. (4) solved for `C`, with
-/// every argument checked.
+/// Inverse of [`try_hibernate_threshold`]: the minimum capacitance for which
+/// a snapshot of cost `e_snapshot` fits between `v_h` and `v_min` (Eq. 4
+/// solved for `C`).
 ///
 /// # Errors
 ///
@@ -155,20 +138,8 @@ pub fn try_required_capacitance(
     ))
 }
 
-/// Inverse of [`hibernate_threshold`]: the minimum capacitance for which a
-/// snapshot of cost `e_snapshot` fits between `v_h` and `v_min` (Eq. 4
-/// solved for `C`). Asserting wrapper over [`try_required_capacitance`].
-///
-/// # Panics
-///
-/// Panics when [`try_required_capacitance`] rejects the arguments
-/// (non-finite values, `e_snapshot < 0`, `v_h ≤ v_min`, or `v_min < 0`).
-pub fn required_capacitance(e_snapshot: Joules, v_h: Volts, v_min: Volts) -> Farads {
-    try_required_capacitance(e_snapshot, v_h, v_min).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`is_energy_neutral`]: Eq. (1) over a sampled window,
-/// with the window shape and timestep checked.
+/// Checks Eq. (1) over a sampled window: `true` when harvested and consumed
+/// energy agree within `tolerance` (relative).
 ///
 /// # Errors
 ///
@@ -196,25 +167,10 @@ pub fn try_is_energy_neutral(
     Ok((e_h - e_c).abs() / scale <= tolerance)
 }
 
-/// Checks Eq. (1) over a sampled window: `true` when harvested and consumed
-/// energy agree within `tolerance` (relative). Asserting wrapper over
-/// [`try_is_energy_neutral`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length, `dt` is not positive and finite,
-/// or `tolerance` is negative or non-finite.
-pub fn is_energy_neutral(
-    harvested: &[Watts],
-    consumed: &[Watts],
-    dt: Seconds,
-    tolerance: f64,
-) -> bool {
-    try_is_energy_neutral(harvested, consumed, dt, tolerance).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`required_buffer_energy`], with the window shape and
-/// timestep checked.
+/// Sizes the buffer Eq. (1)/(2) implies: the maximum cumulative deficit of
+/// `harvested − consumed` over the window. A system starting with this much
+/// stored energy never violates Eq. (2) *for this profile*. Returns zero
+/// when harvest always covers consumption.
 ///
 /// # Errors
 ///
@@ -242,22 +198,8 @@ pub fn try_required_buffer_energy(
     Ok(Joules(-worst))
 }
 
-/// Sizes the buffer Eq. (1)/(2) implies: the maximum cumulative deficit of
-/// `harvested − consumed` over the window. A system starting with this much
-/// stored energy never violates Eq. (2) *for this profile*.
-///
-/// Returns zero when harvest always covers consumption. Asserting wrapper
-/// over [`try_required_buffer_energy`].
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or `dt` is not positive and
-/// finite.
-pub fn required_buffer_energy(harvested: &[Watts], consumed: &[Watts], dt: Seconds) -> Joules {
-    try_required_buffer_energy(harvested, consumed, dt).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`buffer_capacitance`], with every argument checked.
+/// Converts a buffer energy into the capacitance that stores it between the
+/// operating rails `v_max` (full) and `v_min` (empty).
 ///
 /// # Errors
 ///
@@ -280,22 +222,7 @@ pub fn try_buffer_capacitance(
     Ok(Farads(2.0 * e.0 / (v_max.squared() - v_min.squared())))
 }
 
-/// Converts a buffer energy into the capacitance that stores it between the
-/// operating rails `v_max` (full) and `v_min` (empty). Asserting wrapper
-/// over [`try_buffer_capacitance`].
-///
-/// # Panics
-///
-/// Panics unless every argument is finite, `e ≥ 0`, and `v_max > v_min ≥ 0`.
-pub fn buffer_capacitance(e: Joules, v_max: Volts, v_min: Volts) -> Farads {
-    try_buffer_capacitance(e, v_max, v_min).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
-// Tests exercise the asserting wrappers on purpose (they are the
-// documented panic surface); production code is held to the try_* forms
-// via clippy.toml's disallowed-methods list.
-#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
@@ -304,58 +231,59 @@ mod tests {
     fn eq4_round_trips() {
         let e = Joules::from_micro(8.0);
         let v_min = Volts(2.0);
-        let v_h = hibernate_threshold(e, Farads::from_micro(10.0), v_min, Volts(3.6), 0.0)
+        let v_h = try_hibernate_threshold(e, Farads::from_micro(10.0), v_min, Volts(3.6), 0.0)
+            .expect("valid arguments")
             .expect("threshold exists");
         // Energy between V_H and V_min equals the snapshot cost.
         let budget = Farads::from_micro(10.0).energy_between(v_h, v_min);
         assert!((budget.0 - e.0).abs() < 1e-12);
         // And the inverse gives back the capacitance.
-        let c = required_capacitance(e, v_h, v_min);
+        let c = try_required_capacitance(e, v_h, v_min).expect("valid arguments");
         assert!((c.as_micro() - 10.0).abs() < 1e-6);
     }
 
     #[test]
     fn margin_raises_threshold() {
-        let base = hibernate_threshold(
-            Joules::from_micro(5.0),
-            Farads::from_micro(10.0),
-            Volts(2.0),
-            Volts(3.6),
-            0.0,
-        )
-        .unwrap();
-        let margined = hibernate_threshold(
-            Joules::from_micro(5.0),
-            Farads::from_micro(10.0),
-            Volts(2.0),
-            Volts(3.6),
-            0.25,
-        )
-        .unwrap();
+        let threshold = |margin| {
+            try_hibernate_threshold(
+                Joules::from_micro(5.0),
+                Farads::from_micro(10.0),
+                Volts(2.0),
+                Volts(3.6),
+                margin,
+            )
+            .unwrap()
+            .unwrap()
+        };
+        let base = threshold(0.0);
+        let margined = threshold(0.25);
         assert!(margined > base);
     }
 
     #[test]
     fn impossible_threshold_returns_none() {
         // 100 µJ snapshot on 1 µF between 2.0 and 3.6 V: needs V_H ≈ 14.3 V.
-        let v_h = hibernate_threshold(
+        let v_h = try_hibernate_threshold(
             Joules::from_micro(100.0),
             Farads::from_micro(1.0),
             Volts(2.0),
             Volts(3.6),
             0.0,
         );
-        assert!(v_h.is_none());
+        assert_eq!(v_h, Ok(None));
     }
 
     #[test]
     fn energy_neutrality_check() {
         let h = vec![Watts(1.0); 10];
         let c = vec![Watts(1.0); 10];
-        assert!(is_energy_neutral(&h, &c, Seconds(1.0), 1e-9));
+        assert_eq!(try_is_energy_neutral(&h, &c, Seconds(1.0), 1e-9), Ok(true));
         let c2 = vec![Watts(1.2); 10];
-        assert!(!is_energy_neutral(&h, &c2, Seconds(1.0), 0.05));
-        assert!(is_energy_neutral(&h, &c2, Seconds(1.0), 0.25));
+        assert_eq!(
+            try_is_energy_neutral(&h, &c2, Seconds(1.0), 0.05),
+            Ok(false)
+        );
+        assert_eq!(try_is_energy_neutral(&h, &c2, Seconds(1.0), 0.25), Ok(true));
     }
 
     #[test]
@@ -366,11 +294,11 @@ mod tests {
         let mut h = vec![Watts(2.0); 5];
         h.extend(vec![Watts(0.0); 5]);
         let c = vec![Watts(1.0); 10];
-        let e = required_buffer_energy(&h, &c, Seconds(1.0));
-        assert_eq!(e, Joules(0.0));
+        let e = try_required_buffer_energy(&h, &c, Seconds(1.0));
+        assert_eq!(e, Ok(Joules(0.0)));
         // …but raising consumption to 1.5 W leaves a terminal deficit of 5 J.
         let c2 = vec![Watts(1.5); 10];
-        let e2 = required_buffer_energy(&h, &c2, Seconds(1.0));
+        let e2 = try_required_buffer_energy(&h, &c2, Seconds(1.0)).unwrap();
         assert!((e2.0 - 5.0).abs() < 1e-12);
     }
 
@@ -378,7 +306,10 @@ mod tests {
     fn surplus_profile_needs_no_buffer() {
         let h = vec![Watts(2.0); 10];
         let c = vec![Watts(1.0); 10];
-        assert_eq!(required_buffer_energy(&h, &c, Seconds(1.0)), Joules(0.0));
+        assert_eq!(
+            try_required_buffer_energy(&h, &c, Seconds(1.0)),
+            Ok(Joules(0.0))
+        );
     }
 
     #[test]
@@ -387,7 +318,7 @@ mod tests {
         let mut h = vec![Watts(0.0); 5];
         h.extend(vec![Watts(2.0); 5]);
         let c = vec![Watts(1.0); 10];
-        let e = required_buffer_energy(&h, &c, Seconds(1.0));
+        let e = try_required_buffer_energy(&h, &c, Seconds(1.0)).unwrap();
         assert!((e.0 - 5.0).abs() < 1e-12);
     }
 
@@ -424,38 +355,11 @@ mod tests {
     }
 
     #[test]
-    fn try_forms_agree_with_asserting_wrappers_on_good_input() {
-        let v_h = try_hibernate_threshold(
-            Joules::from_micro(5.0),
-            Farads::from_micro(10.0),
-            Volts(2.0),
-            Volts(3.6),
-            0.1,
-        )
-        .expect("valid arguments")
-        .expect("feasible");
+    fn zero_capacitance_is_a_domain_error() {
         assert_eq!(
-            Some(v_h),
-            hibernate_threshold(
-                Joules::from_micro(5.0),
-                Farads::from_micro(10.0),
-                Volts(2.0),
-                Volts(3.6),
-                0.1
-            )
+            try_hibernate_threshold(Joules(1e-6), Farads(0.0), Volts(2.0), Volts(3.6), 0.0),
+            Err(SizingError::Domain("capacitance must be > 0"))
         );
-        let c = try_required_capacitance(Joules::from_micro(5.0), v_h, Volts(2.0))
-            .expect("valid arguments");
-        assert_eq!(
-            c,
-            required_capacitance(Joules::from_micro(5.0), v_h, Volts(2.0))
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "capacitance must be > 0")]
-    fn asserting_wrapper_still_panics() {
-        let _ = hibernate_threshold(Joules(1e-6), Farads(0.0), Volts(2.0), Volts(3.6), 0.0);
     }
 
     #[test]
@@ -467,15 +371,11 @@ mod tests {
             try_hibernate_threshold(Joules(1e-6), Farads(1e-6), Volts(3.6), Volts(2.0), 0.0),
             Ok(None)
         );
-        assert_eq!(
-            hibernate_threshold(Joules(1e-6), Farads(1e-6), Volts(3.6), Volts(2.0), 0.0),
-            None
-        );
     }
 
     #[test]
     fn buffer_capacitance_conversion() {
-        let c = buffer_capacitance(Joules(5.0), Volts(3.0), Volts(2.0));
+        let c = try_buffer_capacitance(Joules(5.0), Volts(3.0), Volts(2.0)).unwrap();
         // E = C(9-4)/2 = 2.5 C ⇒ C = 2 F
         assert!((c.0 - 2.0).abs() < 1e-12);
     }
@@ -487,13 +387,15 @@ mod tests {
             c_uf in 1.0f64..1000.0,
             v_min in 0.5f64..3.0,
         ) {
-            if let Some(v_h) = hibernate_threshold(
+            if let Some(v_h) = try_hibernate_threshold(
                 Joules::from_micro(e_uj),
                 Farads::from_micro(c_uf),
                 Volts(v_min),
                 Volts(20.0),
                 0.1,
-            ) {
+            )
+            .unwrap()
+            {
                 prop_assert!(v_h > Volts(v_min));
                 // The stored budget really covers the snapshot with margin.
                 let budget = Farads::from_micro(c_uf).energy_between(v_h, Volts(v_min));
@@ -507,7 +409,7 @@ mod tests {
         ) {
             let h: Vec<Watts> = hs.iter().map(|&x| Watts(x)).collect();
             let c: Vec<Watts> = hs.iter().rev().map(|&x| Watts(x)).collect();
-            let e = required_buffer_energy(&h, &c, Seconds(1.0));
+            let e = try_required_buffer_energy(&h, &c, Seconds(1.0)).unwrap();
             prop_assert!(e.0 >= 0.0);
         }
 
@@ -519,7 +421,7 @@ mod tests {
             let n = hs.len().min(cs.len());
             let h: Vec<Watts> = hs[..n].iter().map(|&x| Watts(x)).collect();
             let c: Vec<Watts> = cs[..n].iter().map(|&x| Watts(x)).collect();
-            let e = required_buffer_energy(&h, &c, Seconds(1.0));
+            let e = try_required_buffer_energy(&h, &c, Seconds(1.0)).unwrap();
             // Replay: starting with e stored, the balance never goes negative.
             let mut store = e.0;
             for (hh, cc) in h.iter().zip(&c) {

@@ -41,7 +41,8 @@
 //!         SignalGenerator::new(Waveform::HalfRectifiedSine, Volts(4.0), Hertz(2.0))
 //!             .with_resistance(Ohms(100.0)),
 //!     ))
-//!     .build();
+//!     .build()
+//!     .expect("strategy, program and source are set");
 //! let outcome = runner.run_until_complete(Seconds(10.0));
 //! assert_eq!(outcome, RunOutcome::Completed);
 //! workload.verify(runner.mcu()).expect("result survives outages");
@@ -66,7 +67,7 @@ pub use mementos::Mementos;
 pub use nvp::Nvp;
 pub use quickrecall::QuickRecall;
 pub use restart::Restart;
-pub use runner::{RunOutcome, RunnerBuilder, RunnerStats, TransientRunner};
+pub use runner::{RunOutcome, RunnerBuildError, RunnerBuilder, RunnerStats, TransientRunner};
 
 use edc_mcu::{ExecutionResidence, Mcu, PowerModel};
 use edc_units::{Farads, Volts};

@@ -6,6 +6,8 @@
 //! (decoupling or a small task buffer) in between. Figures 7 and 8 are
 //! traces of this loop.
 
+use std::fmt;
+
 use edc_harvest::{EnergySource, SourceSample};
 use edc_mcu::{Mcu, PowerState, RunExit};
 use edc_power::{MonitorEvent, Rectifier, VoltageMonitor};
@@ -72,6 +74,32 @@ pub enum RunOutcome {
     /// The machine faulted (a bug in strategy or workload).
     Faulted,
 }
+
+/// Why [`RunnerBuilder::build`] rejected its configuration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum RunnerBuildError {
+    /// No checkpoint strategy was provided.
+    MissingStrategy,
+    /// No workload program was provided.
+    MissingProgram,
+    /// No energy source was provided.
+    MissingSource,
+    /// Input conversion efficiency outside `(0, 1]`.
+    InvalidEfficiency(f64),
+}
+
+impl fmt::Display for RunnerBuildError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::MissingStrategy => f.write_str("a checkpoint strategy is required"),
+            Self::MissingProgram => f.write_str("a workload program is required"),
+            Self::MissingSource => f.write_str("an energy source is required"),
+            Self::InvalidEfficiency(x) => write!(f, "efficiency must be in (0, 1], got {x}"),
+        }
+    }
+}
+
+impl std::error::Error for RunnerBuildError {}
 
 /// Builder for [`TransientRunner`] ([C-BUILDER]).
 ///
@@ -190,20 +218,20 @@ impl<'a> RunnerBuilder<'a> {
 
     /// Builds the runner.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if strategy, program or source is missing, the efficiency
-    /// lies outside `(0, 1]`, or the telemetry kind fails
-    /// [`TelemetryKind::validate`].
-    pub fn build(self) -> TransientRunner<'a> {
-        let mut strategy = self.strategy.expect("strategy is required");
-        let program = self.program.expect("program is required");
-        assert!(
-            self.efficiency > 0.0 && self.efficiency <= 1.0,
-            "efficiency in (0, 1]"
-        );
+    /// Returns a [`RunnerBuildError`] if strategy, program or source is
+    /// missing (checked in that order), or the efficiency lies outside
+    /// `(0, 1]`.
+    pub fn build(self) -> Result<TransientRunner<'a>, RunnerBuildError> {
+        let mut strategy = self.strategy.ok_or(RunnerBuildError::MissingStrategy)?;
+        let program = self.program.ok_or(RunnerBuildError::MissingProgram)?;
+        let source = self.source.ok_or(RunnerBuildError::MissingSource)?;
+        if !(self.efficiency > 0.0 && self.efficiency <= 1.0) {
+            return Err(RunnerBuildError::InvalidEfficiency(self.efficiency));
+        }
         let source = RailSource {
-            source: self.source.expect("source is required"),
+            source,
             rectifier: self.rectifier,
             efficiency: self.efficiency,
         };
@@ -260,7 +288,7 @@ impl<'a> RunnerBuilder<'a> {
                 sink.gauge(Seconds(0.0), stored, Watts::ZERO);
             }
         }
-        runner
+        Ok(runner)
     }
 }
 
@@ -875,12 +903,51 @@ mod tests {
             .strategy(Box::new(Hibernus::new()))
             .program(wl.program())
             .source(dc_source(3.3, 10.0))
-            .build();
+            .build()
+            .unwrap();
         let out = runner.run_until_complete(Seconds(1.0));
         assert_eq!(out, RunOutcome::Completed);
         assert_eq!(runner.stats().snapshots, 0);
         assert_eq!(runner.stats().brownouts, 0);
         wl.verify(runner.mcu()).unwrap();
+    }
+
+    #[test]
+    fn build_names_each_missing_part_and_bad_efficiency() {
+        let wl = BusyLoop::new(10);
+        let restart = || -> Box<dyn Strategy> { Box::new(Restart::new()) };
+        let no_strategy = TransientRunner::builder()
+            .program(wl.program())
+            .source(dc_source(3.3, 10.0));
+        assert_eq!(
+            no_strategy.build().err(),
+            Some(RunnerBuildError::MissingStrategy)
+        );
+        let no_program = TransientRunner::builder()
+            .strategy(restart())
+            .source(dc_source(3.3, 10.0));
+        assert_eq!(
+            no_program.build().err(),
+            Some(RunnerBuildError::MissingProgram)
+        );
+        let no_source = TransientRunner::builder()
+            .strategy(restart())
+            .program(wl.program());
+        assert_eq!(
+            no_source.build().err(),
+            Some(RunnerBuildError::MissingSource)
+        );
+        for efficiency in [0.0, 1.5] {
+            let bad = TransientRunner::builder()
+                .strategy(restart())
+                .program(wl.program())
+                .source(dc_source(3.3, 10.0))
+                .efficiency(efficiency);
+            assert_eq!(
+                bad.build().err(),
+                Some(RunnerBuildError::InvalidEfficiency(efficiency))
+            );
+        }
     }
 
     #[test]
@@ -897,7 +964,8 @@ mod tests {
                     .map(|k| (Seconds(k as f64 * 0.1), Seconds(k as f64 * 0.1 + 0.06)))
                     .collect(),
             )))
-            .build();
+            .build()
+            .unwrap();
         let out = runner.run_until_complete(Seconds(2.0));
         assert_eq!(out, RunOutcome::Completed);
         wl.verify(runner.mcu()).unwrap();
@@ -957,7 +1025,8 @@ mod tests {
             .program(wl.program())
             .source(dc_source(3.3, 10.0))
             .telemetry(TelemetryKind::Ring { capacity: 64 })
-            .build();
+            .build()
+            .unwrap();
         let out = runner.run_until_complete(Seconds(1.0));
         assert_eq!(out, RunOutcome::Completed);
         let Some(Telemetry::Ring(ring)) = runner.telemetry() else {
@@ -981,7 +1050,8 @@ mod tests {
             .program(wl.program())
             .source(dc_source(3.3, 10.0))
             .telemetry(TelemetryKind::Timeline)
-            .build();
+            .build()
+            .unwrap();
         let out = runner.run_until_complete(Seconds(1.0));
         assert_eq!(out, RunOutcome::Completed);
         let Some(Telemetry::Timeline(tl)) = runner.telemetry() else {

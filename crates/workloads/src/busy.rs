@@ -5,7 +5,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{verify_output_block, VerifyError, Workload, OUTPUT_BASE};
+use crate::{verify_output_block, Assemble, VerifyError, Workload, OUTPUT_BASE};
 
 /// Counts to `n` with a checkpoint mark at the loop head, then persists the
 /// counter.
@@ -52,8 +52,7 @@ impl Workload for BusyLoop {
             .brn("loop")
             .st(R0, Addr::Abs(OUTPUT_BASE))
             .halt()
-            .build()
-            .expect("busy loop assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -6,7 +6,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    MAX_INPUT_WORDS, OUTPUT_BASE,
 };
 
 const POLY: u16 = 0x1021;
@@ -24,9 +25,12 @@ impl Crc16 {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics unless `n` is in `1..=MAX_INPUT_WORDS`.
     pub fn new(n: u16) -> Self {
-        assert!(n > 0, "block length must be > 0");
+        assert!(
+            (1..=MAX_INPUT_WORDS).contains(&n),
+            "block length must be in 1..=MAX_INPUT_WORDS"
+        );
         Self { n, seed: 0x1234 }
     }
 
@@ -90,8 +94,7 @@ impl Workload for Crc16 {
             .brnz("word")
             .st(R0, Addr::Abs(OUTPUT_BASE))
             .halt()
-            .build()
-            .expect("crc16 assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

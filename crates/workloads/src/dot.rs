@@ -5,7 +5,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    OUTPUT_BASE,
 };
 
 /// Dot product of two `n`-element Q15 vectors with per-term pre-scaling to
@@ -88,8 +89,7 @@ impl Workload for DotProduct {
             .brnz("loop")
             .st(R0, Addr::Abs(OUTPUT_BASE))
             .halt()
-            .build()
-            .expect("dot product assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -10,7 +10,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{VerifyError, Workload, OUTPUT_BASE};
+use crate::{Assemble, VerifyError, Workload, OUTPUT_BASE};
 
 /// Spins forever; progress is measured in retired cycles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -42,8 +42,7 @@ impl Workload for Endless {
             .label("skip_carry")
             .st(R0, Addr::Abs(OUTPUT_BASE))
             .jmp("loop")
-            .build()
-            .expect("endless assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

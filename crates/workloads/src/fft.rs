@@ -14,7 +14,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE};
+use crate::{verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE};
 
 /// SRAM base of the real working plane.
 const RE_BASE: u16 = 0x0100;
@@ -351,8 +351,7 @@ impl Workload for RadixFft {
             .cmp(R1, n)
             .brn("persist")
             .halt()
-            .build()
-            .expect("radix-2 fft assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

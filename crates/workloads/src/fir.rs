@@ -6,7 +6,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    MAX_INPUT_WORDS, OUTPUT_BASE,
 };
 
 /// Applies an `taps`-tap low-pass FIR to `n` Q15 samples.
@@ -22,14 +23,17 @@ impl FirFilter {
     ///
     /// # Panics
     ///
-    /// Panics unless `taps` is a power of two in `2..=32` and
-    /// `n > taps`.
+    /// Panics unless `taps` is a power of two in `2..=32`, `n > taps`,
+    /// and `n + taps ≤ MAX_INPUT_WORDS`.
     pub fn new(n: u16, taps: u16) -> Self {
         assert!(
             taps.is_power_of_two() && (2..=32).contains(&taps),
             "taps must be a power of two in 2..=32"
         );
-        assert!(n > taps, "need more samples than taps");
+        assert!(
+            (taps + 1..=MAX_INPUT_WORDS - taps).contains(&n),
+            "need taps < n ≤ MAX_INPUT_WORDS − taps"
+        );
         Self {
             n,
             taps,
@@ -130,8 +134,7 @@ impl Workload for FirFilter {
             .cmp(R1, out_len)
             .brn("outer")
             .halt()
-            .build()
-            .expect("fir assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -16,7 +16,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE};
+use crate::{verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE};
 
 /// `N`-point Q15 DFT of a synthetic two-tone signal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,8 +180,7 @@ impl Workload for Fourier {
             .cmp(R1, n)
             .brn("k_loop")
             .halt()
-            .build()
-            .expect("fourier assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -9,7 +9,7 @@
 
 use crate::{
     BusyLoop, Crc16, DotProduct, Endless, FirFilter, Fourier, InsertionSort, MatMul, PrimeSieve,
-    RadixFft, RunLength, SensePipeline, Workload,
+    RadixFft, RunLength, SensePipeline, Workload, MAX_INPUT_WORDS,
 };
 
 /// A benchmark program identified by kind and size — plain data, so any
@@ -105,14 +105,18 @@ impl WorkloadKind {
             WorkloadKind::BusyLoop(n) if !(1..=i16::MAX as u16).contains(&n) => {
                 Err("busy-loop iterations must be in 1..=32767")
             }
-            WorkloadKind::Crc16(0) => Err("crc16 block length must be > 0"),
+            WorkloadKind::Crc16(n) if !(1..=MAX_INPUT_WORDS).contains(&n) => {
+                Err("crc16 block length must be in 1..=14016")
+            }
             WorkloadKind::DotProduct(n) if !(n.is_power_of_two() && (2..=256).contains(&n)) => {
                 Err("dot-product length must be a power of two in 2..=256")
             }
             WorkloadKind::FirFilter { n, taps }
-                if !(taps.is_power_of_two() && (2..=32).contains(&taps) && n > taps) =>
+                if !(taps.is_power_of_two()
+                    && (2..=32).contains(&taps)
+                    && (taps + 1..=MAX_INPUT_WORDS - taps).contains(&n)) =>
             {
-                Err("fir-filter taps must be a power of two in 2..=32, with n > taps")
+                Err("fir-filter needs taps a power of two in 2..=32 and taps < n ≤ 14016 − taps")
             }
             WorkloadKind::Fourier(n) if !(n.is_power_of_two() && (8..=256).contains(&n)) => {
                 Err("fourier size must be a power of two in 8..=256")
@@ -126,7 +130,9 @@ impl WorkloadKind {
             WorkloadKind::RadixFft(n) if !(n.is_power_of_two() && (8..=256).contains(&n)) => {
                 Err("radix2-fft size must be a power of two in 8..=256")
             }
-            WorkloadKind::RunLength(n) if n < 2 => Err("rle needs at least two input words"),
+            WorkloadKind::RunLength(n) if !(2..=MAX_INPUT_WORDS).contains(&n) => {
+                Err("rle needs 2..=14016 input words")
+            }
             WorkloadKind::SensePipeline { windows, samples }
                 if !(windows > 0 && samples.is_power_of_two() && samples <= 64) =>
             {
@@ -179,6 +185,12 @@ mod tests {
             WorkloadKind::Crc16(0),
             WorkloadKind::DotProduct(3),
             WorkloadKind::FirFilter { n: 8, taps: 16 },
+            WorkloadKind::FirFilter {
+                n: MAX_INPUT_WORDS - 1,
+                taps: 2,
+            },
+            WorkloadKind::Crc16(MAX_INPUT_WORDS + 1),
+            WorkloadKind::RunLength(MAX_INPUT_WORDS + 1),
             WorkloadKind::Fourier(100),
             WorkloadKind::InsertionSort(1),
             WorkloadKind::PrimeSieve(2),

@@ -59,11 +59,16 @@ pub use sort::InsertionSort;
 
 use std::fmt;
 
-use edc_mcu::isa::Program;
+use edc_mcu::isa::{Program, ProgramBuilder};
+use edc_mcu::mem::SNAPSHOT_BASE;
 use edc_mcu::Mcu;
 
 /// FRAM base address where workloads place their input data.
 pub const INPUT_BASE: u16 = 0x1100;
+/// Most data words a kernel can place from [`INPUT_BASE`] up to the
+/// snapshot area at the top of FRAM, which snapshots overwrite; the
+/// constructors bound their input sizes by it.
+pub const MAX_INPUT_WORDS: u16 = SNAPSHOT_BASE - INPUT_BASE;
 /// FRAM base address where workloads persist their results.
 pub const OUTPUT_BASE: u16 = 0x2000;
 
@@ -121,6 +126,23 @@ pub trait Workload {
     /// harnesses to size supply periods. Implementations may measure once
     /// and hard-code.
     fn cycles_hint(&self) -> u64;
+}
+
+/// The last step of every kernel's builder chain.
+pub(crate) trait Assemble {
+    /// Resolves the kernel's labels and produces its program.
+    fn assemble(self) -> Program;
+}
+
+impl Assemble for ProgramBuilder {
+    // Each kernel is fixed code: its labels all resolve, and its data
+    // blocks fit FRAM for every size its constructor accepts.
+    // `tests/kernels.rs` assembles and loads every `WorkloadKind` at both
+    // ends of its size range.
+    #[expect(clippy::expect_used, reason = "see tests/kernels.rs")]
+    fn assemble(self) -> Program {
+        self.build().expect("kernels assemble at any valid size")
+    }
 }
 
 /// Checks completion and compares a block of persisted output words against

@@ -6,7 +6,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    OUTPUT_BASE,
 };
 
 const DIM: u16 = 8;
@@ -113,8 +114,7 @@ impl Workload for MatMul {
             .cmp(R1, DIM)
             .brn("i_loop")
             .halt()
-            .build()
-            .expect("matmul assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -5,7 +5,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{verify_output_block, VerifyError, Workload, OUTPUT_BASE};
+use crate::{verify_output_block, Assemble, VerifyError, Workload, OUTPUT_BASE};
 
 /// SRAM word address of the sieve array.
 const SIEVE_BASE: u16 = 0x0100;
@@ -100,8 +100,7 @@ impl Workload for PrimeSieve {
             .brn("outer")
             .st(R0, Addr::Abs(OUTPUT_BASE))
             .halt()
-            .build()
-            .expect("sieve assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

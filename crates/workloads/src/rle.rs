@@ -6,7 +6,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    MAX_INPUT_WORDS, OUTPUT_BASE,
 };
 
 /// Run-length encodes `n` input words into `(value, run)` pairs.
@@ -25,9 +26,12 @@ impl RunLength {
     ///
     /// # Panics
     ///
-    /// Panics if `n < 2`.
+    /// Panics unless `n` is in `2..=MAX_INPUT_WORDS`.
     pub fn new(n: u16) -> Self {
-        assert!(n >= 2, "need at least two input words");
+        assert!(
+            (2..=MAX_INPUT_WORDS).contains(&n),
+            "need 2..=MAX_INPUT_WORDS input words"
+        );
         Self { n, seed: 0xACE1 }
     }
 
@@ -123,8 +127,7 @@ impl Workload for RunLength {
             .add(R7, 1u16)
             .st(R7, Addr::Abs(OUTPUT_BASE))
             .halt()
-            .build()
-            .expect("rle assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -10,7 +10,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{VerifyError, Workload, OUTPUT_BASE};
+use crate::{Assemble, VerifyError, Workload, OUTPUT_BASE};
 
 /// Samples the ADC in windows, averages each window, persists and transmits
 /// the averages.
@@ -76,8 +76,7 @@ impl Workload for SensePipeline {
         .brn("window")
         .st(R1, Addr::Abs(OUTPUT_BASE)) // window count
         .halt()
-        .build()
-        .expect("sense pipeline assembles")
+        .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

@@ -6,7 +6,8 @@ use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
 use crate::{
-    pseudo_random_words, verify_output_block, VerifyError, Workload, INPUT_BASE, OUTPUT_BASE,
+    pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
+    OUTPUT_BASE,
 };
 
 /// SRAM word address of the working array.
@@ -121,8 +122,7 @@ impl Workload for InsertionSort {
             .cmp(R1, n)
             .brn("persist")
             .halt()
-            .build()
-            .expect("sort assembles")
+            .assemble()
     }
 
     fn verify(&self, mcu: &Mcu) -> Result<(), VerifyError> {

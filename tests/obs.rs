@@ -39,7 +39,8 @@ fn scripted_outage_timeline() -> (RunOutcome, TimelineSink) {
             ],
         )))
         .telemetry(TelemetryKind::Timeline)
-        .build();
+        .build()
+        .expect("strategy, program and source are set");
     let outcome = runner.run_until_complete(Seconds(2.0));
     let Some(Telemetry::Timeline(tl)) = runner.telemetry() else {
         panic!("a timeline kind builds a timeline");

@@ -265,7 +265,7 @@ proptest! {
             if shape & 4 == 4 {
                 builder = builder.rectifier(Rectifier::new(RectifierKind::FullWave, Volts(0.2)));
             }
-            builder.build()
+            builder.build().expect("strategy, program and source are set")
         };
         let mut batched = build();
         batched.run_until_complete(Seconds(deadline));
@@ -296,6 +296,7 @@ fn runs_with_clamped_and_zero_rails_skip() {
                 .initial_voltage(v0)
                 .clamp(clamp)
                 .build()
+                .expect("strategy, program and source are set")
         };
         let mut batched = build();
         batched.run_until_complete(Seconds(0.5));
@@ -349,7 +350,9 @@ fn tracing_runs_every_tick() {
         if trace {
             builder = builder.trace(1);
         }
-        let mut runner = builder.build();
+        let mut runner = builder
+            .build()
+            .expect("strategy, program and source are set");
         runner.run_until_complete(Seconds(2.0));
         (runner.skipped_ticks(), state_bits(&runner))
     };

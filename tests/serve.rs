@@ -64,6 +64,29 @@ fn concurrent_identical_requests_simulate_once_and_answer_each() {
 }
 
 #[test]
+fn workloads_whose_data_overflow_fram_are_refused_not_run() {
+    // A CRC over 20 000 words places its input past the end of FRAM. Such
+    // a spec used to pass validation and abort the process in `Mcu::new`.
+    let spec = ExperimentSpec::new(
+        SourceKind::Dc { volts: 3.3 },
+        StrategyKind::Restart,
+        WorkloadKind::Crc16(20_000),
+    )
+    .deadline(Seconds(1.0));
+    let input = format!(
+        "{{\"op\":\"evaluate\",\"id\":1,\"spec\":{0}}}\n\
+         {{\"op\":\"lint\",\"id\":2,\"spec\":{0}}}\n",
+        spec.to_json()
+    );
+    let out = ServeSession::new().threads(1).serve_text(&input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "{out}");
+    assert!(lines[0].contains(r#""ok":false"#), "{out}");
+    assert!(lines[0].contains("crc16 block length"), "{out}");
+    assert!(lines[1].contains(r#""code":"E001""#), "{out}");
+}
+
+#[test]
 fn the_committed_golden_transcript_replays_byte_identically() {
     // The same contract CI pins through the binary: the committed request
     // script, fed to a fresh session with a fresh store, must reproduce

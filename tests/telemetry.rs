@@ -37,7 +37,8 @@ fn scripted_outage_events(capacity: usize) -> (RunOutcome, Vec<Event>, u64) {
             ],
         )))
         .telemetry(TelemetryKind::Ring { capacity })
-        .build();
+        .build()
+        .expect("strategy, program and source are set");
     let outcome = runner.run_until_complete(Seconds(2.0));
     let Some(Telemetry::Ring(ring)) = runner.telemetry() else {
         panic!("a ring kind builds a ring");
