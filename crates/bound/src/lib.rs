@@ -97,7 +97,7 @@
 use std::collections::HashMap;
 
 use edc_core::catalog::TraceCatalog;
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::system::Topology;
 use edc_harvest::{SourceSample, POWER_SOURCE_COMPLIANCE_FLOOR};
@@ -330,7 +330,7 @@ impl BoundReport {
 pub struct Bounder {
     catalog: TraceCatalog,
     cycle_memo: HashMap<WorkloadKind, u64>,
-    memo: HashMap<String, Option<BoundReport>>,
+    memo: HashMap<SpecKey, Option<BoundReport>>,
 }
 
 impl Bounder {
@@ -476,10 +476,10 @@ impl Bounder {
 
     /// Brackets every built-in objective for `spec`, or `None` when the
     /// spec fails validation. Results are memoized per spec (keyed by its
-    /// canonical JSON), so scoring several objectives of one candidate
+    /// [`SpecKey`]), so scoring several objectives of one candidate
     /// costs one analysis.
     pub fn bound_spec(&mut self, spec: &ExperimentSpec) -> Option<BoundReport> {
-        let key = spec.to_json().to_string();
+        let key = spec.key();
         if let Some(report) = self.memo.get(&key) {
             return report.clone();
         }

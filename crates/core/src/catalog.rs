@@ -173,25 +173,11 @@ fn intern(name: String) -> &'static str {
 
 /// FNV-1a over the name's bytes followed by every sample's bit patterns.
 fn content_hash(name: &str, samples: &[(f64, f64)]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut eat = |byte: u8| {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    };
-    for b in name.bytes() {
-        eat(b);
-    }
-    for &(t, w) in samples {
-        for b in t.to_bits().to_le_bytes() {
-            eat(b);
-        }
-        for b in w.to_bits().to_le_bytes() {
-            eat(b);
-        }
-    }
-    h
+    let sample_bytes = samples.iter().flat_map(|&(t, w)| {
+        let (t, w) = (t.to_bits().to_le_bytes(), w.to_bits().to_le_bytes());
+        t.into_iter().chain(w)
+    });
+    crate::experiment::fnv1a(name.bytes().chain(sample_bytes))
 }
 
 /// The registry of recorded power traces.

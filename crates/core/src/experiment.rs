@@ -448,6 +448,13 @@ impl ExperimentSpec {
         Json::obj(pairs)
     }
 
+    /// The spec's [`SpecKey`]: its canonical JSON text
+    /// ([`ExperimentSpec::to_json`], telemetry included) and that text's
+    /// [`key_hash`]. Every memo and the persistent store key designs by it.
+    pub fn key(&self) -> SpecKey {
+        SpecKey::from(&self.to_json())
+    }
+
     /// True for an object shaped like [`ExperimentSpec::to_json`] output
     /// (it carries `source`, `strategy`, `workload` and `decoupling_f`):
     /// how document scanners such as `edc_lint` find the specs to parse.
@@ -553,6 +560,103 @@ impl ExperimentSpec {
             trace,
             telemetry,
         })
+    }
+}
+
+/// 64-bit FNV-1a over `bytes`: the content hash of spec keys, store
+/// records and recorded traces.
+///
+/// ```
+/// use edc_core::experiment::fnv1a;
+/// assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+/// assert_eq!(fnv1a(*b"a"), 0xaf63_dc4c_8601_ec8c);
+/// ```
+pub fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// [`fnv1a`] over a text's bytes: the hash a [`SpecKey`] carries, and the
+/// store's content address and record checksum.
+///
+/// ```
+/// use edc_core::experiment::{fnv1a, key_hash};
+/// assert_eq!(key_hash("a"), fnv1a(*b"a"));
+/// ```
+pub fn key_hash(text: &str) -> u64 {
+    fnv1a(text.bytes())
+}
+
+/// A design's identity: the canonical spec JSON text and its
+/// [`key_hash`], computed once.
+///
+/// The key reads as its text (`Deref<Target = str>`). It hashes as the
+/// stored `u64` alone, so map lookups never rehash the text; equality
+/// compares the hashes first, then the texts; ordering is the texts'
+/// ordering.
+///
+/// ```
+/// use edc_core::experiment::{key_hash, SpecKey};
+/// use edc_core::json::Json;
+///
+/// let key = SpecKey::from(&Json::parse(r#"{"timestep_s":0.001}"#).unwrap());
+/// assert_eq!(&*key, r#"{"timestep_s":0.001}"#);
+/// assert_eq!(key.hash(), key_hash(&key));
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpecKey {
+    // Declared hash first, so the derived equality checks it first.
+    hash: u64,
+    text: String,
+}
+
+impl SpecKey {
+    /// The [`key_hash`] of the key's text.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl From<&crate::json::Json> for SpecKey {
+    fn from(json: &crate::json::Json) -> Self {
+        let text = json.to_string();
+        SpecKey {
+            hash: key_hash(&text),
+            text,
+        }
+    }
+}
+
+impl std::ops::Deref for SpecKey {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.text
+    }
+}
+
+impl fmt::Display for SpecKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+impl std::hash::Hash for SpecKey {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+impl Ord for SpecKey {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.text.cmp(&other.text)
+    }
+}
+
+impl PartialOrd for SpecKey {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
     }
 }
 

@@ -34,7 +34,7 @@ pub mod telemetry;
 
 pub use catalog::{TraceCatalog, TraceError, TraceId};
 pub use edc_telemetry::{Telemetry, TelemetryKind};
-pub use experiment::{BuildError, Experiment, ExperimentSpec, System};
+pub use experiment::{BuildError, Experiment, ExperimentSpec, SpecKey, System};
 pub use fleet::{FieldSpec, FleetError, FleetSpec, Placement};
 pub use scenarios::{FieldEnvelope, SourceKind, StrategyKind};
 pub use system::{SystemReport, Topology};

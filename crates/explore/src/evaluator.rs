@@ -3,7 +3,8 @@
 //! Every searcher funds its simulations through one [`Evaluator`]. An
 //! [`Evaluator::evaluate`] call **canonicalises** each candidate spec
 //! (forcing stats telemetry when an objective needs it) and keys its memo
-//! cache on the spec's canonical JSON, so the same design is never
+//! cache, store lookups and store writes on the spec's one
+//! [`SpecKey`], so the same design is never
 //! simulated twice — within a search *or* across rungs of different
 //! fidelity (the timestep is part of the key). The call's cache misses,
 //! first occurrence only and in input order, then pass through three
@@ -49,7 +50,7 @@ use std::time::Instant;
 
 use edc_bench::sweep::run_specs_timed_metered;
 use edc_core::catalog::TraceCatalog;
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_core::TelemetryKind;
 use edc_lint::Linter;
 use edc_store::StoreHandle;
@@ -65,8 +66,8 @@ use crate::ExploreError;
 pub struct Evaluation {
     /// The candidate spec, after canonicalisation.
     pub spec: ExperimentSpec,
-    /// The spec's canonical JSON — the memo-cache key.
-    pub key: String,
+    /// The canonicalised spec's key — the memo-cache and store key.
+    pub key: SpecKey,
     /// One score per objective, in objective order; lower is better.
     pub scores: Vec<f64>,
 }
@@ -180,8 +181,8 @@ pub struct Evaluator<'a> {
     reference_deadline: Option<Seconds>,
     cost_scale: f64,
     catalog: TraceCatalog,
-    /// Scores and the stage that settled them, per canonical spec key.
-    cache: HashMap<String, (Vec<f64>, Provenance)>,
+    /// Scores and the stage that settled them, per spec key.
+    cache: HashMap<SpecKey, (Vec<f64>, Provenance)>,
     totals: Counts,
     /// Summed miss by miss, so its rounding is that of one running sum.
     cost_units: f64,
@@ -415,8 +416,8 @@ impl<'a> Evaluator<'a> {
                 }
             })
             .collect();
-        let keys: Vec<String> = specs.iter().map(|s| s.to_json().to_string()).collect();
-        let mut queued: HashSet<&str> = HashSet::new();
+        let keys: Vec<SpecKey> = specs.iter().map(ExperimentSpec::key).collect();
+        let mut queued: HashSet<&SpecKey> = HashSet::new();
         let first_miss: Vec<bool> = keys
             .iter()
             .map(|k| !self.cache.contains_key(k) && queued.insert(k))
@@ -426,7 +427,7 @@ impl<'a> Evaluator<'a> {
         let registry = self.metrics.clone().unwrap_or_else(edc_metrics::global);
         let mut counts: Counts = [0; 9];
         let resolved = self
-            .store_stage(&specs, &keys, missing, &mut counts)
+            .store_stage(&keys, missing, &mut counts)
             .map(|missing| self.lint_stage(&specs, &keys, missing, &mut counts))
             .and_then(|missing| {
                 self.simulate(&specs, &keys, missing, &registry, phase, &mut counts)
@@ -479,11 +480,11 @@ impl<'a> Evaluator<'a> {
     /// Settles `key` at `scores`: caches them with their origin and, in
     /// bound mode, keeps exact ones (anything but a lower-bound stand-in)
     /// as dominance incumbents.
-    fn settle(&mut self, key: &str, scores: Vec<f64>, origin: Provenance) {
+    fn settle(&mut self, key: &SpecKey, scores: Vec<f64>, origin: Provenance) {
         if self.bound && origin != Provenance::Bound {
             self.incumbents.push(scores.clone());
         }
-        self.cache.insert(key.to_string(), (scores, origin));
+        self.cache.insert(key.clone(), (scores, origin));
     }
 
     /// Store stage: serves the misses a connected store holds, at zero
@@ -492,8 +493,7 @@ impl<'a> Evaluator<'a> {
     /// Returns the misses the store could not serve.
     fn store_stage(
         &mut self,
-        specs: &[ExperimentSpec],
-        keys: &[String],
+        keys: &[SpecKey],
         missing: Vec<usize>,
         counts: &mut Counts,
     ) -> Result<Vec<usize>, ExploreError> {
@@ -534,7 +534,7 @@ impl<'a> Evaluator<'a> {
             };
             if !recomputed.is_empty() {
                 guard
-                    .put(&specs[i].to_json(), report, recomputed, cost)
+                    .put(keys[i].clone(), report, recomputed, cost)
                     .map_err(ExploreError::Store)?;
             }
             self.settle(&keys[i], scores, Provenance::Store);
@@ -552,7 +552,7 @@ impl<'a> Evaluator<'a> {
     fn lint_stage(
         &mut self,
         specs: &[ExperimentSpec],
-        keys: &[String],
+        keys: &[SpecKey],
         missing: Vec<usize>,
         counts: &mut Counts,
     ) -> Vec<usize> {
@@ -607,7 +607,7 @@ impl<'a> Evaluator<'a> {
     fn simulate(
         &mut self,
         specs: &[ExperimentSpec],
-        keys: &[String],
+        keys: &[SpecKey],
         mut pending: Vec<usize>,
         registry: &edc_metrics::Registry,
         phase: &str,
@@ -696,7 +696,7 @@ impl<'a> Evaluator<'a> {
                     let appended = store
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .put(&specs[i].to_json(), run.report.to_json(), named, cost)?;
+                        .put(keys[i].clone(), run.report.to_json(), named, cost)?;
                     if appended {
                         registry
                             .counter(

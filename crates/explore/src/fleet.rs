@@ -39,7 +39,7 @@ use std::collections::HashMap;
 use std::rc::Rc;
 
 use edc_bound::{Bounder, ScoreBracket};
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_core::fleet::{FieldSpec, FleetSpec, Placement};
 use edc_core::json::Json;
 use edc_core::scenarios::{SourceKind, StrategyKind};
@@ -83,8 +83,8 @@ pub struct FleetTemplate {
     stagger: Seconds,
     duty_period: Seconds,
     threads: Option<usize>,
-    cache: Rc<RefCell<HashMap<String, Option<FleetMetrics>>>>,
-    bracket_cache: Rc<RefCell<HashMap<String, Option<NodeBrackets>>>>,
+    cache: Rc<RefCell<HashMap<SpecKey, Option<FleetMetrics>>>>,
+    bracket_cache: Rc<RefCell<HashMap<SpecKey, Option<NodeBrackets>>>>,
 }
 
 impl FleetTemplate {
@@ -184,11 +184,8 @@ impl FleetTemplate {
     /// designs differing only there build identical fleets — normalise it
     /// out of the memo keys or a sources axis would redo the same fleet
     /// work once per source kind.
-    fn memo_key(design: &ExperimentSpec) -> String {
-        design
-            .source(SourceKind::Dc { volts: 0.0 })
-            .to_json()
-            .to_string()
+    fn memo_key(design: &ExperimentSpec) -> SpecKey {
+        design.source(SourceKind::Dc { volts: 0.0 }).key()
     }
 
     /// Statically bounds (or recalls) the per-node dynamics of the

@@ -9,7 +9,7 @@
 
 use std::cmp::Ordering;
 
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_core::json::Json;
 
 use crate::evaluator::Evaluation;
@@ -59,8 +59,8 @@ pub fn dominator_counts(scores: &[Vec<f64>]) -> Vec<usize> {
 pub struct FrontPoint {
     /// The design's spec.
     pub spec: ExperimentSpec,
-    /// The spec's canonical JSON key.
-    pub key: String,
+    /// The spec's key.
+    pub key: SpecKey,
     /// One score per objective.
     pub scores: Vec<f64>,
 }
@@ -80,7 +80,7 @@ impl ParetoFront {
         let mut seen = std::collections::HashSet::new();
         let mut unique: Vec<&Evaluation> = Vec::new();
         for e in evaluations {
-            if seen.insert(e.key.as_str()) {
+            if seen.insert(&e.key) {
                 unique.push(e);
             }
         }
@@ -114,7 +114,7 @@ impl ParetoFront {
 
     /// `true` when a design with this canonical spec key is on the front.
     pub fn contains_key(&self, key: &str) -> bool {
-        self.points.iter().any(|p| p.key == key)
+        self.points.iter().any(|p| &*p.key == key)
     }
 
     /// The front as a JSON value (objective *scores* serialise per point;
@@ -163,7 +163,7 @@ mod tests {
         );
         Evaluation {
             spec,
-            key: key.to_string(),
+            key: SpecKey::from(&Json::Str(key.to_string())),
             scores,
         }
     }
@@ -186,9 +186,13 @@ mod tests {
             eval("d", vec![2.5, 2.5]), // dominated by b
         ]);
         assert_eq!(front.len(), 3);
-        let keys: Vec<&str> = front.points().iter().map(|p| p.key.as_str()).collect();
-        assert_eq!(keys, ["a", "b", "c"], "sorted by scores, not input order");
-        assert!(!front.contains_key("d"));
+        let keys: Vec<&str> = front.points().iter().map(|p| &*p.key).collect();
+        assert_eq!(
+            keys,
+            [r#""a""#, r#""b""#, r#""c""#],
+            "sorted by scores, not input order"
+        );
+        assert!(!front.contains_key(r#""d""#));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use rand::{rngs::StdRng, Rng as _, SeedableRng as _};
 
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_units::Seconds;
 
 use crate::evaluator::{Evaluation, Evaluator};
@@ -365,7 +365,7 @@ impl Searcher for CoordinateDescent {
             }
         };
         let mut all: Vec<Evaluation> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
+        let mut seen: std::collections::HashSet<SpecKey> = std::collections::HashSet::new();
         let mut collect = |evals: &[Evaluation], all: &mut Vec<Evaluation>| {
             for e in evals {
                 if seen.insert(e.key.clone()) {
@@ -460,8 +460,9 @@ mod tests {
         let b = RandomSearch::new(42, 16)
             .search(&space, &mut eval2)
             .expect("searches");
-        let keys =
-            |evals: &[Evaluation]| -> Vec<String> { evals.iter().map(|e| e.key.clone()).collect() };
+        let keys = |evals: &[Evaluation]| -> Vec<String> {
+            evals.iter().map(|e| e.key.to_string()).collect()
+        };
         assert_eq!(keys(&a), keys(&b), "same seed, same sample");
         let mut unique = keys(&a);
         unique.dedup();
@@ -545,7 +546,7 @@ mod tests {
             .iter()
             .map(|&flat| space.spec_at(flat).to_json().to_string())
             .collect();
-        let got: Vec<String> = evals.iter().map(|e| e.key.clone()).collect();
+        let got: Vec<String> = evals.iter().map(|e| e.key.to_string()).collect();
         assert_eq!(got, expected);
     }
 

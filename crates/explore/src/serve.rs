@@ -13,6 +13,10 @@
 //!   evaluate lines accumulate until a blank line, any other op, or
 //!   end-of-input flushes them through one parallel evaluator call.
 //!   Identical in-flight specs deduplicate — one simulation, N responses.
+//!   A spec's `telemetry` kind is validated and then ignored: responses
+//!   carry only scores, and no kind changes a run's scores, so specs that
+//!   differ only there are one spec, with one key, one simulation and one
+//!   memo entry (a session objective that needs stats still gets them).
 //!   Each response reports the store key of the canonical spec, the
 //!   scores by objective name (non-finite as `"inf"` / `"-inf"` strings,
 //!   the store's encoding), and a `"source"`: `simulated` (this batch
@@ -71,9 +75,10 @@
 use std::collections::{HashMap, HashSet};
 
 use edc_core::catalog::TraceCatalog;
-use edc_core::experiment::ExperimentSpec;
+use edc_core::experiment::{ExperimentSpec, SpecKey};
 use edc_core::json::Json;
-use edc_store::{encode_score, hex16, key_hash, parse_hex16, StoreEntry, StoreHandle};
+use edc_core::TelemetryKind;
+use edc_store::{encode_score, hex16, parse_hex16, StoreEntry, StoreHandle};
 use edc_units::Seconds;
 
 use crate::evaluator::{Evaluator, Provenance};
@@ -86,8 +91,9 @@ use crate::{CompletionTime, EnergyPerTask, Explorer};
 struct Pending {
     id: Option<Json>,
     spec: ExperimentSpec,
-    /// The raw spec's canonical JSON — the session's dedup/memo key.
-    key: String,
+    /// The request spec's key (telemetry cleared) — the session's
+    /// dedup/memo key.
+    key: SpecKey,
 }
 
 /// A memoised evaluation: the canonical (evaluator-prepared) spec's
@@ -117,7 +123,7 @@ pub struct ServeSession {
     catalog: TraceCatalog,
     store: Option<StoreHandle>,
     metrics: edc_metrics::Registry,
-    memo: HashMap<String, Memoised>,
+    memo: HashMap<SpecKey, Memoised>,
     pending: Vec<Pending>,
     linter: Option<edc_lint::Linter>,
 }
@@ -276,20 +282,21 @@ impl ServeSession {
             return Vec::new();
         }
         let pending = std::mem::take(&mut self.pending);
-        let memo_before: HashSet<&str> = pending
+        let memo_before: HashSet<&SpecKey> = pending
             .iter()
             .filter(|p| self.memo.contains_key(&p.key))
-            .map(|p| p.key.as_str())
+            .map(|p| &p.key)
             .collect();
-        let mut seen: HashSet<&str> = HashSet::new();
+        let mut seen: HashSet<&SpecKey> = HashSet::new();
         let mut unique: Vec<&Pending> = Vec::new();
         for p in &pending {
-            if !memo_before.contains(p.key.as_str()) && seen.insert(p.key.as_str()) {
+            if !memo_before.contains(&p.key) && seen.insert(&p.key) {
                 unique.push(p);
             }
         }
-        // Source of each freshly-resolved key: "store" or "simulated".
-        let mut fresh_source: HashMap<&str, &'static str> = HashMap::new();
+        // Source of each freshly-resolved key: "store" or "simulated";
+        // taken by its first response, so later ones read "inflight".
+        let mut fresh_source: HashMap<&SpecKey, &'static str> = HashMap::new();
         if !unique.is_empty() {
             let reference_dt = Seconds(
                 unique
@@ -319,7 +326,7 @@ impl ServeSession {
             let trace = eval.into_trace();
             for ((p, evaluation), entry) in unique.iter().zip(&evaluations).zip(&trace) {
                 fresh_source.insert(
-                    p.key.as_str(),
+                    &p.key,
                     match entry.provenance {
                         Provenance::Store => "store",
                         _ => "simulated",
@@ -328,13 +335,12 @@ impl ServeSession {
                 self.memo.insert(
                     p.key.clone(),
                     Memoised {
-                        key_hex: hex16(key_hash(&evaluation.key)),
+                        key_hex: hex16(evaluation.key.hash()),
                         scores: evaluation.scores.clone(),
                     },
                 );
             }
         }
-        let mut emitted: HashSet<&str> = HashSet::new();
         pending
             .iter()
             .map(|p| {
@@ -346,15 +352,10 @@ impl ServeSession {
                         vec![error_field("evaluation produced no result")],
                     );
                 };
-                let source = if memo_before.contains(p.key.as_str()) {
+                let source = if memo_before.contains(&p.key) {
                     "memo"
-                } else if emitted.insert(p.key.as_str()) {
-                    fresh_source
-                        .get(p.key.as_str())
-                        .copied()
-                        .unwrap_or("simulated")
                 } else {
-                    "inflight"
+                    fresh_source.remove(&p.key).unwrap_or("inflight")
                 };
                 let scores = Json::Obj(
                     self.objectives
@@ -421,7 +422,10 @@ impl ServeSession {
         let spec_json = request.get("spec").ok_or("evaluate missing 'spec'")?;
         let spec = ExperimentSpec::from_json(spec_json, &self.catalog)?;
         spec.validate_in(&self.catalog).map_err(|e| e.to_string())?;
-        let key = spec.to_json().to_string();
+        // A kind that passed validation changes no score, and no response
+        // reads the sink, so it is not part of the request's identity.
+        let spec = spec.telemetry(TelemetryKind::Null);
+        let key = spec.key();
         Ok(Pending {
             id: None,
             spec,

@@ -508,7 +508,7 @@ mod tests {
             .timesteps(&[Seconds(20e-6), Seconds(80e-6)]);
         let specs = space.all_specs();
         assert_eq!(specs.len(), 4);
-        let mut keys: Vec<String> = specs.iter().map(|s| s.to_json().to_string()).collect();
+        let mut keys: Vec<_> = specs.iter().map(ExperimentSpec::key).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), 4, "all enumerated specs are distinct");

@@ -74,6 +74,7 @@ use std::collections::HashMap;
 
 use edc_bench::sweep::{run_specs_timed_metered, BATCH_SIZE_BOUNDS};
 use edc_core::catalog::TraceCatalog;
+use edc_core::experiment::SpecKey;
 use edc_core::fleet::{FleetError, FleetSpec};
 use edc_core::json::Json;
 use edc_core::telemetry::stats_json;
@@ -176,14 +177,13 @@ impl Fleet {
             .observe(specs.len() as f64);
 
         // Bucket dedup: nodes whose derived specs are byte-identical (the
-        // canonical JSON is the bucket key, as in the evaluator's memo
-        // cache) simulate once; the rest clone the bucket's report.
-        let mut bucket_of: HashMap<String, usize> = HashMap::new();
+        // spec key is the bucket key, as in the evaluator's memo cache)
+        // simulate once; the rest clone the bucket's report.
+        let mut bucket_of: HashMap<SpecKey, usize> = HashMap::new();
         let mut unique = Vec::new();
         let mut assignment = Vec::with_capacity(specs.len());
         for spec in specs {
-            let key = spec.to_json().to_string();
-            let bucket = *bucket_of.entry(key).or_insert_with(|| {
+            let bucket = *bucket_of.entry(spec.key()).or_insert_with(|| {
                 unique.push(spec);
                 unique.len() - 1
             });

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! Records are addressed by the FNV-1a hash of the canonical spec text
-//! and carry the full spec for collision verification; `check` is an
+//! (the [`SpecKey`]) and carry the full spec for collision verification; `check` is an
 //! FNV-1a checksum over the record bytes. Loading verifies both, and
 //! every corruption mode — truncation, flipped bytes, unknown schema,
 //! conflicting duplicates — surfaces as a typed [`StoreError`], never a
@@ -29,6 +29,7 @@
 //! byte-identically.
 //!
 //! ```
+//! use edc_core::experiment::SpecKey;
 //! use edc_core::json::Json;
 //! use std::collections::BTreeMap;
 //!
@@ -44,7 +45,7 @@
 //!
 //! // Re-open: the entry survives the process.
 //! let store = edc_store::Store::open(&dir).unwrap();
-//! let hit = store.get(&spec.to_string()).unwrap();
+//! let hit = store.get(&SpecKey::from(&spec)).unwrap();
 //! assert_eq!(hit.scores["completion_s"], 1.5);
 //! ```
 
@@ -55,6 +56,15 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
+/// FNV-1a hash of a canonical spec (or record) text — the store's
+/// content address and record checksum; `edc-core`'s one fold, re-exported.
+///
+/// ```
+/// let h = edc_store::key_hash(r#"{"timestep_s":0.001}"#);
+/// assert_eq!(h, edc_core::experiment::key_hash(r#"{"timestep_s":0.001}"#));
+/// ```
+pub use edc_core::experiment::key_hash;
+use edc_core::experiment::SpecKey;
 use edc_core::json::Json;
 
 /// Version stamped into every shard header; bumped on format changes.
@@ -62,26 +72,6 @@ pub const SCHEMA_VERSION: u64 = 1;
 
 /// Number of shard files per store directory.
 pub const SHARDS: u64 = 4;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a hash of a canonical spec (or record) text — the store's
-/// content address, matching the convention `TraceCatalog` uses for
-/// trace content hashes.
-///
-/// ```
-/// let h = edc_store::key_hash(r#"{"timestep_s":0.001}"#);
-/// assert_eq!(h, edc_store::key_hash(r#"{"timestep_s":0.001}"#));
-/// ```
-pub fn key_hash(text: &str) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for byte in text.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Formats a hash as the 16-hex-digit form used in record files.
 ///
@@ -150,8 +140,8 @@ pub fn decode_score(value: &Json) -> Option<f64> {
 /// cost units) the original run was billed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoreEntry {
-    /// Canonical spec JSON text — the content address.
-    pub spec_json: String,
+    /// The canonical spec text and its hash — the content address.
+    pub spec_json: SpecKey,
     /// The run's full `SystemReport` JSON.
     pub report: Json,
     /// Objective scores by objective name (sorted; may be sparse —
@@ -165,7 +155,7 @@ pub struct StoreEntry {
 impl StoreEntry {
     /// The entry's content-address hash.
     pub fn hash(&self) -> u64 {
-        key_hash(&self.spec_json)
+        self.spec_json.hash()
     }
 }
 
@@ -329,16 +319,15 @@ impl Store {
         self.entries.is_empty()
     }
 
-    /// Looks up an entry by canonical spec JSON text. The hash index
-    /// narrows the search; the full spec bytes verify the hit, so
-    /// hash collisions can never alias two different designs.
-    pub fn get(&self, spec_json: &str) -> Option<&StoreEntry> {
-        let hash = key_hash(spec_json);
+    /// Looks up an entry by its spec key. The hash index narrows the
+    /// search; the full spec bytes verify the hit, so hash collisions can
+    /// never alias two different designs.
+    pub fn get(&self, key: &SpecKey) -> Option<&StoreEntry> {
         self.index
-            .get(&hash)?
+            .get(&key.hash())?
             .iter()
             .map(|&i| &self.entries[i])
-            .find(|e| e.spec_json == spec_json)
+            .find(|e| e.spec_json == *key)
     }
 
     /// All entries whose content hash matches (normally zero or one;
@@ -359,9 +348,7 @@ impl Store {
     /// (hash, spec bytes) — stable across insertion orders.
     pub fn sorted_entries(&self) -> Vec<&StoreEntry> {
         let mut refs: Vec<&StoreEntry> = self.entries.iter().collect();
-        refs.sort_by(|a, b| {
-            (a.hash(), a.spec_json.as_str()).cmp(&(b.hash(), b.spec_json.as_str()))
-        });
+        refs.sort_by(|a, b| compaction_order(a, b));
         refs
     }
 
@@ -371,7 +358,8 @@ impl Store {
         Arc::new(Mutex::new(self))
     }
 
-    /// Inserts or merges an evaluation. New specs append a record; a
+    /// Inserts or merges an evaluation under `spec`'s key (a [`SpecKey`],
+    /// or the spec's `&Json`, which builds it). New specs append a record; a
     /// repeat `put` merges scores (new names extend the entry, shared
     /// names must agree bitwise) and keeps the maximum cost, appending
     /// an updated record only when something changed. Returns whether
@@ -384,7 +372,7 @@ impl Store {
     /// bytes or a shared score, [`StoreError::Io`] on write failure.
     pub fn put(
         &mut self,
-        spec: &Json,
+        spec: impl Into<SpecKey>,
         report: Json,
         scores: BTreeMap<String, f64>,
         cost: f64,
@@ -402,13 +390,13 @@ impl Store {
         // emitted JSON always re-parses, so the fallback is unreachable.
         let report = Json::parse(&report.to_string()).unwrap_or(Json::Null);
         let entry = StoreEntry {
-            spec_json: spec.to_string(),
+            spec_json: spec.into(),
             report,
             scores,
             cost,
         };
         let hash = entry.hash();
-        let (idx, changed) = self.merge(entry, hash, false)?;
+        let (idx, changed) = self.merge(entry, false)?;
         if changed {
             let line = record_line(&self.entries[idx]);
             self.append(hash % SHARDS, &line)?;
@@ -427,9 +415,7 @@ impl Store {
     /// [`StoreError::Io`] on any write/rename failure.
     pub fn compact(&mut self) -> Result<(), StoreError> {
         let mut sorted: Vec<StoreEntry> = std::mem::take(&mut self.entries);
-        sorted.sort_by(|a, b| {
-            (a.hash(), a.spec_json.as_str()).cmp(&(b.hash(), b.spec_json.as_str()))
-        });
+        sorted.sort_by(compaction_order);
         self.entries = sorted;
         self.index.clear();
         for (i, entry) in self.entries.iter().enumerate() {
@@ -469,12 +455,8 @@ impl Store {
 
     /// Merges an entry into memory, enforcing the conflict rules.
     /// Returns the entry index and whether anything changed.
-    fn merge(
-        &mut self,
-        entry: StoreEntry,
-        hash: u64,
-        from_disk: bool,
-    ) -> Result<(usize, bool), StoreError> {
+    fn merge(&mut self, entry: StoreEntry, from_disk: bool) -> Result<(usize, bool), StoreError> {
+        let hash = entry.hash();
         let existing = self.index.get(&hash).and_then(|idxs| {
             idxs.iter()
                 .copied()
@@ -541,8 +523,7 @@ impl Store {
             }
             let lineno = i + 2;
             let entry = parse_record(&path, lineno, line, shard)?;
-            let hash = entry.hash();
-            self.merge(entry, hash, true)?;
+            self.merge(entry, true)?;
         }
         Ok(())
     }
@@ -565,6 +546,11 @@ impl Store {
         file.write_all(text.as_bytes())
             .map_err(|e| io_error(&path, &e))
     }
+}
+
+/// The compaction order: by (hash, spec bytes).
+fn compaction_order(a: &StoreEntry, b: &StoreEntry) -> std::cmp::Ordering {
+    (a.hash(), &a.spec_json).cmp(&(b.hash(), &b.spec_json))
 }
 
 fn io_error(path: &Path, e: &std::io::Error) -> StoreError {
@@ -686,11 +672,11 @@ fn parse_record(
         }
         _ => return Err(bad("missing hash".to_string())),
     };
-    let spec_json = body
-        .get("spec")
-        .ok_or_else(|| bad("missing spec".to_string()))?
-        .to_string();
-    if key_hash(&spec_json) != hash {
+    let spec_json = SpecKey::from(
+        body.get("spec")
+            .ok_or_else(|| bad("missing spec".to_string()))?,
+    );
+    if spec_json.hash() != hash {
         return Err(StoreError::HashMismatch { path: path_s, line });
     }
     if hash % SHARDS != shard {
@@ -769,11 +755,11 @@ mod tests {
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 10);
         for i in 0..10 {
-            let e = reopened.get(&spec(i).to_string()).unwrap();
+            let e = reopened.get(&SpecKey::from(&spec(i))).unwrap();
             assert_eq!(e.scores["completion_s"], i as f64 + 0.5);
             assert_eq!(e.cost, 2.0);
         }
-        assert!(reopened.get(&spec(99).to_string()).is_none());
+        assert!(reopened.get(&SpecKey::from(&spec(99))).is_none());
     }
 
     #[test]
@@ -789,7 +775,7 @@ mod tests {
             )
             .unwrap();
         let reopened = Store::open(&dir).unwrap();
-        let e = reopened.get(&spec(0).to_string()).unwrap();
+        let e = reopened.get(&SpecKey::from(&spec(0))).unwrap();
         assert_eq!(e.scores["completion_s"], f64::INFINITY);
         assert_eq!(e.scores["neg"], f64::NEG_INFINITY);
     }
@@ -828,7 +814,7 @@ mod tests {
         assert!(appended);
         let reopened = Store::open(&dir).unwrap();
         assert_eq!(reopened.len(), 1);
-        let e = reopened.get(&spec(0).to_string()).unwrap();
+        let e = reopened.get(&SpecKey::from(&spec(0))).unwrap();
         assert_eq!(e.scores, scores_of(&[("a", 1.0), ("b", 2.0)]));
         assert_eq!(e.cost, 3.0);
     }
@@ -923,7 +909,7 @@ mod tests {
         assert_eq!(text.lines().count(), 2, "header + one merged record");
         let merged = Store::open(&dir).unwrap();
         assert_eq!(
-            merged.get(&spec(0).to_string()).unwrap().scores,
+            merged.get(&SpecKey::from(&spec(0))).unwrap().scores,
             scores_of(&[("a", 1.0), ("b", 2.0)])
         );
     }

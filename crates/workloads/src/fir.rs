@@ -7,7 +7,7 @@ use edc_mcu::Mcu;
 
 use crate::{
     pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
-    MAX_INPUT_WORDS, OUTPUT_BASE,
+    MAX_INPUT_BELOW_OUTPUT, OUTPUT_BASE,
 };
 
 /// Applies an `taps`-tap low-pass FIR to `n` Q15 samples.
@@ -24,15 +24,15 @@ impl FirFilter {
     /// # Panics
     ///
     /// Panics unless `taps` is a power of two in `2..=32`, `n > taps`,
-    /// and `n + taps ≤ MAX_INPUT_WORDS`.
+    /// and `n + taps ≤ MAX_INPUT_BELOW_OUTPUT`.
     pub fn new(n: u16, taps: u16) -> Self {
         assert!(
             taps.is_power_of_two() && (2..=32).contains(&taps),
             "taps must be a power of two in 2..=32"
         );
         assert!(
-            (taps + 1..=MAX_INPUT_WORDS - taps).contains(&n),
-            "need taps < n ≤ MAX_INPUT_WORDS − taps"
+            (taps + 1..=MAX_INPUT_BELOW_OUTPUT - taps).contains(&n),
+            "need taps < n ≤ MAX_INPUT_BELOW_OUTPUT − taps"
         );
         Self {
             n,

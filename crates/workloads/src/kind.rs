@@ -9,7 +9,8 @@
 
 use crate::{
     BusyLoop, Crc16, DotProduct, Endless, FirFilter, Fourier, InsertionSort, MatMul, PrimeSieve,
-    RadixFft, RunLength, SensePipeline, Workload, MAX_INPUT_WORDS,
+    RadixFft, RunLength, SensePipeline, Workload, MAX_INPUT_BELOW_OUTPUT, MAX_INPUT_WORDS,
+    MAX_OUTPUT_WORDS,
 };
 
 /// A benchmark program identified by kind and size — plain data, so any
@@ -114,9 +115,9 @@ impl WorkloadKind {
             WorkloadKind::FirFilter { n, taps }
                 if !(taps.is_power_of_two()
                     && (2..=32).contains(&taps)
-                    && (taps + 1..=MAX_INPUT_WORDS - taps).contains(&n)) =>
+                    && (taps + 1..=MAX_INPUT_BELOW_OUTPUT - taps).contains(&n)) =>
             {
-                Err("fir-filter needs taps a power of two in 2..=32 and taps < n ≤ 14016 − taps")
+                Err("fir-filter needs taps a power of two in 2..=32 and taps < n ≤ 3840 − taps")
             }
             WorkloadKind::Fourier(n) if !(n.is_power_of_two() && (8..=256).contains(&n)) => {
                 Err("fourier size must be a power of two in 8..=256")
@@ -130,13 +131,15 @@ impl WorkloadKind {
             WorkloadKind::RadixFft(n) if !(n.is_power_of_two() && (8..=256).contains(&n)) => {
                 Err("radix2-fft size must be a power of two in 8..=256")
             }
-            WorkloadKind::RunLength(n) if !(2..=MAX_INPUT_WORDS).contains(&n) => {
-                Err("rle needs 2..=14016 input words")
+            WorkloadKind::RunLength(n) if !(2..=MAX_INPUT_BELOW_OUTPUT).contains(&n) => {
+                Err("rle needs 2..=3840 input words")
             }
             WorkloadKind::SensePipeline { windows, samples }
-                if !(windows > 0 && samples.is_power_of_two() && samples <= 64) =>
+                if !((1..MAX_OUTPUT_WORDS).contains(&windows)
+                    && samples.is_power_of_two()
+                    && samples <= 64) =>
             {
-                Err("sense-pipeline needs windows > 0 and samples a power of two ≤ 64")
+                Err("sense-pipeline needs windows in 1..=10175 and samples a power of two ≤ 64")
             }
             _ => Ok(()),
         }
@@ -176,8 +179,21 @@ mod tests {
 
     #[test]
     fn validate_mirrors_constructor_domains() {
-        for kind in WorkloadKind::ALL {
+        // The largest sizes whose outputs still fit where they verify.
+        let edges = [
+            WorkloadKind::RunLength(MAX_INPUT_BELOW_OUTPUT),
+            WorkloadKind::FirFilter {
+                n: MAX_INPUT_BELOW_OUTPUT - 32,
+                taps: 32,
+            },
+            WorkloadKind::SensePipeline {
+                windows: MAX_OUTPUT_WORDS - 1,
+                samples: 1,
+            },
+        ];
+        for kind in WorkloadKind::ALL.into_iter().chain(edges) {
             assert_eq!(kind.validate(), Ok(()), "{kind:?}");
+            let _ = kind.make();
         }
         let bad = [
             WorkloadKind::BusyLoop(0),
@@ -186,11 +202,15 @@ mod tests {
             WorkloadKind::DotProduct(3),
             WorkloadKind::FirFilter { n: 8, taps: 16 },
             WorkloadKind::FirFilter {
-                n: MAX_INPUT_WORDS - 1,
+                n: MAX_INPUT_BELOW_OUTPUT - 1,
                 taps: 2,
             },
+            WorkloadKind::FirFilter {
+                n: MAX_INPUT_BELOW_OUTPUT - 31,
+                taps: 32,
+            },
             WorkloadKind::Crc16(MAX_INPUT_WORDS + 1),
-            WorkloadKind::RunLength(MAX_INPUT_WORDS + 1),
+            WorkloadKind::RunLength(MAX_INPUT_BELOW_OUTPUT + 1),
             WorkloadKind::Fourier(100),
             WorkloadKind::InsertionSort(1),
             WorkloadKind::PrimeSieve(2),
@@ -199,6 +219,10 @@ mod tests {
             WorkloadKind::SensePipeline {
                 windows: 0,
                 samples: 4,
+            },
+            WorkloadKind::SensePipeline {
+                windows: MAX_OUTPUT_WORDS,
+                samples: 1,
             },
         ];
         for kind in bad {

@@ -71,6 +71,15 @@ pub const INPUT_BASE: u16 = 0x1100;
 pub const MAX_INPUT_WORDS: u16 = SNAPSHOT_BASE - INPUT_BASE;
 /// FRAM base address where workloads persist their results.
 pub const OUTPUT_BASE: u16 = 0x2000;
+/// Most data words a kernel can place from [`INPUT_BASE`] up to
+/// [`OUTPUT_BASE`]. Kernels that write their output block while input is
+/// still unread (`rle`, `fir-filter`) bound their data by it, so no output
+/// word lands on input.
+pub const MAX_INPUT_BELOW_OUTPUT: u16 = OUTPUT_BASE - INPUT_BASE;
+/// Most words a kernel can persist from [`OUTPUT_BASE`] up to the
+/// snapshot area; `sense-pipeline` stores its window count and one
+/// average per window there.
+pub const MAX_OUTPUT_WORDS: u16 = SNAPSHOT_BASE - OUTPUT_BASE;
 
 /// Verification failures reported by [`Workload::verify`].
 #[derive(Debug, Clone, PartialEq, Eq)]

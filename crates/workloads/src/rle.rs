@@ -7,7 +7,7 @@ use edc_mcu::Mcu;
 
 use crate::{
     pseudo_random_words, verify_output_block, Assemble, VerifyError, Workload, INPUT_BASE,
-    MAX_INPUT_WORDS, OUTPUT_BASE,
+    MAX_INPUT_BELOW_OUTPUT, OUTPUT_BASE,
 };
 
 /// Run-length encodes `n` input words into `(value, run)` pairs.
@@ -26,11 +26,11 @@ impl RunLength {
     ///
     /// # Panics
     ///
-    /// Panics unless `n` is in `2..=MAX_INPUT_WORDS`.
+    /// Panics unless `n` is in `2..=MAX_INPUT_BELOW_OUTPUT`.
     pub fn new(n: u16) -> Self {
         assert!(
-            (2..=MAX_INPUT_WORDS).contains(&n),
-            "need 2..=MAX_INPUT_WORDS input words"
+            (2..=MAX_INPUT_BELOW_OUTPUT).contains(&n),
+            "need 2..=MAX_INPUT_BELOW_OUTPUT input words"
         );
         Self { n, seed: 0xACE1 }
     }

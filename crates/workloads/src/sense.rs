@@ -10,7 +10,7 @@
 use edc_mcu::isa::{regs::*, Addr, Program, ProgramBuilder};
 use edc_mcu::Mcu;
 
-use crate::{Assemble, VerifyError, Workload, OUTPUT_BASE};
+use crate::{Assemble, VerifyError, Workload, MAX_OUTPUT_WORDS, OUTPUT_BASE};
 
 /// Samples the ADC in windows, averages each window, persists and transmits
 /// the averages.
@@ -26,10 +26,14 @@ impl SensePipeline {
     ///
     /// # Panics
     ///
-    /// Panics unless both counts are positive and `samples_per_window` is a
-    /// power of two ≤ 64 (averaging uses shifts).
+    /// Panics unless both counts are positive, `windows < MAX_OUTPUT_WORDS`
+    /// (the count and every average fit below the snapshot area) and
+    /// `samples_per_window` is a power of two ≤ 64 (averaging uses shifts).
     pub fn new(windows: u16, samples_per_window: u16) -> Self {
-        assert!(windows > 0, "need at least one window");
+        assert!(
+            (1..MAX_OUTPUT_WORDS).contains(&windows),
+            "need 1..MAX_OUTPUT_WORDS windows"
+        );
         assert!(
             samples_per_window.is_power_of_two() && samples_per_window <= 64,
             "samples per window must be a power of two ≤ 64"

@@ -10,7 +10,8 @@
 //! 3. A `ParetoFront` never contains a dominated point (property-based).
 
 use energy_driven::core::catalog::TraceCatalog;
-use energy_driven::core::experiment::ExperimentSpec;
+use energy_driven::core::experiment::{ExperimentSpec, SpecKey};
+use energy_driven::core::json::Json;
 use energy_driven::core::scenarios::{SourceKind, StrategyKind};
 use energy_driven::explore::evaluator::Evaluation;
 use energy_driven::explore::seed::sizing_seeded_decoupling_axis;
@@ -30,6 +31,11 @@ fn dummy_spec() -> ExperimentSpec {
         StrategyKind::Restart,
         WorkloadKind::BusyLoop(1),
     )
+}
+
+/// A stand-in key for a synthetic evaluation: a JSON string label.
+fn label_key(label: String) -> SpecKey {
+    SpecKey::from(&Json::Str(label))
 }
 
 /// A small, fast space for determinism checks: DC supply, two strategies,
@@ -416,14 +422,14 @@ proptest! {
             .enumerate()
             .map(|(i, &(a, b))| Evaluation {
                 spec: dummy_spec(),
-                key: format!("finite-{i:03}"),
+                key: label_key(format!("finite-{i:03}")),
                 scores: vec![a, b],
             })
             .collect();
         for i in 0..infeasible {
             evals.push(Evaluation {
                 spec: dummy_spec(),
-                key: format!("infeasible-{i:03}"),
+                key: label_key(format!("infeasible-{i:03}")),
                 scores: vec![f64::INFINITY, f64::INFINITY],
             });
         }
@@ -449,14 +455,14 @@ proptest! {
             .enumerate()
             .map(|(i, &a)| Evaluation {
                 spec: dummy_spec(),
-                key: format!("finite-{i:03}"),
+                key: label_key(format!("finite-{i:03}")),
                 scores: vec![a],
             })
             .collect();
         for i in 0..infeasible {
             evals.push(Evaluation {
                 spec: dummy_spec(),
-                key: format!("infeasible-{i:03}"),
+                key: label_key(format!("infeasible-{i:03}")),
                 scores: vec![f64::INFINITY],
             });
         }
@@ -522,7 +528,7 @@ proptest! {
             .enumerate()
             .map(|(i, &(a, b))| Evaluation {
                 spec,
-                key: format!("candidate-{i:03}"),
+                key: label_key(format!("candidate-{i:03}")),
                 scores: vec![a, b],
             })
             .collect();

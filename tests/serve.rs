@@ -64,6 +64,52 @@ fn concurrent_identical_requests_simulate_once_and_answer_each() {
 }
 
 #[test]
+fn a_requests_telemetry_kind_is_not_part_of_its_key() {
+    // The golden busy-loop spec three times, one batch each: plain, with a
+    // ring sink, with a stats sink. No kind changes a score and no
+    // response reads a sink, so all three are one design: one key, one
+    // simulation, then two memo hits.
+    let spec = golden("serve_requests.txt")
+        .lines()
+        .next()
+        .and_then(|line| Json::parse(line).ok())
+        .and_then(|request| request.get("spec").cloned())
+        .expect("the first golden request carries a spec");
+    let with_telemetry = |kind: Option<&str>| match (kind, &spec) {
+        (Some(kind), Json::Obj(pairs)) => {
+            let mut pairs = pairs.clone();
+            pairs.push((
+                "telemetry".to_string(),
+                Json::parse(kind).expect("kind parses"),
+            ));
+            Json::Obj(pairs)
+        }
+        _ => spec.clone(),
+    };
+    let input = [
+        None,
+        Some(r#"{"kind":"ring","capacity":8}"#),
+        Some(r#"{"kind":"stats"}"#),
+    ]
+    .into_iter()
+    .map(|kind| {
+        format!(
+            "{{\"op\":\"evaluate\",\"spec\":{}}}\n",
+            with_telemetry(kind)
+        )
+    })
+    .collect::<Vec<_>>()
+    .join("\n");
+    let out = ServeSession::new().threads(1).serve_text(&input);
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 3, "{out}");
+    for (line, source) in lines.iter().zip(["simulated", "memo", "memo"]) {
+        assert!(line.contains(r#""key":"e68ae6d653c5a730""#), "{out}");
+        assert!(line.contains(&format!(r#""source":"{source}""#)), "{out}");
+    }
+}
+
+#[test]
 fn workloads_whose_data_overflow_fram_are_refused_not_run() {
     // A CRC over 20 000 words places its input past the end of FRAM. Such
     // a spec used to pass validation and abort the process in `Mcu::new`.

@@ -1,11 +1,12 @@
 #!/bin/sh
 # Pipes a hostile request script through edc_serve: a non-UTF-8 line, a
 # 2 MiB line, 200 000 nested brackets, an evaluate with a negative
-# deadline and an evaluate asking for a ring of usize::MAX records, each
+# deadline, an evaluate asking for a ring of usize::MAX records and an
+# evaluate of an rle kernel too large to verify (8000 words), each
 # followed by a valid line, with an evaluate batch pending before the
 # first. Requires one response per non-blank line, in order: the batch
 # first, one "ok":false error per malformed line, an "ok":true answer to
-# the huge ring (it grows only with the records a run emits), and an
+# the huge ring (the kind is validated, then the run keeps no sink), and an
 # answer to every valid line after them.
 #
 # Usage: sh tests/serve_hostile.sh [EDC_SERVE]
@@ -27,6 +28,8 @@ evaluate=$(grep -m1 '"op":"evaluate"' "$(dirname "$0")/golden/serve_requests.txt
     printf '{"id":14,"op":"metrics"}\n'
     printf '%s\n' "$evaluate" | sed 's/"id":1,/"id":22,/; s/"trace":null}/"trace":null,"telemetry":{"kind":"ring","capacity":18446744073709551615}}/'
     printf '{"id":15,"op":"metrics"}\n'
+    printf '%s\n' "$evaluate" | sed 's/"id":1,/"id":23,/; s/"kind":"busy-loop","n":150/"kind":"rle","n":8000/'
+    printf '{"id":16,"op":"metrics"}\n'
 } >"$dir/requests"
 "$serve" --threads 1 <"$dir/requests" >"$dir/responses"
 
@@ -36,7 +39,7 @@ fail() {
 }
 requests=$(LC_ALL=C grep -a -c '[^[:space:]]' "$dir/requests")
 responses=$(wc -l <"$dir/responses")
-[ "$requests" -eq 11 ] || fail "expected 11 request lines, wrote $requests"
+[ "$requests" -eq 13 ] || fail "expected 13 request lines, wrote $requests"
 [ "$responses" -eq "$requests" ] || fail "$responses responses to $requests request lines"
 expect() {
     sed -n "$1p" "$dir/responses" | grep -q -- "$2" || fail "response $1 lacks $2"
@@ -54,4 +57,7 @@ expect 9 '"id":14,"ok":true,"op":"metrics"'
 [ "$(grep -c '"id":22,' "$dir/responses")" -eq 1 ] || fail "not one response to id 22"
 expect 10 '"id":22,"ok":true,"op":"evaluate"'
 expect 11 '"id":15,"ok":true,"op":"metrics"'
+[ "$(grep -c '"id":23,' "$dir/responses")" -eq 1 ] || fail "not one response to id 23"
+expect 12 '"id":23,"ok":false,"op":"evaluate","error":"invalid workload parameters: rle needs 2..=3840 input words'
+expect 13 '"id":16,"ok":true,"op":"metrics"'
 echo "serve_hostile: OK, $responses responses to $requests request lines"
